@@ -60,7 +60,6 @@ from .positivity import (
     VIOLATION_FOUND,
     BlockPosVerdict,
     CouplingBound,
-    PositivityVerdict,
     admissible_combination,
     block_positive_2x2,
     block_positive_choi,

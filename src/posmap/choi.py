@@ -25,6 +25,7 @@ import numpy as np
 
 from .exceptions import (
     DimensionMismatchError,
+    NonFiniteError,
     NotHermitianError,
     NotInFaceFormError,
 )
@@ -44,6 +45,8 @@ class ChoiMatrix:
     @classmethod
     def from_array(cls, matrix) -> "ChoiMatrix":
         H = require_square(as_matrix(matrix))
+        if not np.all(np.isfinite(H)):
+            raise NonFiniteError("Choi matrix has NaN or infinite entries")
         dim = H.shape[0]
         if dim % 2 != 0 or dim < 4:
             raise DimensionMismatchError(

@@ -5,8 +5,9 @@ for a Choi matrix file), ``decompose`` (split certificate), ``canonical``
 (equality-case canonical form), and ``verify`` (the built-in battery).
 
 Exit codes: 0 success, 1 battery criterion failed, 2 bad parameters,
-3 I/O or parse error.  All stochastic stages derive their streams from one
-seed (``--seed`` or the ``POSMAP_SEED`` environment variable).
+3 I/O or parse error (including NaN or infinite entries).  The stochastic
+subcommands, ``classify`` and ``verify``, derive every stream from one seed
+(``--seed`` or the ``POSMAP_SEED`` environment variable).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .matkernel import partial_transpose, psd_check
 from .positivity import (
     NotPSDError,
     block_positive_choi,
-    certify_positivity,
     coupling_bound_check,
     face_structure_report,
 )
@@ -110,8 +110,6 @@ def build_classification(
         report["unital_face_form"] = bool(unital)
         if unital:
             t0 = time.perf_counter()
-            verdict = certify_positivity(blocks, budget=budget, seed=seed)
-            report["positivity_unital_route"] = jsonable(verdict)
             eq = equality_case_detect(blocks)
             report["equality_case"] = jsonable(eq)
             flags["equality_case"] = bool(eq.equality)
@@ -259,14 +257,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--stage", choices=["raw", "normalized"], default="raw")
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=_cmd_tang)
 
     p = sub.add_parser("classify", help="full classification report for a Choi matrix")
     p.add_argument("input")
     p.add_argument("--out", default=None)
     p.add_argument("--budget", type=int, default=64,
-                   help="restarts for positivity searches")
+                   help="seeded random points added to the fixed Bloch-sphere "
+                        "scan of the positivity search")
     p.add_argument("--witness-restarts", type=int, default=16)
     p.add_argument("--max-iters", type=int, default=20000,
                    help="iteration cap for the split search")
@@ -277,13 +275,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--max-iters", type=int, default=20000)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("canonical", help="canonical form of an equality-case map")
     p.add_argument("input")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=_cmd_canonical)
 
     p = sub.add_parser("verify", help="run the built-in verification battery")

@@ -13,6 +13,10 @@ class DimensionMismatchError(PosmapError):
     """Operand shapes are incompatible with the requested operation."""
 
 
+class NonFiniteError(PosmapError):
+    """A matrix holds NaN or infinite entries."""
+
+
 class NotHermitianError(PosmapError):
     """Hermiticity defect exceeds the allowed tolerance."""
 

@@ -32,7 +32,6 @@ from .exceptions import (
     PosmapError,
     ZeroPatternViolationError,
 )
-from .matkernel import psd_sqrt, require_hermitian
 from .positivity import (
     CERTIFIED,
     ScalarConditions,
@@ -54,10 +53,14 @@ class EqualityCase:
 def equality_case_detect(blocks: ChoiBlocks, tol: float = 1e-8) -> EqualityCase:
     """Detect saturation of the coupling bound for unital face-form blocks.
 
-    ``gap = || |Y| + |Z| - U^{1/2} ||_F``; equality holds iff it is <= tol.
+    ``gap = || (|Y| + |Z|)^2 - U ||_F``; equality holds iff it is <= tol.
+    Both sides of ``|Y| + |Z| = U^{1/2}`` are PSD and the PSD square root is
+    unique, so squaring gives an equivalent test.  It avoids the root, which
+    turns rounding noise in the zero eigenvalues of a rank-deficient ``U``
+    (about 1e-17) into errors near 1e-8.
     """
-    root = psd_sqrt(blocks.U)
-    gap = float(np.linalg.norm(row_abs(blocks.Y) + row_abs(blocks.Z) - root))
+    R = row_abs(blocks.Y) + row_abs(blocks.Z)
+    gap = float(np.linalg.norm(R @ R - blocks.U))
     return EqualityCase(gap <= tol, gap)
 
 

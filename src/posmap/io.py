@@ -2,7 +2,9 @@
 
 A matrix travels as ``{"rows": R, "cols": C, "data": [[re, im], ...]}`` with
 the entries flattened in row-major order.  Floats are emitted with Python's
-shortest round-trip repr, so a save/load cycle is bit-faithful.
+shortest round-trip repr, so a save/load cycle is bit-faithful.  Entries must
+be finite: the ``NaN`` and ``Infinity`` tokens that ``json`` accepts are
+rejected with :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ def matrix_from_obj(obj) -> np.ndarray:
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"entries must be [re, im] pairs: {exc}") from exc
+    if not np.all(np.isfinite(flat)):
+        raise ParseError("matrix entries must be finite, got NaN or infinity")
     return flat.reshape(rows, cols)
 
 

@@ -1,16 +1,28 @@
-"""Positivity criteria for maps given by face-form Choi matrices.
+"""Positivity criteria for maps given by Choi matrices.
 
-Two notions drive everything here:
+A map phi on 2x2 matrices is positive exactly when ``phi(xi xi*)`` is PSD for
+every unit ``xi`` in C^2.  With the Choi blocks ``P = phi(E_11)``,
+``S = phi(E_12)`` and ``Q = phi(E_22)``, the image of the rank-one projector
+with Bloch vector ``r`` on the unit sphere S^2 is
 
-* block-positivity of a 2x2 block matrix ``[[P, S], [S*, Q]]``, equivalent to
-  ``|<eta, S eta>|^2 <= <eta, P eta> <eta, Q eta>`` on the unit sphere, and
-* positivity of a unital face-form map, equivalent to positive semidefiniteness
-  of the bordered matrix built from every admissible scalar triple
-  ``(p, q, s)`` with ``p, q >= 0`` and ``|s|^2 <= p q``.
+    M(r) = A0 + r1 A1 + r2 A2 + r3 A3,
+    A0 = (P + Q)/2,  A1 = (S + S*)/2,  A2 = i(S - S*)/2,  A3 = (P - Q)/2,
 
-Violations are always returned with a witness that reproduces a negative
-value of the defining inequality; certificates are "no violation found"
-statements qualified by the searched budget, never proofs.
+where ``r = (2 Re xi1 conj(xi2), 2 Im xi1 conj(xi2), |xi1|^2 - |xi2|^2)``.
+One engine answers every positivity question in this module: it takes
+``lambda_min(M(r))`` over a fixed point set on S^2 plus seeded random points
+with one batched eigensolve, then refines the lowest few by projected
+gradient on the sphere (``d lambda / d r_k = <v, A_k v>`` for the unit
+eigenvector ``v``).  Its cost depends on the block size only through the
+eigensolves, so blocks of any size, 1x1 included, are searched alike.
+
+``margin`` is the smallest ``lambda_min(phi(xi xi*))`` the search found.  A
+violation is returned with a product vector witness that reproduces a
+negative value; "certified" means no violation was found by the search, not
+a proof.  Block-positivity of ``[[P, S], [S*, Q]]`` is the same property,
+equivalent to ``|<eta, S eta>|^2 <= <eta, P eta> <eta, Q eta>`` on the unit
+sphere, and to every admissible combination ``p P + s S + conj(s) S* + q Q``
+(``p, q >= 0``, ``|s|^2 <= p q``) being PSD.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choi import ChoiBlocks, ChoiMatrix, apply_map, row_abs
+from .choi import ChoiBlocks, ChoiMatrix, apply_map, assemble_blocks, row_abs
 from .exceptions import (
     BadScalarsError,
     NotPSDError,
@@ -39,6 +51,75 @@ STRICT_TOL = 1e-7
 #: Residual below which a vector is accepted as lying in a face kernel.
 FACE_TOL = 1e-8
 
+#: Size of the fixed Fibonacci point set every search scans on S^2.  Larger
+#: sets cost more than they find at block sizes near 10.
+BLOCH_POINTS = 512
+
+#: Lowest scanned points refined by projected gradient, and the step cap.
+REFINE_STARTS = 8
+REFINE_STEPS = 60
+
+
+# ---------------------------------------------------------------------------
+# the positivity engine: lambda_min of phi(xi xi*) over the Bloch sphere
+# ---------------------------------------------------------------------------
+
+
+def _fibonacci_sphere(m: int) -> np.ndarray:
+    """``m`` nearly uniform unit vectors in R^3 on a Fibonacci spiral."""
+    k = np.arange(m) + 0.5
+    z = 1.0 - 2.0 * k / m
+    phase = np.pi * (1.0 + np.sqrt(5.0)) * k
+    rho = np.sqrt(1.0 - z**2)
+    return np.stack([rho * np.cos(phase), rho * np.sin(phase), z], axis=1)
+
+
+_SPHERE_POINTS = _fibonacci_sphere(BLOCH_POINTS)
+_SPHERE_POINTS.setflags(write=False)
+
+
+def _bloch_matrices(A: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Stack of ``M(r) = A0 + sum_k r_k A_k`` for the rows of ``r``."""
+    return A[0] + np.einsum("mk,kij->mij", r, A[1:])
+
+
+def _bloch_min(P, S, Q, budget: int, seed: int):
+    """Smallest ``lambda_min(phi(xi xi*))`` found over unit ``xi`` in C^2.
+
+    Returns ``(value, xi, eta)`` with ``eta`` the unit eigenvector of
+    ``phi(xi xi*)`` at ``value``.
+    """
+    Sh = S.conj().T
+    A = np.stack([(P + Q) / 2, (S + Sh) / 2, 1j * (S - Sh) / 2, (P - Q) / 2])
+    rng = rng_for(seed, "bloch-sphere")
+    extra = rng.standard_normal((max(int(budget), 0), 3))
+    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+    points = np.vstack([_SPHERE_POINTS, extra])
+    lowest = np.linalg.eigvalsh(_bloch_matrices(A, points))[:, 0]
+
+    r = points[np.argsort(lowest)[:REFINE_STARTS]]
+    w, V = np.linalg.eigh(_bloch_matrices(A, r))
+    value, eta = w[:, 0], V[:, :, 0]
+    step = np.full(r.shape[0], 0.1)
+    for _ in range(REFINE_STEPS):
+        grad = np.einsum("mi,kij,mj->mk", eta.conj(), A[1:], eta).real
+        grad -= np.sum(grad * r, axis=1, keepdims=True) * r
+        size = np.linalg.norm(grad, axis=1)
+        if not np.any((size > 0.0) & (step > 1e-12)):
+            break
+        trial = r - (step / np.maximum(size, 1e-300))[:, None] * grad
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        w, V = np.linalg.eigh(_bloch_matrices(A, trial))
+        better = w[:, 0] < value
+        r[better], value[better], eta[better] = trial[better], w[better, 0], V[better, :, 0]
+        step = np.where(better, np.minimum(1.5 * step, 0.5), 0.5 * step)
+
+    k = int(np.argmin(value))
+    r1, r2, r3 = r[k]
+    rho = np.array([[1 + r3, r1 + 1j * r2], [r1 - 1j * r2, 1 - r3]]) / 2
+    xi = np.linalg.eigh(rho)[1][:, -1]
+    return float(value[k]), xi, eta[k].copy()
+
 
 # ---------------------------------------------------------------------------
 # block-positivity of [[P, S], [S*, Q]]
@@ -49,9 +130,11 @@ FACE_TOL = 1e-8
 class BlockPosWitness:
     """Product vector violating block-positivity.
 
-    ``value`` is the determinant-form value ``<e,Pe><e,Qe> - |<e,Se>|^2`` at
-    ``eta``; ``lam`` are scalars such that the full quadratic form
-    ``sum conj(lam_i) lam_j <eta, A_ij eta>`` is negative.
+    ``lam`` and ``eta`` give the product vector ``kron(lam, eta)``, whose
+    quadratic form ``sum conj(lam_i) lam_j <eta, A_ij eta>`` against the
+    Choi matrix is negative.  ``value`` is the determinant-form value
+    ``<e,Pe><e,Qe> - |<e,Se>|^2`` at ``eta`` (the smallest eigenvalue of the
+    block, for a non-PSD diagonal block).
     """
 
     eta: np.ndarray
@@ -66,84 +149,6 @@ class BlockPosVerdict:
     witness: BlockPosWitness | None = None
 
 
-def _quad_forms(etas: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Batched quadratic forms <eta, M eta> for unit rows ``etas``."""
-    return np.einsum("mi,mi->m", etas.conj(), etas @ M.T)
-
-
-def _gap_values(P, S, Q, etas):
-    p = _quad_forms(etas, P).real
-    q = _quad_forms(etas, Q).real
-    s = _quad_forms(etas, S)
-    return p * q - np.abs(s) ** 2
-
-
-def _sphere_grid(n: int) -> np.ndarray | None:
-    """Deterministic unit-sphere sample (modulo global phase) for n <= 3."""
-    if n == 1:
-        return np.ones((1, 1), dtype=np.complex128)
-    if n == 2:
-        theta = np.linspace(0.0, np.pi / 2, 33)
-        phi = np.linspace(0.0, 2 * np.pi, 126, endpoint=False)
-        T, F = np.meshgrid(theta, phi, indexing="ij")
-        etas = np.stack(
-            [np.cos(T), np.sin(T) * np.exp(1j * F)], axis=-1
-        ).reshape(-1, 2)
-        return etas
-    if n == 3:
-        theta1 = np.linspace(0.0, np.pi / 2, 12)
-        theta2 = np.linspace(0.0, np.pi / 2, 12)
-        phi1 = np.linspace(0.0, 2 * np.pi, 42, endpoint=False)
-        phi2 = np.linspace(0.0, 2 * np.pi, 42, endpoint=False)
-        T1, T2, F1, F2 = np.meshgrid(theta1, theta2, phi1, phi2, indexing="ij")
-        etas = np.stack(
-            [
-                np.cos(T1),
-                np.sin(T1) * np.cos(T2) * np.exp(1j * F1),
-                np.sin(T1) * np.sin(T2) * np.exp(1j * F2),
-            ],
-            axis=-1,
-        ).reshape(-1, 3)
-        return etas
-    return None
-
-
-def _descend(P, S, Q, starts: np.ndarray, max_steps: int = 500):
-    """Batched projected gradient descent of the gap on the unit sphere."""
-    etas = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    scale = max(
-        np.linalg.norm(P), np.linalg.norm(Q), 2 * np.linalg.norm(S), 1e-12
-    )
-    steps = np.full(etas.shape[0], 0.1 / scale)
-    Sstar = S.conj().T
-    g = _gap_values(P, S, Q, etas)
-    for _ in range(max_steps):
-        Pe = etas @ P.T
-        Qe = etas @ Q.T
-        Se = etas @ S.T
-        SHe = etas @ Sstar.T
-        p = np.einsum("mi,mi->m", etas.conj(), Pe).real
-        q = np.einsum("mi,mi->m", etas.conj(), Qe).real
-        s = np.einsum("mi,mi->m", etas.conj(), Se)
-        grad = (
-            Pe * q[:, None]
-            + Qe * p[:, None]
-            - (s.conj()[:, None] * Se + s[:, None] * SHe)
-        )
-        prop = etas - steps[:, None] * grad
-        prop /= np.linalg.norm(prop, axis=1, keepdims=True)
-        gp = _gap_values(P, S, Q, prop)
-        accept = gp < g
-        etas[accept] = prop[accept]
-        g[accept] = gp[accept]
-        steps[accept] *= 1.25
-        steps[~accept] *= 0.5
-        if steps.max() < 1e-16:
-            break
-    k = int(np.argmin(g))
-    return float(g[k]), etas[k].copy()
-
-
 def block_positive_2x2(
     P,
     S,
@@ -151,15 +156,15 @@ def block_positive_2x2(
     budget: int = 64,
     tol: float = 1e-9,
     seed: int = 0,
-    max_steps: int = 500,
 ) -> BlockPosVerdict:
-    """Search for a violation of ``|<e,Se>|^2 <= <e,Pe><e,Qe>`` on the sphere.
+    """Search for a violation of block-positivity of ``[[P, S], [S*, Q]]``.
 
     ``P`` and ``Q`` must be Hermitian PSD (raises :class:`NotPSDError`
-    otherwise).  The search combines a deterministic sphere grid (n <= 3)
-    with ``budget`` restarts of projected gradient descent.  ``margin`` is
-    the smallest gap value found; a violation is returned with a product
-    vector witness whose quadratic form is negative.
+    otherwise); they are the images of the Bloch sphere's poles.  The
+    positivity engine then scans the fixed point set plus ``budget``
+    random points drawn from ``seed`` and refines the lowest.  ``margin``
+    is the smallest ``lambda_min(phi(xi xi*))`` found, and values below
+    ``-tol`` are violations, returned with a product vector witness.
     """
     Pm = require_hermitian(as_matrix(P))
     Qm = require_hermitian(as_matrix(Q))
@@ -172,48 +177,15 @@ def block_positive_2x2(
     if Sm.shape != (n, n) or Qm.shape != (n, n):
         raise NotPSDError("P, S, Q must share one square shape")
 
-    best_val = np.inf
-    best_eta = None
-    evaluated = False
-
-    grid = _sphere_grid(n)
-    if grid is not None:
-        vals = _gap_values(Pm, Sm, Qm, grid)
-        k = int(np.argmin(vals))
-        best_val, best_eta = float(vals[k]), grid[k].copy()
-        evaluated = True
-
-    if budget > 0:
-        rng = rng_for(seed, "block-positive-2x2")
-        starts = rng.standard_normal((budget, n)) + 1j * rng.standard_normal((budget, n))
-        informed = []
-        for M in (Pm, Qm, (Sm + Sm.conj().T) / 2, (Sm - Sm.conj().T) / 2j):
-            w, V = np.linalg.eigh(require_hermitian(M, tol=np.inf))
-            informed.append(V[:, 0])
-            informed.append(V[:, -1])
-        starts = np.vstack([starts, np.array(informed)])
-        if grid is not None:
-            starts = np.vstack([starts, best_eta[None, :]])
-        val, eta = _descend(Pm, Sm, Qm, starts, max_steps=max_steps)
-        if val < best_val:
-            best_val, best_eta = val, eta
-        evaluated = True
-
-    if not evaluated:
-        return BlockPosVerdict(INCONCLUSIVE, np.inf, None)
-
-    if best_val < -tol:
-        p = float(np.real(np.vdot(best_eta, Pm @ best_eta)))
-        q = float(np.real(np.vdot(best_eta, Qm @ best_eta)))
-        s = complex(np.vdot(best_eta, Sm @ best_eta))
-        little = np.array([[p, s], [np.conj(s), q]])
-        w, V = np.linalg.eigh(little)
-        lam = V[:, 0]
-        witness = BlockPosWitness(
-            eta=best_eta, lam=(complex(lam[0]), complex(lam[1])), value=best_val
-        )
-        return BlockPosVerdict(VIOLATION_FOUND, best_val, witness)
-    return BlockPosVerdict(CERTIFIED, best_val, None)
+    margin, xi, eta = _bloch_min(Pm, Sm, Qm, budget, seed)
+    if margin >= -tol:
+        return BlockPosVerdict(CERTIFIED, margin, None)
+    p = float(np.real(np.vdot(eta, Pm @ eta)))
+    q = float(np.real(np.vdot(eta, Qm @ eta)))
+    s = complex(np.vdot(eta, Sm @ eta))
+    lam = (complex(np.conj(xi[0])), complex(np.conj(xi[1])))
+    witness = BlockPosWitness(eta=eta, lam=lam, value=p * q - abs(s) ** 2)
+    return BlockPosVerdict(VIOLATION_FOUND, margin, witness)
 
 
 def admissible_combination(P, S, Q, p: float, q: float, s: complex) -> np.ndarray:
@@ -236,8 +208,9 @@ def block_positive_choi(
     """Block-positivity of a full Choi matrix, i.e. positivity of the map.
 
     Delegates to :func:`block_positive_2x2` on the blocks
-    ``(phi(E_11), phi(E_12), phi(E_22))``.  A non-PSD diagonal block is an
-    immediate violation (the map is already negative on a rank-one input).
+    ``(phi(E_11), phi(E_12), phi(E_22))``, with ``budget``, ``tol`` and
+    ``seed`` as there.  A non-PSD diagonal block is an immediate violation
+    (the map is already negative at a pole, ``lam = (1, 0)`` or ``(0, 1)``).
     """
     P = choi.block(1, 1)
     S = choi.block(1, 2)
@@ -283,7 +256,9 @@ def face_structure_report(
 
     Reported (never raised): ``a >= 0``; ``B`` and ``U`` PSD; ``C = 0`` when
     ``a = 0``; ``C* C <= a B`` when ``a > 0``; ``x = 0``; and
-    block-positivity of ``[[B, T], [T*, U]]``.
+    block-positivity of ``[[B, T], [T*, U]]``.  ``tol`` decides every
+    relation; ``budget`` and ``seed`` go to :func:`block_positive_2x2` for
+    the last one.
     """
     rel: dict[str, RelationCheck] = {}
     a = blocks.a
@@ -314,33 +289,8 @@ def face_structure_report(
 
 
 # ---------------------------------------------------------------------------
-# positivity of unital face-form maps via admissible scalar triples
+# positivity of unital face-form maps
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PositivityWitness:
-    """Admissible triple and unit vector exhibiting a positivity violation.
-
-    ``kind`` is ``"combination"`` when ``p B + s T + conj(s) T* + q U`` fails
-    to be PSD and ``"bordered"`` when the Schur-style inequality
-    ``(conj(s) Y* + s Z*)(s Y + conj(s) Z) <= p^2 B + p(sT + conj(s)T*) + pq U``
-    fails.  ``value = <eta, M eta>`` for the corresponding matrix.
-    """
-
-    p: float
-    q: float
-    s: complex
-    eta: np.ndarray
-    value: float
-    kind: str
-
-
-@dataclass(frozen=True)
-class PositivityVerdict:
-    status: str
-    margin: float
-    witness: PositivityWitness | None = None
 
 
 def _require_unital_face(blocks: ChoiBlocks, form_tol: float = 1e-8) -> None:
@@ -358,141 +308,25 @@ def _require_unital_face(blocks: ChoiBlocks, form_tol: float = 1e-8) -> None:
         )
 
 
-def _positivity_matrices(blocks: ChoiBlocks, p, q, s):
-    """Stacked (combination, bordered) matrices over triples arrays."""
-    B, T, U = blocks.B, blocks.T, blocks.U
-    Tstar = T.conj().T
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    s = np.asarray(s, dtype=np.complex128)
-    sT = s[:, None, None] * T + s.conj()[:, None, None] * Tstar
-    K = p[:, None, None] * B + q[:, None, None] * U + sT
-    v = s[:, None] * blocks.Y[None, :] + s.conj()[:, None] * blocks.Z[None, :]
-    vv = v.conj()[:, :, None] * v[:, None, :]
-    D = (
-        (p**2)[:, None, None] * B
-        + p[:, None, None] * sT
-        + (p * q)[:, None, None] * U
-        - vv
-    )
-    return K, D
-
-
-def _point_margin(blocks: ChoiBlocks, p: float, q: float, s: complex):
-    K, D = _positivity_matrices(blocks, [p], [q], [s])
-    mk = float(np.linalg.eigvalsh(K[0])[0])
-    md = float(np.linalg.eigvalsh(D[0])[0])
-    return min(mk, md), ("combination" if mk <= md else "bordered")
-
-
-def _triple_grid(budget: int, rng: np.random.Generator):
-    ts = np.logspace(-3.0, 3.0, 13)
-    ps = list(ts / (1.0 + ts)) + [1.0, 0.0]
-    thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    radii = (0.5, 0.9, 1.0)
-    triples = []
-    for p in ps:
-        q = 1.0 - p
-        triples.append((p, q, 0.0 + 0.0j))
-        smax = np.sqrt(p * q)
-        if smax == 0.0:
-            continue
-        for r in radii:
-            for th in thetas:
-                triples.append((p, q, r * smax * np.exp(1j * th)))
-    for _ in range(budget):
-        t = 10.0 ** rng.uniform(-3.0, 3.0)
-        p = t / (1.0 + t)
-        q = 1.0 - p
-        r = 1.0 if rng.random() < 0.5 else rng.random()
-        th = rng.uniform(0.0, 2 * np.pi)
-        triples.append((p, q, r * np.sqrt(p * q) * np.exp(1j * th)))
-    return triples
-
-
 def certify_positivity(
     blocks: ChoiBlocks,
     budget: int = 64,
     tol: float = 1e-9,
     seed: int = 0,
-) -> PositivityVerdict:
+) -> BlockPosVerdict:
     """Positivity test for a unital face-form map (a = 1, C = 0, x = 0).
 
-    The map is positive iff for every admissible ``(p, q, s)`` both the
-    combination ``p B + s T + conj(s) T* + q U`` and the bordered gap matrix
-    are PSD.  Both families are homogeneous, so the scan normalizes
-    ``p + q = 1``: a deterministic grid over the ``p/q`` ratio, the phase of
-    ``s`` and its radius, ``budget`` random triples, and a pattern-search
-    refinement of the worst point.  A violation returns the triple, the unit
-    vector and the negative value; certification means no violation found.
+    Raises :class:`NotUnitalFaceFormError` for other blocks, then runs
+    :func:`block_positive_choi` on the assembled Choi matrix with
+    ``budget``, ``tol`` and ``seed`` as there.  The map is positive iff for
+    every admissible ``(p, q, s)`` both ``p B + s T + conj(s) T* + q U`` and
+    its bordered Schur complement are PSD; these are the lower block of
+    ``phi(xi xi*)`` and its Schur complement, so the engine decides the same
+    property.  ``phi(E_22) f1 = 0`` puts every such map on the boundary, so
+    a positive one has ``margin`` zero up to rounding.
     """
     _require_unital_face(blocks)
-    rng = rng_for(seed, "certify-positivity")
-    triples = _triple_grid(budget, rng)
-    p = np.array([t[0] for t in triples])
-    q = np.array([t[1] for t in triples])
-    s = np.array([t[2] for t in triples])
-    K, D = _positivity_matrices(blocks, p, q, s)
-    mk = np.linalg.eigvalsh(K)[:, 0]
-    md = np.linalg.eigvalsh(D)[:, 0]
-    stacked = np.minimum(mk, md)
-    k = int(np.argmin(stacked))
-    best = (float(stacked[k]), float(p[k]), float(q[k]), complex(s[k]))
-
-    # Pattern-search refinement in (log ratio, phase, radius) around the
-    # worst grid point; corners p = 0 / q = 0 are already on the grid.
-    pb, qb, sb = best[1], best[2], best[3]
-    if 0.0 < pb < 1.0:
-        t0 = np.log10(pb / qb)
-        r0 = abs(sb) / np.sqrt(pb * qb) if pb * qb > 0 else 0.0
-        th0 = float(np.angle(sb)) if sb != 0 else 0.0
-        deltas = np.array([0.5, 0.2, 0.05])
-        cur = (t0, th0, min(r0, 1.0))
-        cur_val = best[0]
-        for dt in deltas:
-            improved = True
-            while improved:
-                improved = False
-                for move in (
-                    (dt, 0, 0), (-dt, 0, 0),
-                    (0, dt, 0), (0, -dt, 0),
-                    (0, 0, dt), (0, 0, -dt),
-                ):
-                    t1 = cur[0] + move[0]
-                    th1 = cur[1] + move[1]
-                    r1 = min(max(cur[2] + move[2], 0.0), 1.0)
-                    pp = 10.0**t1 / (1.0 + 10.0**t1)
-                    qq = 1.0 - pp
-                    ss = r1 * np.sqrt(pp * qq) * np.exp(1j * th1)
-                    val, _ = _point_margin(blocks, pp, qq, ss)
-                    if val < cur_val:
-                        cur = (t1, th1, r1)
-                        cur_val = val
-                        improved = True
-        if cur_val < best[0]:
-            pp = 10.0 ** cur[0] / (1.0 + 10.0 ** cur[0])
-            best = (
-                cur_val,
-                pp,
-                1.0 - pp,
-                cur[2] * np.sqrt(pp * (1.0 - pp)) * np.exp(1j * cur[1]),
-            )
-
-    margin, pb, qb, sb = best
-    if margin < -tol:
-        Kb, Db = _positivity_matrices(blocks, [pb], [qb], [sb])
-        wk, Vk = np.linalg.eigh(Kb[0])
-        wd, Vd = np.linalg.eigh(Db[0])
-        if wk[0] <= wd[0]:
-            kind, eta, value = "combination", Vk[:, 0], float(wk[0])
-        else:
-            kind, eta, value = "bordered", Vd[:, 0], float(wd[0])
-        # Paranoia: the witness must reproduce the violation on re-evaluation.
-        if value >= -tol:
-            return PositivityVerdict(INCONCLUSIVE, margin, None)
-        witness = PositivityWitness(pb, qb, complex(sb), eta.copy(), value, kind)
-        return PositivityVerdict(VIOLATION_FOUND, margin, witness)
-    return PositivityVerdict(CERTIFIED, margin, None)
+    return block_positive_choi(assemble_blocks(blocks), budget=budget, tol=tol, seed=seed)
 
 
 # ---------------------------------------------------------------------------

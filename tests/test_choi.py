@@ -14,6 +14,7 @@ from posmap.choi import (
 )
 from posmap.exceptions import (
     DimensionMismatchError,
+    NonFiniteError,
     NotHermitianError,
     NotInFaceFormError,
 )
@@ -97,6 +98,13 @@ class TestChoiConstruction:
 
         with pytest.raises(NotHermitianError):
             choi_from_map(phi, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        H = np.eye(6, dtype=complex)
+        H[2, 2] = bad
+        with pytest.raises(NonFiniteError):
+            ChoiMatrix.from_array(H)
 
 
 class TestApplyMap:

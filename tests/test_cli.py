@@ -181,6 +181,18 @@ class TestCanonicalCommand:
         assert main(["canonical", str(src)]) == 3
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["classify", "decompose", "canonical"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_exit_3_with_error_line(self, command, bad, tmp_path, capsys):
+        H = build_pipeline(TangParams(0.5, 1 / 24)).Hfinal.H.copy()
+        H[1, 1] = bad
+        src = tmp_path / "bad.json"
+        save_matrix(src, H)
+        assert main([command, str(src)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestVerifyCommand:
     def test_smoke_battery_passes(self, capsys):
         code = main(["verify", "--grid", "1"])

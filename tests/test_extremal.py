@@ -20,6 +20,7 @@ from posmap.extremal import (
 )
 from posmap.matkernel import frobenius
 from posmap.positivity import CERTIFIED, VIOLATION_FOUND, certify_positivity
+from posmap.rand import rng_for
 from posmap.tang import TangParams, build_pipeline
 from conftest import random_complex
 
@@ -58,6 +59,16 @@ class TestEqualityDetect:
         blocks, _ = random_equality_blocks(3, rng)
         res = equality_case_detect(blocks)
         assert res.equality
+
+    def test_scrambled_equality_maps_detected(self):
+        # Scrambling leaves U rank-deficient with eigenvalues near 1e-17,
+        # which a square root of U would turn into gaps near 1e-8.
+        r = rng_for(7, "scrambled-equality")
+        for k in range(40):
+            blocks, _ = random_equality_blocks(2 + k % 3, r)
+            scrambled, _ = scramble_blocks(blocks, r)
+            res = equality_case_detect(scrambled)
+            assert res.equality, (k, res.gap)
 
     def test_tang_is_strict(self):
         blocks = extract_blocks(build_pipeline(TangParams(0.5, 1 / 24)).Hfinal)

@@ -22,7 +22,8 @@ from posmap.positivity import (
     positivity_slack_triple,
     scalar_choi_conditions,
 )
-from posmap.rand import random_psd
+from posmap.acceptance import _certified_triple, _violating_triple
+from posmap.rand import random_psd, rng_for
 from posmap.tang import TangParams, build_pipeline
 from conftest import random_complex
 
@@ -38,6 +39,27 @@ def dense_sphere_min(P, S, Q, n_samples=40000, seed=7):
     q = np.einsum("mi,ij,mj->m", etas.conj(), Q, etas).real
     s = np.einsum("mi,ij,mj->m", etas.conj(), S, etas)
     return float(np.min(p * q - np.abs(s) ** 2))
+
+
+def dense_lambda_min(P, S, Q, n_samples=40000, seed=7):
+    """Independent oracle: min eigenvalue of phi(xi xi*) over dense random xi."""
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal((n_samples, 2)) + 1j * rng.standard_normal((n_samples, 2))
+    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    w = xi[:, :, None] * xi.conj()[:, None, :]
+    images = (
+        w[:, 0, 0, None, None] * P
+        + w[:, 0, 1, None, None] * S
+        + w[:, 1, 0, None, None] * S.conj().T
+        + w[:, 1, 1, None, None] * Q
+    )
+    return float(np.linalg.eigvalsh(images)[:, 0].min())
+
+
+def witness_value(H, witness):
+    """Quadratic form of the Choi matrix at the product vector kron(lam, eta)."""
+    v = np.kron(np.asarray(witness.lam), witness.eta)
+    return float(np.vdot(v, H @ v).real)
 
 
 def unital_blocks(n, Y, Z, B, T, U):
@@ -107,8 +129,9 @@ class TestBlockPositive2x2:
             Q = random_psd(2, rng)
             S = random_complex(rng, (2, 2))
             v = block_positive_2x2(P, S, Q, budget=32)
-            oracle = dense_sphere_min(P, S, Q)
-            assert v.margin <= oracle + 1e-6
+            assert v.margin <= dense_lambda_min(P, S, Q) + 1e-6
+            if dense_sphere_min(P, S, Q) < -1e-6:
+                assert v.status == VIOLATION_FOUND
 
     def test_scaling_s_never_raises_margin(self, rng):
         P = random_psd(2, rng) + 0.5 * np.eye(2)
@@ -121,9 +144,41 @@ class TestBlockPositive2x2:
         for a, b in zip(margins, margins[1:]):
             assert b <= a + 1e-6
 
+    def test_scalar_blocks_match_closed_form(self, rng):
+        # For 1x1 blocks min over unit xi of phi(xi xi*) is the smallest
+        # eigenvalue of [[p, s], [conj(s), q]].
+        for _ in range(10):
+            p, q = rng.uniform(0.0, 2.0, size=2)
+            s = complex(*rng.uniform(-1.5, 1.5, size=2))
+            v = block_positive_2x2([[p]], [[s]], [[q]], budget=8)
+            exact = np.linalg.eigvalsh(np.array([[p, s], [np.conj(s), q]]))[0]
+            assert abs(v.margin - exact) < 1e-9
+            assert v.status == (CERTIFIED if exact >= -1e-9 else VIOLATION_FOUND)
+
     def test_rejects_indefinite_p(self):
         with pytest.raises(NotPSDError):
             block_positive_2x2(np.diag([1.0, -1.0]), np.zeros((2, 2)), np.eye(2))
+
+
+class TestLargeBlocks:
+    """Block sizes 4..10, which no sphere grid in C^d covered."""
+
+    @pytest.mark.parametrize("d", range(4, 11))
+    def test_violating_triple_found(self, d):
+        P, S, Q = _violating_triple(d, rng_for(d, "large-violating"))
+        v = block_positive_2x2(P, S, Q, budget=32)
+        assert v.status == VIOLATION_FOUND
+        H = np.block([[P, S], [S.conj().T, Q]])
+        assert witness_value(H, v.witness) < 0.0
+        assert v.witness.value < 0.0
+        assert v.margin <= dense_lambda_min(P, S, Q, n_samples=10000) + 1e-6
+
+    @pytest.mark.parametrize("d", range(4, 11))
+    def test_certified_triple_certified(self, d):
+        P, S, Q = _certified_triple(d, rng_for(d, "large-certified"))
+        v = block_positive_2x2(P, S, Q, budget=32)
+        assert v.status == CERTIFIED
+        assert v.margin <= dense_lambda_min(P, S, Q, n_samples=10000) + 1e-6
 
 
 class TestAdmissibleCombination:
@@ -200,13 +255,9 @@ class TestCertifyPositivity:
         )
         v = certify_positivity(blown, budget=64)
         assert v.status == VIOLATION_FOUND
-        w = v.witness
-        # witness self-verification at the reported triple
-        from posmap.positivity import _positivity_matrices
-
-        K, D = _positivity_matrices(blown, [w.p], [w.q], [w.s])
-        M = K[0] if w.kind == "combination" else D[0]
-        assert np.real(np.vdot(w.eta, M @ w.eta)) < -1e-9 / 2
+        # witness self-verification against the assembled Choi matrix
+        H = assemble_blocks(blown).H
+        assert witness_value(H, v.witness) < -1e-9 / 2
 
     def test_requires_unital_face_form(self, tang_blocks):
         bad = ChoiBlocks(
