@@ -74,7 +74,6 @@ from .tang import (
     TangParams,
     TangPipeline,
     build_pipeline,
-    inv_sqrt_constants,
     param_grid,
     phi0_apply,
     resolve_y_entry,

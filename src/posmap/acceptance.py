@@ -178,12 +178,12 @@ def criterion_positivity(grid_k: int = 5, budget: int = 64, seed: int = 0) -> Cr
 
 
 def criterion_nondecomposability(
-    seed: int = 0, restarts: int = 16, max_iters: int = 20000
+    seed: int = 0, max_iters: int = 20000
 ) -> CriterionResult:
     """C4: PPT witness plus a failed split search on the reference point."""
     started = time.perf_counter()
     H0 = tang_choi(TangParams(0.9, 0.12))
-    wit = witness_search(H0, restarts=restarts, seed=seed)
+    wit = witness_search(H0, max_iters=max_iters)
     if not wit.found:
         return _result(
             "C4", "nondecomposability certificate", False,
@@ -208,7 +208,7 @@ def criterion_nondecomposability(
     return _result(
         "C4", "nondecomposability certificate", ok,
         f"witness value {value:.4e}; split residual {dec.residual:.2e} after "
-        f"{dec.iterations} iterations; {elapsed:.1f}s", started,
+        f"{dec.iterations} iterations (stop: {dec.stop}); {elapsed:.1f}s", started,
     )
 
 
@@ -519,17 +519,15 @@ def criterion_coupling_entry() -> CriterionResult:
 def run_battery(grid_k: int = 3, seed: int = 0, smoke: bool = False) -> list[CriterionResult]:
     """Run every criterion; ``smoke`` shrinks the stochastic batteries."""
     if smoke:
-        sizes = dict(c6=50, c7=(10, 20), c8=24, c9=8, c10=(12, 5), restarts=8,
-                     iters=4000)
+        sizes = dict(c6=50, c7=(10, 20), c8=24, c9=8, c10=(12, 5), iters=4000)
     else:
         sizes = dict(c6=200, c7=(50, 100), c8=100, c9=50, c10=(100, 20),
-                     restarts=16, iters=20000)
+                     iters=20000)
     results = [
         criterion_choi_reproduction(),
         criterion_pipeline(grid_k=max(grid_k, 2) if grid_k > 1 else 1),
         criterion_positivity(grid_k=grid_k, seed=seed),
-        criterion_nondecomposability(seed=seed, restarts=sizes["restarts"],
-                                     max_iters=sizes["iters"]),
+        criterion_nondecomposability(seed=seed, max_iters=sizes["iters"]),
         criterion_strictness(grid_k=grid_k),
         criterion_row_calculus(trials=sizes["c6"], seed=seed),
         criterion_blockpos_equivalence(certified=sizes["c7"][0],

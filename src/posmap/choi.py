@@ -52,6 +52,10 @@ class ChoiMatrix:
             raise DimensionMismatchError(
                 f"Choi matrix size must be 2(n+1) with n >= 1, got {dim}"
             )
+        with np.errstate(over="ignore"):
+            norm = frobenius(H)
+        if not np.isfinite(norm):
+            raise NonFiniteError("Choi matrix Frobenius norm overflows")
         defect = frobenius(H - H.conj().T)
         if defect > herm_tol(H):
             raise NotHermitianError(

@@ -62,7 +62,6 @@ def _load_choi(path: str) -> ChoiMatrix:
 def build_classification(
     choi: ChoiMatrix,
     budget: int = 64,
-    witness_restarts: int = 16,
     max_iters: int = 20000,
     seed: int = 0,
 ) -> dict:
@@ -133,11 +132,12 @@ def build_classification(
         report["decomposition"] = {
             "certificate": jsonable(dec.certificate),
             "iterations": dec.iterations,
+            "stop": dec.stop,
             "kadison": jsonable(kadison_constraints(choi, dec.certificate)),
         }
     else:
         t0 = time.perf_counter()
-        wit = witness_search(choi, restarts=witness_restarts, seed=seed)
+        wit = witness_search(choi, max_iters=max_iters)
         timings["witness_search"] = time.perf_counter() - t0
         if wit.found:
             flags["decomposable"] = "no-witness"
@@ -147,11 +147,12 @@ def build_classification(
             report["witness"] = {
                 "found": False,
                 "best_value": wit.best_value,
-                "budget": {"restarts": witness_restarts},
+                "budget": {"max_iters": max_iters},
             }
         report["decomposition"] = {
             "residual": dec.residual,
             "iterations": dec.iterations,
+            "stop": dec.stop,
         }
     report["flags"] = flags
     report["timings"] = timings
@@ -187,7 +188,6 @@ def _cmd_classify(args) -> int:
     report = build_classification(
         choi,
         budget=args.budget,
-        witness_restarts=args.witness_restarts,
         max_iters=args.max_iters,
         seed=args.seed,
     )
@@ -203,7 +203,7 @@ def _cmd_decompose(args) -> int:
         return EXIT_IO
     result = decompose(choi, max_iters=args.max_iters)
     obj: dict = {"decomposed": result.decomposed, "iterations": result.iterations,
-                 "residual": result.residual}
+                 "residual": result.residual, "stop": result.stop}
     if result.decomposed:
         obj["certificate"] = jsonable(result.certificate)
         obj["kadison"] = jsonable(kadison_constraints(choi, result.certificate))
@@ -265,9 +265,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=64,
                    help="seeded random points added to the fixed Bloch-sphere "
                         "scan of the positivity search")
-    p.add_argument("--witness-restarts", type=int, default=16)
+    p.add_argument("--witness-restarts", type=int, default=16,
+                   help="ignored: the witness search no longer restarts; "
+                        "accepted so that existing command lines still parse")
     p.add_argument("--max-iters", type=int, default=20000,
-                   help="iteration cap for the split search")
+                   help="iteration cap of the split search, and of the "
+                        "witness search when no split is found")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=_cmd_classify)
 

@@ -3,11 +3,22 @@
 A map is completely positive iff its Choi matrix is PSD, completely
 copositive iff the partially transposed Choi matrix is PSD, and decomposable
 iff the Choi matrix splits as ``H = H1 + H2`` with ``H1`` PSD and ``H2``
-PSD after partial transposition.  Decomposability is treated as convex
-feasibility (Dykstra alternating projections); nondecomposability is
-certified dually by a PPT state ``rho`` with ``Tr(H rho) < 0``.  Every
-verdict carries re-checkable evidence, and a failed search is reported as
-"not found", never as a proof.
+PSD after partial transposition.
+
+Both questions are answered by one Dykstra projection of ``-H`` onto the
+PPT cone ``C1 ∩ C2`` (``C1`` PSD, ``C2`` PSD after partial transpose),
+whose polar is ``-(PSD + PT(PSD))`` (Moreau).  The run keeps
+``-H = X + P1 + P2`` exactly, so ``H1 = -P1`` and ``H2 = -P2`` lie in the
+two cones and ``H1 + H2 - H = X``: the split residual is ``||X||_F``.  While
+``X`` is nonzero, ``rho = X / tr X`` is a candidate PPT state with
+``Tr(H rho) = -||X||^2 / tr X`` at the limit.  For face-form ``H`` the cones
+only constrain the indices other than ``d = n+1``, so row and column ``d``
+of ``H1`` and of ``PT(H2)`` are exactly zero, as any split must have them.
+A run stops with ``"split"`` (``||X||_F <= feas_tol / 10``), ``"witness"``
+(``rho`` passes the from-scratch state checks with
+``Tr(H rho) < -witness_tol``), ``"plateau"`` (the iterate stopped moving) or
+``"cap"`` (iteration budget spent).  Every verdict carries re-checkable
+evidence, and a failed search is reported as "not found", never as a proof.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ from .matkernel import (
     psd_sqrt,
     require_hermitian,
 )
-from .rand import random_psd, rng_for
 
 FEAS_TOL = 1e-7
 WITNESS_TOL = 1e-6
@@ -183,8 +193,13 @@ def condensed_psd_relations(
 
 
 # ---------------------------------------------------------------------------
-# decomposability as convex feasibility (Dykstra alternating projections)
+# decomposability: one Dykstra projection of -H onto the PPT cone
 # ---------------------------------------------------------------------------
+
+#: An iterate that moves less than this times ``max(1, ||H||_F)`` in one
+#: cycle has stalled.  Larger values stop decomposable inputs short of the
+#: split tolerance.
+PLATEAU_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -204,41 +219,118 @@ class DecompositionCertificate:
 
 @dataclass(frozen=True)
 class DecomposeResult:
+    """Outcome of the split search; ``stop`` is why the projection ended."""
+
     decomposed: bool
     certificate: DecompositionCertificate | None
     residual: float
     iterations: int
+    stop: str
 
 
-def _face_zero_masks(choi: ChoiMatrix, struct_tol: float):
-    """Pin masks for the structural zeros a face-form split must carry.
+@dataclass(frozen=True)
+class WitnessCertificate:
+    """PPT state with ``value = Tr(H rho) < 0``, re-validated from scratch."""
 
-    For face-form ``H`` any valid split has the whole row/column at index
-    ``n+1`` of ``H1`` equal to zero (so ``H2`` inherits ``Z``) and the top-row
-    couplings of ``H2`` into the second block equal to zero (so ``H1``
-    inherits ``Y``); the remaining pinned slots sit inside the shared zero
-    pattern.  Returns ``None`` when ``H`` is not in face form.
-    """
-    d = choi.dim
-    H = choi.H
+    rho: np.ndarray
+    value: float
+
+
+@dataclass(frozen=True)
+class WitnessResult:
+    found: bool
+    certificate: WitnessCertificate | None
+    best_value: float
+
+
+def _in_face_form(choi: ChoiMatrix, struct_tol: float) -> bool:
+    """Whether ``H`` carries the face-form zeros at index ``d = n+1``."""
     Q = choi.block(2, 2)
-    face = abs(H[0, d]) <= struct_tol and (
-        np.max(np.abs(Q[0, :])) <= struct_tol
+    return bool(
+        abs(choi.H[0, choi.dim]) <= struct_tol
+        and np.max(np.abs(Q[0, :])) <= struct_tol
         and np.max(np.abs(Q[:, 0])) <= struct_tol
     )
-    if not face:
-        return None
-    size = 2 * d
-    pin1 = np.zeros((size, size), dtype=bool)
-    pin2 = np.zeros((size, size), dtype=bool)
-    pin1[d, :] = True
-    pin1[:, d] = True
-    pin2[0, d] = pin2[d, 0] = True
-    pin2[d, d] = True
-    for j in range(d + 1, size):
-        pin2[0, j] = pin2[j, 0] = True
-        pin2[d, j] = pin2[j, d] = True
-    return pin1, pin2
+
+
+def _is_ppt_state(rho: np.ndarray, d: int) -> bool:
+    """Trace one, PSD and PSD after partial transpose, checked from scratch."""
+    if abs(np.trace(rho).real - 1.0) > 1e-9:
+        return False
+    if np.linalg.eigvalsh(require_hermitian(rho, tol=1e-8))[0] < -1e-8:
+        return False
+    pt = partial_transpose(rho, d)
+    return bool(np.linalg.eigvalsh(require_hermitian(pt, tol=1e-8))[0] >= -1e-8)
+
+
+def _project(
+    choi: ChoiMatrix, face: bool, max_iters: int, feas_tol: float,
+    witness_tol: float,
+) -> tuple[DecomposeResult, WitnessResult]:
+    """Dykstra projection of ``-H`` onto ``C1 ∩ C2``; see the module docstring."""
+    H = require_hermitian(choi.H)
+    d = choi.dim
+    keep = np.arange(2 * d)
+    if face:
+        keep = np.delete(keep, d)
+    S = np.ix_(keep, keep)
+
+    def cone_step(A):
+        # The projection onto C1 and its Dykstra correction.
+        Y = A.copy()
+        Y[S] = psd_project(A[S])
+        return Y, A - Y
+
+    stop_tol = feas_tol / 10.0
+    plateau_tol = PLATEAU_TOL * max(1.0, frobenius(H))
+    X = -H
+    P1 = np.zeros_like(H)
+    P2 = np.zeros_like(H)
+    best_value, best_rho = np.inf, None
+    stop, iterations = "cap", 0
+    for iterations in range(1, max_iters + 1):
+        prev = X
+        Y, P1 = cone_step(X + P1)
+        Z, C = cone_step(partial_transpose(Y + P2, d))
+        X, P2 = partial_transpose(Z, d), partial_transpose(C, d)
+        if frobenius(X) <= stop_tol:
+            stop = "split"
+            break
+        trace = np.trace(X).real
+        if trace > 0.0:
+            rho = X / trace
+            value = float(np.trace(H @ rho).real)
+            if value < best_value and _is_ppt_state(rho, d):
+                best_value, best_rho = value, rho
+                if value < -witness_tol:
+                    stop = "witness"
+                    break
+        if frobenius(X - prev) <= plateau_tol:
+            stop = "plateau"
+            break
+    residual = frobenius(X)
+    if stop == "witness":
+        witness = WitnessCertificate(best_rho, best_value)
+        return (DecomposeResult(False, None, residual, iterations, stop),
+                WitnessResult(True, witness, best_value))
+    if residual > feas_tol:
+        return (DecomposeResult(False, None, residual, iterations, stop),
+                WitnessResult(False, None, best_value))
+    H1, H2 = -P1, -P2
+    cert = DecompositionCertificate(
+        H1=H1,
+        H2=H2,
+        residual=frobenius(H1 + H2 - choi.H),
+        min_eig_H1=float(np.linalg.eigvalsh(require_hermitian(H1, tol=np.inf))[0]),
+        min_eig_H2_pt=float(
+            np.linalg.eigvalsh(
+                require_hermitian(partial_transpose(H2, d), tol=np.inf)
+            )[0]
+        ),
+    )
+    # A split proves Tr(H rho) >= 0 over every PPT state.
+    return (DecomposeResult(True, cert, cert.residual, iterations, stop),
+            WitnessResult(False, None, 0.0))
 
 
 def decompose(
@@ -249,76 +341,12 @@ def decompose(
 ) -> DecomposeResult:
     """Search for a completely positive / completely copositive split of H.
 
-    Dykstra alternating projections run on the pair ``(H1, H2)`` between the
-    affine set ``{H1 + H2 = H}`` and the product cone ``PSD x (PSD after
-    partial transpose)``, with cone correction terms retained so the iterates
-    converge to the projection onto the intersection and a residual plateau
-    is meaningful.  For face-form inputs the structural zeros of any valid
-    split are pinned inside the affine projection, so certificates carry them
-    exactly.  A failure to converge is reported as ``decomposed=False`` with
-    the last residual; it is *not* a proof of nondecomposability.
+    Runs the projection with the face restriction when ``H`` is in face
+    form.  ``decomposed=False`` is a nondecomposability proof only when
+    ``stop`` is ``"witness"``.
     """
-    H = require_hermitian(choi.H)
-    d = choi.dim
-    masks = _face_zero_masks(choi, struct_tol)
-    stop_tol = feas_tol / 10.0
-
-    G1 = psd_project(H)
-    G2 = H - G1
-    P1 = np.zeros_like(H)
-    P2 = np.zeros_like(H)
-    residual = frobenius(G1 + G2 - H)
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        # Projection onto the affine set (with structural pins when present).
-        r = (H - G1 - G2) / 2.0
-        G1 = G1 + r
-        G2 = G2 + r
-        if masks is not None:
-            pin1, pin2 = masks
-            both = pin1 & pin2
-            only1 = pin1 & ~pin2
-            only2 = pin2 & ~pin1
-            G1[both] = 0.0
-            G2[both] = 0.0
-            G2[only1] = H[only1] - 0.0
-            G1[only1] = 0.0
-            G1[only2] = H[only2] - 0.0
-            G2[only2] = 0.0
-        # Dykstra-corrected projection onto the product cone.
-        A1 = G1 + P1
-        G1 = psd_project(A1)
-        P1 = A1 - G1
-        A2 = G2 + P2
-        G2 = partial_transpose(psd_project(partial_transpose(A2, d)), d)
-        P2 = A2 - G2
-        residual = frobenius(G1 + G2 - H)
-        if residual <= stop_tol:
-            break
-    if residual <= feas_tol:
-        if masks is not None:
-            # The cone projections leave ~1e-15 eigensolver dust in the
-            # pinned slots; scrub it so certificates carry the structural
-            # zeros exactly (the cone margins below account for the change).
-            pin1, pin2 = masks
-            G1 = G1.copy()
-            G2 = G2.copy()
-            G1[pin1] = 0.0
-            G2[pin2] = 0.0
-            residual = frobenius(G1 + G2 - H)
-        cert = DecompositionCertificate(
-            H1=G1,
-            H2=G2,
-            residual=residual,
-            min_eig_H1=float(np.linalg.eigvalsh(require_hermitian(G1, tol=np.inf))[0]),
-            min_eig_H2_pt=float(
-                np.linalg.eigvalsh(
-                    require_hermitian(partial_transpose(G2, d), tol=np.inf)
-                )[0]
-            ),
-        )
-        return DecomposeResult(True, cert, residual, iterations)
-    return DecomposeResult(False, None, residual, iterations)
+    face = _in_face_form(choi, struct_tol)
+    return _project(choi, face, max_iters, feas_tol, WITNESS_TOL)[0]
 
 
 def validate_certificate(
@@ -349,24 +377,17 @@ def validate_certificate(
         raise InvalidCertificateError("; ".join(problems))
 
 
-# ---------------------------------------------------------------------------
-# PPT witness search (dual certification of nondecomposability)
-# ---------------------------------------------------------------------------
+def witness_search(
+    choi: ChoiMatrix, max_iters: int = 20000, witness_tol: float = WITNESS_TOL
+) -> WitnessResult:
+    """Look for a PPT state ``rho`` with ``Tr(H rho) < -witness_tol``.
 
-
-@dataclass(frozen=True)
-class WitnessCertificate:
-    """PPT state with ``value = Tr(H rho) < 0``, re-validated from scratch."""
-
-    rho: np.ndarray
-    value: float
-
-
-@dataclass(frozen=True)
-class WitnessResult:
-    found: bool
-    certificate: WitnessCertificate | None
-    best_value: float
+    Runs the projection without the face restriction.  ``best_value`` is
+    ``Tr(H rho)`` of the best iterate that passed the from-scratch PPT
+    checks (``inf`` when none did), and ``0.0`` when the run found a split.
+    ``found=False`` is not a decomposability proof.
+    """
+    return _project(choi, False, max_iters, FEAS_TOL, witness_tol)[1]
 
 
 def ppt_project(
@@ -389,98 +410,6 @@ def ppt_project(
         if frobenius(M - prev) <= tol:
             break
     return M
-
-
-def random_ppt_state(block_dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random PPT state: normalized projection of a random PSD matrix."""
-    W = random_psd(2 * block_dim, rng)
-    W = W / np.trace(W).real
-    return ppt_project(W, block_dim)
-
-
-def _tr(H: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.trace(H @ rho).real)
-
-
-def witness_search(
-    choi: ChoiMatrix,
-    restarts: int = 16,
-    witness_tol: float = WITNESS_TOL,
-    seed: int = 0,
-    max_iters: int = 120,
-) -> WitnessResult:
-    """Minimize ``Tr(H rho)`` over PPT states by projected subgradient.
-
-    Steps ``rho <- Pi_PPT(rho - t H)`` start at ``t = 1 / ||H||_F`` and halve
-    on non-decrease.  Half the restarts resume from the best state found so
-    far (with the step reset), the others start from random PPT states; the
-    search also seeds from the most negative eigenvectors of ``H`` and of its
-    partial transpose.  Projections run at a loose tolerance during the
-    search; a candidate below ``-witness_tol`` is re-projected tightly and
-    re-validated from scratch against all three constraints before being
-    returned as a certificate.  ``found=False`` is a valid outcome and not a
-    decomposability proof.  Restarts stop early once the best value is two
-    orders of magnitude below the witness threshold.
-    """
-    H = require_hermitian(choi.H)
-    d = choi.dim
-    rng = rng_for(seed, "witness-search")
-    t0 = 1.0 / max(frobenius(H), 1e-12)
-
-    def seeded_starts():
-        w, V = np.linalg.eigh(H)
-        yield np.outer(V[:, 0], V[:, 0].conj())
-        wg, Vg = np.linalg.eigh(partial_transpose(H, d))
-        yield partial_transpose(np.outer(Vg[:, 0], Vg[:, 0].conj()), d)
-        while True:
-            yield None
-
-    best_val = np.inf
-    best_rho = None
-    starts = seeded_starts()
-    for k in range(restarts):
-        cand = next(starts)
-        if cand is not None:
-            rho = ppt_project(cand, d)
-        elif best_rho is not None and k % 2 == 0:
-            rho = best_rho.copy()
-        else:
-            rho = random_ppt_state(d, rng)
-        t = t0
-        val = _tr(H, rho)
-        for _ in range(max_iters):
-            prop = ppt_project(rho - t * H, d, tol=5e-9, max_cycles=60)
-            v = _tr(H, prop)
-            if v < val - 1e-15:
-                rho, val = prop, v
-            else:
-                t *= 0.5
-                if t < 1e-6 * t0:
-                    break
-        if val < best_val:
-            best_val, best_rho = val, rho
-        if k >= 3 and best_val < -100.0 * witness_tol:
-            break
-
-    if best_rho is not None and best_val < -witness_tol:
-        rho = ppt_project(best_rho, d, tol=1e-12, max_cycles=2000)
-        value = _tr(H, rho)
-        trace_err = abs(np.trace(rho).real - 1.0)
-        m_rho = float(np.linalg.eigvalsh(require_hermitian(rho, tol=1e-8))[0])
-        m_pt = float(
-            np.linalg.eigvalsh(
-                require_hermitian(partial_transpose(rho, d), tol=1e-8)
-            )[0]
-        )
-        if (
-            value < -witness_tol
-            and trace_err <= 1e-9
-            and m_rho >= -1e-8
-            and m_pt >= -1e-8
-        ):
-            return WitnessResult(True, WitnessCertificate(rho, value), value)
-        return WitnessResult(False, None, min(best_val, value))
-    return WitnessResult(False, None, best_val)
 
 
 # ---------------------------------------------------------------------------

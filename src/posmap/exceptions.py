@@ -14,7 +14,7 @@ class DimensionMismatchError(PosmapError):
 
 
 class NonFiniteError(PosmapError):
-    """A matrix holds NaN or infinite entries."""
+    """A matrix holds NaN or infinite entries, or its norm overflows."""
 
 
 class NotHermitianError(PosmapError):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .choi import ChoiMatrix, choi_from_map, conjugate_choi, extract_blocks
 from .cpdecomp import ccp_check, cp_check, witness_search
-from .exceptions import BadParamsError, NoConvergenceError, PosmapError
+from .exceptions import BadParamsError, PosmapError
 from .matkernel import as_matrix, frobenius, psd_inv_sqrt
 from .positivity import (
     CERTIFIED,
@@ -107,58 +107,8 @@ def tang_choi(params: TangParams) -> ChoiMatrix:
     return ChoiMatrix.from_array(H)
 
 
-def inv_sqrt_constants(params: TangParams, tol: float = 1e-13) -> tuple[float, float, float]:
-    """Solve the corner system for (alpha, beta, gamma).
-
-    With ``alpha = sqrt(rho^2 - g^2)`` and ``beta = sqrt(2 - g^2)`` forced by
-    the first two equations, the third becomes
-    ``g (alpha(g) + beta(g)) + mu = 0``.  On ``(-1/2, 0)`` the left side is
-    strictly monotone with a guaranteed sign change, so bisection seeds a
-    Newton polish.  Signs: alpha, beta > 0 and gamma < 0.
-    """
-    mu = params.mu
-    rho2 = params.rho**2
-
-    def f(g):
-        return g * (np.sqrt(rho2 - g * g) + np.sqrt(2.0 - g * g)) + mu
-
-    def fprime(g):
-        a = np.sqrt(rho2 - g * g)
-        b = np.sqrt(2.0 - g * g)
-        return (rho2 - 2 * g * g) / a + (2.0 - 2 * g * g) / b
-
-    lo, hi = -0.5, 0.0
-    if not (f(lo) < 0.0 < f(hi)):
-        raise NoConvergenceError("corner system lost its sign-change bracket")
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    g = 0.5 * (lo + hi)
-    for _ in range(50):
-        step = f(g) / fprime(g)
-        g -= step
-        if abs(step) < tol:
-            break
-    else:
-        raise NoConvergenceError("Newton polish of the corner system did not settle")
-    alpha = float(np.sqrt(rho2 - g * g))
-    beta = float(np.sqrt(2.0 - g * g))
-    gamma = float(g)
-    resid = max(
-        abs(alpha**2 + gamma**2 - rho2),
-        abs(beta**2 + gamma**2 - 2.0),
-        abs((alpha + beta) * gamma + mu),
-    )
-    if resid > 1e-10:
-        raise NoConvergenceError(f"corner system residual {resid:.3e} too large")
-    return alpha, beta, gamma
-
-
 def closed_form_constants(params: TangParams) -> tuple[float, float, float]:
-    """Closed-form solution of the corner system (used as an oracle).
+    """Closed-form solution of the corner system.
 
     With ``D = sqrt(2 + rho^2 + 2 delta)``:
     ``alpha = (rho^2 + delta)/D``, ``beta = (2 + delta)/D``,
@@ -229,7 +179,7 @@ class TangPipeline:
 def build_pipeline(params: TangParams) -> TangPipeline:
     """Run the full normalization: constants, R, W, and both Choi matrices."""
     rho, delta = params.rho, params.delta
-    alpha, beta, gamma = inv_sqrt_constants(params)
+    alpha, beta, gamma = closed_form_constants(params)
     R = np.array(
         [
             [beta / delta, 0, 0, -gamma / delta],
@@ -338,7 +288,6 @@ class TangReport:
 def verify_tang(
     params: TangParams,
     budget: int = 64,
-    witness_restarts: int = 16,
     seed: int = 0,
     zero_tol: float = 1e-9,
 ) -> TangReport:
@@ -387,7 +336,7 @@ def verify_tang(
     checks["not_cp"] = TangCheck(not cp.holds, f"min eig {cp.direct_min_eig:.3e}")
     ccp = ccp_check(blocks)
     checks["not_ccp"] = TangCheck(not ccp.holds, f"min eig {ccp.direct_min_eig:.3e}")
-    wit = witness_search(pipe.Hfinal, restarts=witness_restarts, seed=seed)
+    wit = witness_search(pipe.Hfinal)
     checks["witnessed_nondecomposable"] = TangCheck(
         wit.found, f"best value {wit.best_value:.3e}"
     )

@@ -29,8 +29,7 @@ def test_criterion_03_positivity_of_family():
 
 
 def test_criterion_04_nondecomposability_certificate():
-    _report(acceptance.criterion_nondecomposability(seed=0, restarts=16,
-                                                    max_iters=20000))
+    _report(acceptance.criterion_nondecomposability(seed=0, max_iters=20000))
 
 
 def test_criterion_05_strict_coupling_bound():

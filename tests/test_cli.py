@@ -102,6 +102,23 @@ class TestClassifyCommand:
         assert report["flags"]["cp"] is True
         assert report["flags"]["decomposable"] == "yes"
 
+    def test_scaled_psd_input_decomposes(self, tmp_path, rng):
+        from posmap.cpdecomp import DecompositionCertificate, validate_certificate
+
+        H = random_psd(6, rng) * 1e150
+        src = tmp_path / "psd.json"
+        save_matrix(src, H)
+        out = tmp_path / "report.json"
+        assert main(["classify", str(src), "--out", str(out),
+                     "--max-iters", "50"]) == 0
+        report = json.loads(out.read_text())
+        assert report["flags"]["decomposable"] == "yes"
+        cert = report["decomposition"]["certificate"]
+        validate_certificate(ChoiMatrix.from_array(H), DecompositionCertificate(
+            H1=matrix_from_obj(cert["H1"]), H2=matrix_from_obj(cert["H2"]),
+            residual=cert["residual"], min_eig_H1=cert["min_eig_H1"],
+            min_eig_H2_pt=cert["min_eig_H2_pt"]))
+
     def test_equality_fixture_gets_canonical_form(self, tmp_path):
         from posmap.extremal import random_equality_blocks
 
@@ -188,6 +205,21 @@ class TestNonFiniteInput:
         H = build_pipeline(TangParams(0.5, 1 / 24)).Hfinal.H.copy()
         H[1, 1] = bad
         src = tmp_path / "bad.json"
+        save_matrix(src, H)
+        assert main([command, str(src)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNormOverflowInput:
+    @pytest.mark.parametrize("command", ["classify", "decompose"])
+    @pytest.mark.parametrize("kind", ["off_diagonal", "scaled_psd"])
+    def test_exit_3_with_error_line(self, command, kind, tmp_path, rng, capsys):
+        if kind == "off_diagonal":
+            H = np.eye(6, dtype=complex)
+            H[0, 1] = 1e200
+        else:
+            H = random_psd(6, rng) * 1e200
+        src = tmp_path / "big.json"
         save_matrix(src, H)
         assert main([command, str(src)]) == 3
         assert capsys.readouterr().err.startswith("error: ")

@@ -11,7 +11,6 @@ from posmap.cpdecomp import (
     DecompositionCertificate,
     kadison_constraints,
     ppt_project,
-    random_ppt_state,
     validate_certificate,
     witness_search,
 )
@@ -19,7 +18,7 @@ from posmap.exceptions import InvalidCertificateError
 from posmap.matkernel import frobenius, partial_transpose, psd_check
 from posmap.rand import random_psd
 from posmap.tang import TangParams, build_pipeline, tang_choi
-from conftest import random_complex
+from conftest import product_violation, random_complex
 
 
 def cp_shaped_blocks(n=2, y=0.6):
@@ -202,6 +201,29 @@ class TestDecompose:
             validate_certificate(H, bad)
 
 
+class TestStopReason:
+    def test_decomposable_splits(self, rng):
+        out = decompose(random_decomposable(rng, 3))
+        assert out.decomposed and out.stop == "split"
+
+    def test_nonpositive_map_witnessed(self, rng):
+        H = ChoiMatrix.from_array(product_violation(rng, 3))
+        out = decompose(H)
+        assert not out.decomposed and out.stop == "witness"
+
+    def test_normalized_tang_plateaus(self):
+        out = decompose(build_pipeline(TangParams(0.9, 0.12)).Hfinal)
+        assert not out.decomposed and out.stop == "plateau"
+
+    def test_budget_cap(self, rng):
+        d = 4
+        A = random_psd(2 * d, rng, rank=1)
+        B = partial_transpose(random_psd(2 * d, rng, rank=1), d)
+        out = decompose(ChoiMatrix.from_array(A + B), max_iters=5)
+        assert not out.decomposed
+        assert out.stop == "cap" and out.iterations == 5
+
+
 class TestPptProject:
     def test_output_is_ppt_state(self, rng):
         X = random_complex(rng, (8, 8))
@@ -212,25 +234,26 @@ class TestPptProject:
         assert np.linalg.eigvalsh(partial_transpose(rho, 4))[0] > -1e-8
 
     def test_fixed_point_on_ppt_state(self, rng):
-        rho = random_ppt_state(3, rng)
+        W = random_psd(6, rng)
+        rho = ppt_project(W / np.trace(W).real, 3)
         assert frobenius(ppt_project(rho, 3) - rho) < 1e-7
 
 
 class TestWitnessSearch:
     def test_psd_input_finds_nothing(self, rng):
         H = ChoiMatrix.from_array(random_psd(6, rng))
-        out = witness_search(H, restarts=4, seed=1)
+        out = witness_search(H)
         assert not out.found
         assert out.best_value >= -1e-8
 
     def test_pt_psd_input_finds_nothing(self, rng):
         H = ChoiMatrix.from_array(partial_transpose(random_psd(6, rng), 3))
-        out = witness_search(H, restarts=4, seed=1)
+        out = witness_search(H)
         assert not out.found
         assert out.best_value >= -1e-8
 
     def test_tang_witnessed(self, tang_raw):
-        out = witness_search(tang_raw, restarts=6, seed=0)
+        out = witness_search(tang_raw)
         assert out.found
         cert = out.certificate
         assert cert.value < -1e-6
@@ -241,11 +264,11 @@ class TestWitnessSearch:
     def test_exclusivity_with_decompose(self, tang_raw, rng):
         # A witness and a split must never coexist: check on both a
         # nondecomposable and a decomposable instance.
-        wit = witness_search(tang_raw, restarts=4, seed=0)
+        wit = witness_search(tang_raw)
         dec = decompose(tang_raw, max_iters=2000)
         assert not (wit.found and dec.decomposed)
         H = random_decomposable(rng, 3)
-        wit = witness_search(H, restarts=4, seed=0)
+        wit = witness_search(H)
         dec = decompose(H)
         assert not (wit.found and dec.decomposed)
 

@@ -1,0 +1,64 @@
+"""Metamorphic properties of the decomposability verdicts.
+
+Swapping the domain basis (H -> (sigma_x (x) I) H (sigma_x (x) I)) and
+changing the codomain basis (H -> (I (x) U)* H (I (x) U)) both map PSD to PSD
+and PT-PSD to PT-PSD, so they preserve decomposability and PPT witnesses.
+The verdict on an input and on its two images must therefore agree, and
+every verdict must carry evidence that re-checks from scratch.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from posmap.choi import ChoiMatrix
+from posmap.cpdecomp import decompose, validate_certificate, witness_search
+from posmap.matkernel import partial_transpose
+from posmap.rand import random_psd, random_unitary
+from conftest import product_violation
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+dims = st.integers(min_value=2, max_value=4)
+
+
+def images(H, d, rng):
+    """The input, its domain-swap image and a codomain-unitary image."""
+    swap = np.kron(SIGMA_X, np.eye(d))
+    K = np.kron(np.eye(2), random_unitary(d, rng))
+    return [H, swap @ H @ swap, K.conj().T @ H @ K]
+
+
+def verdict(H, d):
+    """'yes', 'no-witness' or 'unknown', after re-checking the evidence."""
+    choi = ChoiMatrix.from_array(H)
+    dec = decompose(choi)
+    wit = witness_search(choi)
+    assert not (dec.decomposed and wit.found)
+    if dec.decomposed:
+        validate_certificate(choi, dec.certificate)
+        return "yes"
+    if wit.found:
+        rho = wit.certificate.rho
+        assert abs(np.trace(rho).real - 1.0) <= 1e-9
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-8
+        assert np.linalg.eigvalsh(partial_transpose(rho, d))[0] >= -1e-8
+        assert np.trace(H @ rho).real < -1e-6
+        return "no-witness"
+    return "unknown"
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, d=dims)
+def test_decomposable_verdicts_invariant(seed, d):
+    rng = np.random.default_rng(seed)
+    H = random_psd(2 * d, rng) + partial_transpose(random_psd(2 * d, rng), d)
+    assert [verdict(M, d) for M in images(H, d, rng)] == ["yes"] * 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, d=dims)
+def test_product_violation_verdicts_invariant(seed, d):
+    rng = np.random.default_rng(seed)
+    H = product_violation(rng, d)
+    assert [verdict(M, d) for M in images(H, d, rng)] == ["no-witness"] * 3

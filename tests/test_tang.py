@@ -9,7 +9,6 @@ from posmap.tang import (
     blockwise_final_choi,
     build_pipeline,
     closed_form_constants,
-    inv_sqrt_constants,
     normalized_zero_mask,
     param_grid,
     phi0_apply,
@@ -82,30 +81,24 @@ class TestRawChoi:
 
 
 class TestCornerConstants:
-    def test_against_closed_form(self):
-        for p in POINTS:
-            newton = np.array(inv_sqrt_constants(p))
-            closed = np.array(closed_form_constants(p))
-            assert np.max(np.abs(newton - closed)) < 1e-12
-
     def test_signs_and_equations(self):
-        p = TangParams(0.9, 0.12)
-        alpha, beta, gamma = inv_sqrt_constants(p)
-        assert alpha > 0 and beta > 0 and gamma < 0
-        assert abs(alpha**2 + gamma**2 - p.rho**2) < 1e-12
-        assert abs(beta**2 + gamma**2 - 2.0) < 1e-12
-        assert abs((alpha + beta) * gamma + p.mu) < 1e-12
+        for p in POINTS:
+            alpha, beta, gamma = closed_form_constants(p)
+            assert alpha > 0 and beta > 0 and gamma < 0
+            assert abs(alpha**2 + gamma**2 - p.rho**2) < 1e-12
+            assert abs(beta**2 + gamma**2 - 2.0) < 1e-12
+            assert abs((alpha + beta) * gamma + p.mu) < 1e-12
 
     def test_rotation_identity_follows(self):
         for p in POINTS:
-            alpha, beta, gamma = inv_sqrt_constants(p)
+            alpha, beta, gamma = closed_form_constants(p)
             lhs = (p.mu * gamma + alpha) ** 2 + (p.mu * beta + gamma) ** 2
             assert abs(lhs - p.rho**2) < 1e-12
 
     def test_inverse_sqrt_oracle(self):
         # The assembled corner matrix must invert the corner of phi0(I).
         p = TangParams(0.5, 1 / 24)
-        alpha, beta, gamma = inv_sqrt_constants(p)
+        alpha, beta, gamma = closed_form_constants(p)
         corner = np.array([[p.rho**2, -p.mu], [-p.mu, 2.0]])
         R2 = np.array([[beta, -gamma], [-gamma, alpha]]) / p.delta
         assert frobenius(R2 @ corner @ R2 - np.eye(2)) < 1e-12
@@ -114,7 +107,7 @@ class TestCornerConstants:
 
     def test_small_mu_limit(self):
         p = TangParams(1e-4, 1e-9 / 6.01)
-        _, _, gamma = inv_sqrt_constants(p)
+        _, _, gamma = closed_form_constants(p)
         assert gamma < 0
         assert abs(gamma) < p.mu  # gamma = -mu / D with D > 2
 
@@ -194,9 +187,7 @@ class TestYEntryResolution:
 
 class TestVerifyReport:
     def test_reference_point_all_pass(self):
-        report = verify_tang(
-            TangParams(0.9, 0.12), budget=32, witness_restarts=6, seed=0
-        )
+        report = verify_tang(TangParams(0.9, 0.12), budget=32, seed=0)
         failing = {k: v for k, v in report.checks.items() if not v.passed}
         assert report.all_pass, failing
         assert report.y_entry.variant == "rho"
