@@ -146,14 +146,14 @@ def criterion_pipeline(grid_k: int = 5) -> CriterionResult:
     return _result("C2", "normalization pipeline", not failures, detail, started)
 
 
-def criterion_positivity(grid_k: int = 5, budget: int = 64, seed: int = 0) -> CriterionResult:
+def criterion_positivity(grid_k: int = 5, seed: int = 0) -> CriterionResult:
     """C3: positivity certified on the grid; neither CP nor coCP."""
     started = time.perf_counter()
     worst_margin = np.inf
     for params in param_grid(grid_k):
         pipe = build_pipeline(params)
         blocks = extract_blocks(pipe.Hfinal)
-        verdict = certify_positivity(blocks, budget=budget, seed=seed)
+        verdict = certify_positivity(blocks, seed=seed)
         if verdict.status != CERTIFIED:
             return _result(
                 "C3", "positivity of the family", False,
@@ -177,9 +177,7 @@ def criterion_positivity(grid_k: int = 5, budget: int = 64, seed: int = 0) -> Cr
     )
 
 
-def criterion_nondecomposability(
-    seed: int = 0, max_iters: int = 20000
-) -> CriterionResult:
+def criterion_nondecomposability(max_iters: int = 20000) -> CriterionResult:
     """C4: PPT witness plus a failed split search on the reference point."""
     started = time.perf_counter()
     H0 = tang_choi(TangParams(0.9, 0.12))
@@ -298,7 +296,7 @@ def criterion_blockpos_equivalence(
             r = 1.0 if rng.random() < 0.5 else float(rng.random())
             s = r * np.sqrt(p * q) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             combo = admissible_combination(P, S, Q, p, q, s)
-            v = psd_check(combo, tol=1e-9)
+            v = psd_check(combo)
             worst = min(worst, v.min_eigenvalue)
             if not v.is_psd:
                 return _result(
@@ -317,7 +315,7 @@ def criterion_blockpos_equivalence(
         p, q = abs(lam1) ** 2, abs(lam2) ** 2
         s = np.conj(lam1) * lam2
         combo = admissible_combination(P, S, Q, p, q, s)
-        if psd_check(combo, tol=1e-9).is_psd:
+        if psd_check(combo).is_psd:
             return _result(
                 "C7", "block-positivity equivalence", False,
                 "violation witness failed to produce a non-PSD combination",
@@ -412,7 +410,7 @@ def criterion_decomposition_roundtrip(
             report.block_margins.values()
         )
         worst_margin = min(worst_margin, min(margins))
-        if not report.all_pass(tol=1e-7):
+        if not report.all_pass():
             return _result(
                 "C9", "decomposable round trip", False,
                 f"instance {k} has constraint margin {min(margins):.3e}", started,
@@ -527,7 +525,7 @@ def run_battery(grid_k: int = 3, seed: int = 0, smoke: bool = False) -> list[Cri
         criterion_choi_reproduction(),
         criterion_pipeline(grid_k=max(grid_k, 2) if grid_k > 1 else 1),
         criterion_positivity(grid_k=grid_k, seed=seed),
-        criterion_nondecomposability(seed=seed, max_iters=sizes["iters"]),
+        criterion_nondecomposability(max_iters=sizes["iters"]),
         criterion_strictness(grid_k=grid_k),
         criterion_row_calculus(trials=sizes["c6"], seed=seed),
         criterion_blockpos_equivalence(certified=sizes["c7"][0],

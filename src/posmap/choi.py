@@ -14,6 +14,11 @@ with ``a`` a scalar, ``C, Y, Z`` rows of length n, and ``B, T, U`` square of
 size n (``x~`` denotes the conjugate of ``x``).  Row vectors are kept as 1-D
 numpy arrays in the row orientation; ``X*`` always means the conjugate
 transpose (a column), so e.g. ``X* X = outer(conj(X), X)``.
+
+The face checks every module uses are decided here: ``STRUCT_TOL`` decides
+the face-form zero pattern (:func:`face_form_offenders`) and every other
+structural zero in the package, and ``UNITAL_TOL`` the unital face form
+``a = 1, C = 0, x = 0`` (:func:`unital_face_defects`).
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ from .matkernel import as_matrix, frobenius, herm_tol, require_hermitian, requir
 
 #: Absolute tolerance for the zero pattern of the face form.
 STRUCT_TOL = 1e-9
+
+#: Absolute tolerance for a = 1, C = 0 and x = 0 in the unital face form.
+UNITAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,12 +64,9 @@ class ChoiMatrix:
             norm = frobenius(H)
         if not np.isfinite(norm):
             raise NonFiniteError("Choi matrix Frobenius norm overflows")
-        defect = frobenius(H - H.conj().T)
-        if defect > herm_tol(H):
-            raise NotHermitianError(
-                f"Choi matrix has Hermiticity defect {defect:.3e}"
-            )
-        return cls(n=dim // 2 - 1, H=H)
+        # Stored exactly Hermitian, so every block passes its own, tighter
+        # Hermiticity check; an exactly Hermitian input keeps its bits.
+        return cls(n=dim // 2 - 1, H=require_hermitian(H))
 
     @property
     def dim(self) -> int:
@@ -149,26 +154,34 @@ def apply_map(choi: ChoiMatrix, A) -> np.ndarray:
     return out
 
 
-def extract_blocks(choi: ChoiMatrix, struct_tol: float = STRUCT_TOL) -> ChoiBlocks:
+def face_form_offenders(choi: ChoiMatrix) -> list[tuple[int, int, float]]:
+    """Entries ``(row, col, modulus)`` of the face-form zero pattern above ``STRUCT_TOL``.
+
+    The pattern is the first row and column of the second diagonal block and
+    the scalar ``x = H[0, d]``; an empty list means ``H`` is in face form.
+    """
+    d = choi.dim
+    Q = choi.block(2, 2)
+    offenders = []
+    for k in range(d):
+        if abs(Q[0, k]) > STRUCT_TOL:
+            offenders.append((d, d + k, abs(Q[0, k])))
+        if k > 0 and abs(Q[k, 0]) > STRUCT_TOL:
+            offenders.append((d + k, d, abs(Q[k, 0])))
+    x = complex(choi.H[0, d])
+    if abs(x) > STRUCT_TOL:
+        offenders.append((0, d, abs(x)))
+    return offenders
+
+
+def extract_blocks(choi: ChoiMatrix) -> ChoiBlocks:
     """Split a face-form Choi matrix into its named pieces.
 
     The second diagonal block must be ``[[0, 0], [0, U]]`` and the scalar
-    ``x`` must vanish, both within ``struct_tol``; violations raise
+    ``x`` must vanish, both within ``STRUCT_TOL``; violations raise
     :class:`NotInFaceFormError` listing the offending entries.
     """
-    d = choi.dim
-    n = choi.n
-    H = choi.H
-    offenders = []
-    Q = choi.block(2, 2)
-    for k in range(d):
-        if abs(Q[0, k]) > struct_tol:
-            offenders.append((d, d + k, abs(Q[0, k])))
-        if k > 0 and abs(Q[k, 0]) > struct_tol:
-            offenders.append((d + k, d, abs(Q[k, 0])))
-    x = complex(H[0, d])
-    if abs(x) > struct_tol:
-        offenders.append((0, d, abs(x)))
+    offenders = face_form_offenders(choi)
     if offenders:
         raise NotInFaceFormError(
             "Choi matrix violates the face-form zero pattern at "
@@ -177,9 +190,10 @@ def extract_blocks(choi: ChoiMatrix, struct_tol: float = STRUCT_TOL) -> ChoiBloc
         )
     P = choi.block(1, 1)
     S = choi.block(1, 2)
+    Q = choi.block(2, 2)
     return ChoiBlocks(
         a=float(P[0, 0].real),
-        x=x,
+        x=complex(choi.H[0, choi.dim]),
         C=P[0, 1:].copy(),
         Y=S[0, 1:].copy(),
         Z=S[1:, 0].conj().copy(),
@@ -187,6 +201,18 @@ def extract_blocks(choi: ChoiMatrix, struct_tol: float = STRUCT_TOL) -> ChoiBloc
         T=S[1:, 1:].copy(),
         U=Q[1:, 1:].copy(),
     )
+
+
+def unital_face_defects(blocks: ChoiBlocks) -> list[str]:
+    """Which of a = 1, C = 0, x = 0 fail at ``UNITAL_TOL``; empty when unital."""
+    bad = []
+    if abs(blocks.a - 1.0) > UNITAL_TOL:
+        bad.append(f"a = {blocks.a!r}")
+    if np.linalg.norm(blocks.C) > UNITAL_TOL:
+        bad.append(f"||C|| = {np.linalg.norm(blocks.C):.3e}")
+    if abs(blocks.x) > UNITAL_TOL:
+        bad.append(f"|x| = {abs(blocks.x):.3e}")
+    return bad
 
 
 def assemble_blocks(blocks: ChoiBlocks) -> ChoiMatrix:
@@ -220,15 +246,6 @@ def conjugate_choi(choi: ChoiMatrix, K) -> ChoiMatrix:
     Kc = Km.conj().T
     blocks = [[Kc @ choi.block(i, j) @ Km for j in (1, 2)] for i in (1, 2)]
     return ChoiMatrix.from_array(np.block(blocks))
-
-
-def unit_row_direction(X) -> np.ndarray:
-    """Unit vector xi_X = X* / ||X|| associated with a nonzero row vector."""
-    v = np.asarray(X, dtype=np.complex128).ravel()
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("zero row vector has no direction")
-    return v.conj() / nrm
 
 
 def row_abs(X) -> np.ndarray:

@@ -18,21 +18,27 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .acceptance import run_battery
-from .choi import ChoiMatrix, extract_blocks
-from .cpdecomp import decompose, kadison_constraints, witness_search
+from .choi import STRUCT_TOL, UNITAL_TOL, ChoiMatrix, extract_blocks, unital_face_defects
+from .cpdecomp import (
+    FEAS_TOL,
+    PLATEAU_TOL,
+    WITNESS_TOL,
+    decompose,
+    kadison_constraints,
+    witness_search,
+)
 from .exceptions import (
     BadParamsError,
     NotInFaceFormError,
     ParseError,
     PosmapError,
 )
-from .extremal import canonicalize, check_row_dependence, equality_case_detect
+from .extremal import EQUALITY_TOL, canonicalize, check_row_dependence, equality_case_detect
 from .io import jsonable, load_matrix, matrix_digest, matrix_to_obj, save_matrix
-from .matkernel import partial_transpose, psd_check
+from .matkernel import PSD_TOL, partial_transpose, psd_check
 from .positivity import (
+    POSITIVITY_TOL,
     NotPSDError,
     block_positive_choi,
     coupling_bound_check,
@@ -45,6 +51,19 @@ EXIT_CRITERION = 1
 EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 
+#: The constants that decide ``classify``'s flags; ``plateau_relative`` is
+#: scaled by ``max(1, ||H||_F)``, the others are absolute.
+TOLERANCES = {
+    "positivity": POSITIVITY_TOL,
+    "psd": PSD_TOL,
+    "struct": STRUCT_TOL,
+    "unital": UNITAL_TOL,
+    "equality": EQUALITY_TOL,
+    "feas": FEAS_TOL,
+    "witness": WITNESS_TOL,
+    "plateau_relative": PLATEAU_TOL,
+}
+
 
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2)
@@ -55,10 +74,6 @@ def _emit(obj: dict, out: str | None) -> None:
         print(text)
 
 
-def _load_choi(path: str) -> ChoiMatrix:
-    return ChoiMatrix.from_array(load_matrix(path))
-
-
 def build_classification(
     choi: ChoiMatrix,
     budget: int = 64,
@@ -67,10 +82,7 @@ def build_classification(
 ) -> dict:
     """Assemble the full machine-readable classification report."""
     timings: dict[str, float] = {}
-    report: dict = {
-        "input_digest": matrix_digest(choi.H),
-        "shape": {"domain": 2, "codomain": choi.dim},
-    }
+    report: dict = {"shape": {"domain": 2, "codomain": choi.dim}}
 
     t0 = time.perf_counter()
     pos = block_positive_choi(choi, budget=budget, seed=seed)
@@ -105,8 +117,8 @@ def build_classification(
         except (NotPSDError, PosmapError) as exc:
             report["coupling_bound"] = {"error": str(exc)}
         timings["face_structure"] = time.perf_counter() - t0
-        unital = abs(blocks.a - 1.0) <= 1e-8 and np.linalg.norm(blocks.C) <= 1e-8
-        report["unital_face_form"] = bool(unital)
+        unital = not unital_face_defects(blocks)
+        report["unital_face_form"] = unital
         if unital:
             t0 = time.perf_counter()
             eq = equality_case_detect(blocks)
@@ -155,6 +167,7 @@ def build_classification(
             "stop": dec.stop,
         }
     report["flags"] = flags
+    report["tolerances"] = dict(TOLERANCES)
     report["timings"] = timings
     return report
 
@@ -181,23 +194,23 @@ def _cmd_tang(args) -> int:
 
 def _cmd_classify(args) -> int:
     try:
-        choi = _load_choi(args.input)
+        matrix = load_matrix(args.input)
+        choi = ChoiMatrix.from_array(matrix)
     except (ParseError, PosmapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    report = build_classification(
-        choi,
-        budget=args.budget,
-        max_iters=args.max_iters,
-        seed=args.seed,
-    )
+    # The digest identifies the file's matrix; ``choi.H`` is its Hermitian part.
+    report = {"input_digest": matrix_digest(matrix)}
+    report.update(build_classification(
+        choi, budget=args.budget, max_iters=args.max_iters, seed=args.seed
+    ))
     _emit(report, args.out)
     return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
     try:
-        choi = _load_choi(args.input)
+        choi = ChoiMatrix.from_array(load_matrix(args.input))
     except (ParseError, PosmapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -216,7 +229,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_canonical(args) -> int:
     try:
-        choi = _load_choi(args.input)
+        choi = ChoiMatrix.from_array(load_matrix(args.input))
         blocks = extract_blocks(choi)
         canon = canonicalize(blocks)
     except (ParseError, PosmapError) as exc:

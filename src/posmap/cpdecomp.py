@@ -14,11 +14,15 @@ two cones and ``H1 + H2 - H = X``: the split residual is ``||X||_F``.  While
 ``Tr(H rho) = -||X||^2 / tr X`` at the limit.  For face-form ``H`` the cones
 only constrain the indices other than ``d = n+1``, so row and column ``d``
 of ``H1`` and of ``PT(H2)`` are exactly zero, as any split must have them.
-A run stops with ``"split"`` (``||X||_F <= feas_tol / 10``), ``"witness"``
+A run stops with ``"split"`` (``||X||_F <= FEAS_TOL / 10``), ``"witness"``
 (``rho`` passes the from-scratch state checks with
-``Tr(H rho) < -witness_tol``), ``"plateau"`` (the iterate stopped moving) or
-``"cap"`` (iteration budget spent).  Every verdict carries re-checkable
-evidence, and a failed search is reported as "not found", never as a proof.
+``Tr(H rho) < -WITNESS_TOL``), ``"plateau"`` (an iterate moved at most
+``PLATEAU_TOL * max(1, ||H||_F)``) or ``"cap"`` (iteration budget spent).
+Every verdict carries re-checkable evidence, and a failed search is reported
+as "not found", never as a proof.  ``FEAS_TOL`` also bounds a certificate's
+cone violations and Kadison-Schwarz margins.  ``choi.STRUCT_TOL`` decides face
+form and the vanishing rows of :func:`cp_check` and :func:`ccp_check`, and
+``matkernel.PSD_TOL`` their PSD tests.
 """
 
 from __future__ import annotations
@@ -27,12 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiBlocks, ChoiMatrix, assemble_blocks
-from .exceptions import InvalidCertificateError, SingularBlockError
+from .choi import (
+    STRUCT_TOL,
+    ChoiBlocks,
+    ChoiMatrix,
+    assemble_blocks,
+    extract_blocks,
+    face_form_offenders,
+)
+from .exceptions import InvalidCertificateError, NotInFaceFormError
 from .matkernel import (
+    EIG_CLAMP_TOL,
+    RANK_TOL,
     as_matrix,
     frobenius,
     hermitian_norm,
+    lowest_eigenvalue,
     partial_transpose,
     psd_check,
     psd_project,
@@ -42,9 +56,6 @@ from .matkernel import (
 
 FEAS_TOL = 1e-7
 WITNESS_TOL = 1e-6
-
-#: Structural tolerance deciding whether an off-diagonal row counts as zero.
-ZERO_ROW_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +84,15 @@ class CpVerdict:
     witness: np.ndarray | None = None
 
 
+def _row_and_mid(blocks: ChoiBlocks, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling row and middle block of the ``"cp"`` or ``"ccp"`` condensed matrix."""
+    if variant == "cp":
+        return blocks.Y, blocks.T
+    if variant == "ccp":
+        return blocks.Z, blocks.T.conj().T
+    raise ValueError(f"variant must be 'cp' or 'ccp', got {variant!r}")
+
+
 def condensed_matrix(blocks: ChoiBlocks, variant: str) -> np.ndarray:
     """The (2n+1)-square matrix whose positivity characterizes CP or coCP.
 
@@ -80,12 +100,7 @@ def condensed_matrix(blocks: ChoiBlocks, variant: str) -> np.ndarray:
     ``variant="ccp"`` swaps ``Y -> Z`` and ``T -> T*``.
     """
     n = blocks.n
-    if variant == "cp":
-        row, mid = blocks.Y, blocks.T
-    elif variant == "ccp":
-        row, mid = blocks.Z, blocks.T.conj().T
-    else:
-        raise ValueError(f"variant must be 'cp' or 'ccp', got {variant!r}")
+    row, mid = _row_and_mid(blocks, variant)
     K = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.complex128)
     K[0, 0] = blocks.a
     K[0, 1 : n + 1] = blocks.C
@@ -99,16 +114,15 @@ def condensed_matrix(blocks: ChoiBlocks, variant: str) -> np.ndarray:
     return K
 
 
-def _cp_like_check(blocks: ChoiBlocks, variant: str, tol: float,
-                   struct_tol: float) -> CpVerdict:
+def _cp_like_check(blocks: ChoiBlocks, variant: str) -> CpVerdict:
     row = blocks.Z if variant == "cp" else blocks.Y
     row_norm = float(np.linalg.norm(row))
     K = condensed_matrix(blocks, variant)
-    kv = psd_check(K, tol=tol)
+    kv = psd_check(K)
     H = assemble_blocks(blocks)
     direct = H.H if variant == "cp" else partial_transpose(H.H, H.dim)
-    dv = psd_check(direct, tol=tol)
-    holds = row_norm <= struct_tol and kv.is_psd
+    dv = psd_check(direct)
+    holds = row_norm <= STRUCT_TOL and kv.is_psd
     factor = psd_sqrt(psd_project(K)) if holds else None
     witness = None if kv.is_psd else kv.witness
     return CpVerdict(
@@ -121,24 +135,22 @@ def _cp_like_check(blocks: ChoiBlocks, variant: str, tol: float,
     )
 
 
-def cp_check(blocks: ChoiBlocks, tol: float = 1e-9,
-             struct_tol: float = ZERO_ROW_TOL) -> CpVerdict:
+def cp_check(blocks: ChoiBlocks) -> CpVerdict:
     """Complete positivity: Z = 0 and the condensed matrix PSD.
 
     Equivalently the full Choi matrix is PSD; both routes are computed and
     reported (the structural route decides, the spectral route cross-checks).
     """
-    return _cp_like_check(blocks, "cp", tol, struct_tol)
+    return _cp_like_check(blocks, "cp")
 
 
-def ccp_check(blocks: ChoiBlocks, tol: float = 1e-9,
-              struct_tol: float = ZERO_ROW_TOL) -> CpVerdict:
+def ccp_check(blocks: ChoiBlocks) -> CpVerdict:
     """Complete copositivity: Y = 0 and the mirrored condensed matrix PSD.
 
     Cross-validated against the PSD test of the partially transposed Choi
     matrix.
     """
-    return _cp_like_check(blocks, "ccp", tol, struct_tol)
+    return _cp_like_check(blocks, "ccp")
 
 
 @dataclass(frozen=True)
@@ -146,9 +158,10 @@ class CondensedRelations:
     """Schur-complement consequences of the condensed matrix being PSD.
 
     ``t_dominated`` is ``U - T* B^{-1} T >= 0`` (mirrored for the copositive
-    variant) and is ``None`` when ``B`` is singular at ``rank_tol``;
+    variant) and is ``None`` when ``B`` is singular at ``RANK_TOL``;
     ``c_dominated`` is ``a B - C* C >= 0``; ``row_dominated`` is
-    ``a U - Y* Y >= 0`` (resp. ``Z``).  Values are minimum eigenvalues.
+    ``a U - Y* Y >= 0`` (resp. ``Z``).  Values are minimum eigenvalues, and
+    they hold at ``EIG_CLAMP_TOL``.
     """
 
     t_dominated: float | None
@@ -156,38 +169,27 @@ class CondensedRelations:
     row_dominated: float
     b_singular: bool
 
-    def all_hold(self, tol: float = 1e-10) -> bool:
+    def all_hold(self) -> bool:
         checks = [self.c_dominated, self.row_dominated]
         if self.t_dominated is not None:
             checks.append(self.t_dominated)
-        return all(m >= -tol for m in checks)
+        return all(m >= -EIG_CLAMP_TOL for m in checks)
 
 
-def condensed_psd_relations(
-    blocks: ChoiBlocks, variant: str = "cp", rank_tol: float = 1e-10
-) -> CondensedRelations:
+def condensed_psd_relations(blocks: ChoiBlocks, variant: str = "cp") -> CondensedRelations:
     """Margins of the block inequalities implied by complete (co)positivity."""
-    if variant == "cp":
-        row, mid = blocks.Y, blocks.T
-    elif variant == "ccp":
-        row, mid = blocks.Z, blocks.T.conj().T
-    else:
-        raise ValueError(f"variant must be 'cp' or 'ccp', got {variant!r}")
-    evals = np.linalg.eigvalsh(require_hermitian(blocks.B, tol=np.inf))
-    if evals[0] <= rank_tol:
-        t_margin = None
-        singular = True
-    else:
+    row, mid = _row_and_mid(blocks, variant)
+    singular = lowest_eigenvalue(blocks.B) <= RANK_TOL
+    t_margin = None
+    if not singular:
         X = np.linalg.solve(blocks.B, mid)
-        gap = blocks.U - mid.conj().T @ X
-        t_margin = float(np.linalg.eigvalsh(require_hermitian(gap, tol=np.inf))[0])
-        singular = False
+        t_margin = lowest_eigenvalue(blocks.U - mid.conj().T @ X)
     c_gap = blocks.a * blocks.B - np.outer(blocks.C.conj(), blocks.C)
     r_gap = blocks.a * blocks.U - np.outer(row.conj(), row)
     return CondensedRelations(
         t_dominated=t_margin,
-        c_dominated=float(np.linalg.eigvalsh(require_hermitian(c_gap, tol=np.inf))[0]),
-        row_dominated=float(np.linalg.eigvalsh(require_hermitian(r_gap, tol=np.inf))[0]),
+        c_dominated=lowest_eigenvalue(c_gap),
+        row_dominated=lowest_eigenvalue(r_gap),
         b_singular=singular,
     )
 
@@ -243,16 +245,6 @@ class WitnessResult:
     best_value: float
 
 
-def _in_face_form(choi: ChoiMatrix, struct_tol: float) -> bool:
-    """Whether ``H`` carries the face-form zeros at index ``d = n+1``."""
-    Q = choi.block(2, 2)
-    return bool(
-        abs(choi.H[0, choi.dim]) <= struct_tol
-        and np.max(np.abs(Q[0, :])) <= struct_tol
-        and np.max(np.abs(Q[:, 0])) <= struct_tol
-    )
-
-
 def _is_ppt_state(rho: np.ndarray, d: int) -> bool:
     """Trace one, PSD and PSD after partial transpose, checked from scratch."""
     if abs(np.trace(rho).real - 1.0) > 1e-9:
@@ -264,8 +256,7 @@ def _is_ppt_state(rho: np.ndarray, d: int) -> bool:
 
 
 def _project(
-    choi: ChoiMatrix, face: bool, max_iters: int, feas_tol: float,
-    witness_tol: float,
+    choi: ChoiMatrix, face: bool, max_iters: int
 ) -> tuple[DecomposeResult, WitnessResult]:
     """Dykstra projection of ``-H`` onto ``C1 ∩ C2``; see the module docstring."""
     H = require_hermitian(choi.H)
@@ -281,7 +272,7 @@ def _project(
         Y[S] = psd_project(A[S])
         return Y, A - Y
 
-    stop_tol = feas_tol / 10.0
+    stop_tol = FEAS_TOL / 10.0
     plateau_tol = PLATEAU_TOL * max(1.0, frobenius(H))
     X = -H
     P1 = np.zeros_like(H)
@@ -302,7 +293,7 @@ def _project(
             value = float(np.trace(H @ rho).real)
             if value < best_value and _is_ppt_state(rho, d):
                 best_value, best_rho = value, rho
-                if value < -witness_tol:
+                if value < -WITNESS_TOL:
                     stop = "witness"
                     break
         if frobenius(X - prev) <= plateau_tol:
@@ -313,7 +304,7 @@ def _project(
         witness = WitnessCertificate(best_rho, best_value)
         return (DecomposeResult(False, None, residual, iterations, stop),
                 WitnessResult(True, witness, best_value))
-    if residual > feas_tol:
+    if residual > FEAS_TOL:
         return (DecomposeResult(False, None, residual, iterations, stop),
                 WitnessResult(False, None, best_value))
     H1, H2 = -P1, -P2
@@ -321,84 +312,75 @@ def _project(
         H1=H1,
         H2=H2,
         residual=frobenius(H1 + H2 - choi.H),
-        min_eig_H1=float(np.linalg.eigvalsh(require_hermitian(H1, tol=np.inf))[0]),
-        min_eig_H2_pt=float(
-            np.linalg.eigvalsh(
-                require_hermitian(partial_transpose(H2, d), tol=np.inf)
-            )[0]
-        ),
+        min_eig_H1=lowest_eigenvalue(H1),
+        min_eig_H2_pt=lowest_eigenvalue(partial_transpose(H2, d)),
     )
     # A split proves Tr(H rho) >= 0 over every PPT state.
     return (DecomposeResult(True, cert, cert.residual, iterations, stop),
             WitnessResult(False, None, 0.0))
 
 
-def decompose(
-    choi: ChoiMatrix,
-    max_iters: int = 20000,
-    feas_tol: float = FEAS_TOL,
-    struct_tol: float = ZERO_ROW_TOL,
-) -> DecomposeResult:
+def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     """Search for a completely positive / completely copositive split of H.
 
     Runs the projection with the face restriction when ``H`` is in face
-    form.  ``decomposed=False`` is a nondecomposability proof only when
-    ``stop`` is ``"witness"``.
+    form (:func:`choi.face_form_offenders` finds no offender).
+    ``decomposed=False`` is a nondecomposability proof only when ``stop`` is
+    ``"witness"``.
     """
-    face = _in_face_form(choi, struct_tol)
-    return _project(choi, face, max_iters, feas_tol, WITNESS_TOL)[0]
+    return _project(choi, not face_form_offenders(choi), max_iters)[0]
 
 
-def validate_certificate(
-    choi: ChoiMatrix, cert: DecompositionCertificate, feas_tol: float = FEAS_TOL
-) -> None:
+def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> None:
     """Independently re-validate a decomposition certificate.
 
     Raises :class:`InvalidCertificateError` if the residual or either cone
-    membership fails at ``feas_tol``.
+    membership fails at ``FEAS_TOL``.
     """
     H1 = as_matrix(cert.H1)
     H2 = as_matrix(cert.H2)
     problems = []
     res = frobenius(H1 + H2 - choi.H)
-    if res > feas_tol:
-        problems.append(f"residual {res:.3e} > {feas_tol:.1e}")
+    if res > FEAS_TOL:
+        problems.append(f"residual {res:.3e} > {FEAS_TOL:.1e}")
     m1 = float(np.linalg.eigvalsh(require_hermitian(H1, tol=1e-8))[0])
-    if m1 < -feas_tol:
+    if m1 < -FEAS_TOL:
         problems.append(f"H1 min eigenvalue {m1:.3e}")
     m2 = float(
         np.linalg.eigvalsh(
             require_hermitian(partial_transpose(H2, choi.dim), tol=1e-8)
         )[0]
     )
-    if m2 < -feas_tol:
+    if m2 < -FEAS_TOL:
         problems.append(f"H2 partial-transpose min eigenvalue {m2:.3e}")
     if problems:
         raise InvalidCertificateError("; ".join(problems))
 
 
-def witness_search(
-    choi: ChoiMatrix, max_iters: int = 20000, witness_tol: float = WITNESS_TOL
-) -> WitnessResult:
-    """Look for a PPT state ``rho`` with ``Tr(H rho) < -witness_tol``.
+def witness_search(choi: ChoiMatrix, max_iters: int = 20000) -> WitnessResult:
+    """Look for a PPT state ``rho`` with ``Tr(H rho) < -WITNESS_TOL``.
 
     Runs the projection without the face restriction.  ``best_value`` is
     ``Tr(H rho)`` of the best iterate that passed the from-scratch PPT
     checks (``inf`` when none did), and ``0.0`` when the run found a split.
     ``found=False`` is not a decomposability proof.
     """
-    return _project(choi, False, max_iters, FEAS_TOL, witness_tol)[1]
+    return _project(choi, False, max_iters)[1]
 
 
-def ppt_project(
-    X, block_dim: int, tol: float = 1e-10, max_cycles: int = 200
-) -> np.ndarray:
+#: :func:`ppt_project` stops after ``PPT_CYCLES`` cycles, or earlier once a
+#: cycle moves its iterate by at most ``PPT_STEP_TOL``.
+PPT_STEP_TOL = 1e-10
+PPT_CYCLES = 200
+
+
+def ppt_project(X, block_dim: int) -> np.ndarray:
     """Dykstra projection onto the PPT states (PSD, PT-PSD, trace one)."""
     M = require_hermitian(as_matrix(X), tol=np.inf)
     size = M.shape[0]
     P1 = np.zeros_like(M)
     P2 = np.zeros_like(M)
-    for _ in range(max_cycles):
+    for _ in range(PPT_CYCLES):
         prev = M
         A1 = M + P1
         M = psd_project(A1)
@@ -407,7 +389,7 @@ def ppt_project(
         M = partial_transpose(psd_project(partial_transpose(A2, block_dim)), block_dim)
         P2 = A2 - M
         M = M + (1.0 - np.trace(M).real) / size * np.eye(size)
-        if frobenius(M - prev) <= tol:
+        if frobenius(M - prev) <= PPT_STEP_TOL:
             break
     return M
 
@@ -431,9 +413,10 @@ class KadisonReport:
     entry_margins: dict[tuple[int, int], float]
     block_margins: dict[str, float]
 
-    def all_pass(self, tol: float = 1e-8) -> bool:
+    def all_pass(self) -> bool:
+        """Every margin is at least ``-FEAS_TOL``, the certificate's error."""
         vals = list(self.entry_margins.values()) + list(self.block_margins.values())
-        return all(v >= -tol for v in vals)
+        return all(v >= -FEAS_TOL for v in vals)
 
 
 def _positional_blocks(M: np.ndarray, d: int):
@@ -444,12 +427,7 @@ def _positional_blocks(M: np.ndarray, d: int):
     }
 
 
-def kadison_constraints(
-    choi: ChoiMatrix,
-    cert: DecompositionCertificate,
-    feas_tol: float = FEAS_TOL,
-    struct_tol: float = ZERO_ROW_TOL,
-) -> KadisonReport:
+def kadison_constraints(choi: ChoiMatrix, cert: DecompositionCertificate) -> KadisonReport:
     """Evaluate the Schwarz constraints of a decomposition certificate.
 
     The certificate is re-validated first (:class:`InvalidCertificateError`
@@ -460,7 +438,7 @@ def kadison_constraints(
     off-diagonal constraints are additionally assembled from the named blocks
     ``(Y, Z, T, ...)`` of ``H`` and of the certificate parts.
     """
-    validate_certificate(choi, cert, feas_tol=feas_tol)
+    validate_certificate(choi, cert)
     d = choi.dim
     H = _positional_blocks(choi.H, d)
     H1 = _positional_blocks(as_matrix(cert.H1), d)
@@ -471,16 +449,12 @@ def kadison_constraints(
         for j in (1, 2):
             L = H[(i, j)].conj().T @ H[(i, j)]
             R = norm * (H1[(j, j)] + H2[(i, i)])
-            entry[(i, j)] = float(
-                np.linalg.eigvalsh(require_hermitian(R - L, tol=np.inf))[0]
-            )
+            entry[(i, j)] = lowest_eigenvalue(R - L)
 
     block = {}
     try:
-        from .choi import extract_blocks
-
-        blocks = extract_blocks(choi, struct_tol=struct_tol)
-    except Exception:
+        blocks = extract_blocks(choi)
+    except NotInFaceFormError:
         blocks = None
     if blocks is not None:
         n = blocks.n
@@ -512,10 +486,6 @@ def kadison_constraints(
             np.outer(Z.conj(), Z) + T @ T.conj().T,
         )
         rhs21 = norm * bordered(a1, C1, B1 + U2)
-        block["offdiag_12"] = float(
-            np.linalg.eigvalsh(require_hermitian(rhs12 - lhs12, tol=np.inf))[0]
-        )
-        block["offdiag_21"] = float(
-            np.linalg.eigvalsh(require_hermitian(rhs21 - lhs21, tol=np.inf))[0]
-        )
+        block["offdiag_12"] = lowest_eigenvalue(rhs12 - lhs12)
+        block["offdiag_21"] = lowest_eigenvalue(rhs21 - lhs21)
     return KadisonReport(norm, entry, block)

@@ -9,6 +9,11 @@ brings the Choi matrix to a canonical shape determined by scalars
 ``V``.  Compressing with a coisometry built from any unit vector ``rho``
 yields a 2x2-codomain map whose scalar conditions bound
 ``|<rho, Y1*>| + |<rho, Z1*>|`` by ``u^{1/2}``.
+
+Tolerances are constants: ``EQUALITY_TOL`` decides the equality case, the
+canonical ``u = (|y| + |z|)^2`` and the identities of the degenerate cases,
+``DEPENDENCE_TOL`` the dependence of ``Y`` and ``Z``, and ``choi.STRUCT_TOL``
+every forced zero.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import (
+    STRUCT_TOL,
     ChoiBlocks,
     ChoiMatrix,
     assemble_blocks,
@@ -43,6 +49,15 @@ from .positivity import (
 #: Relative threshold on the second singular value for linear dependence.
 DEPENDENCE_TOL = 1e-8
 
+#: Absolute tolerance of the equality |Y| + |Z| = U^{1/2} and its consequences.
+EQUALITY_TOL = 1e-8
+
+#: Scale of the sampled W row, positivity-search budget and resampling cap
+#: of :func:`random_equality_blocks`.
+SAMPLER_COUPLING = 0.08
+SAMPLER_BUDGET = 32
+SAMPLER_TRIES = 60
+
 
 @dataclass(frozen=True)
 class EqualityCase:
@@ -50,10 +65,11 @@ class EqualityCase:
     gap: float
 
 
-def equality_case_detect(blocks: ChoiBlocks, tol: float = 1e-8) -> EqualityCase:
+def equality_case_detect(blocks: ChoiBlocks) -> EqualityCase:
     """Detect saturation of the coupling bound for unital face-form blocks.
 
-    ``gap = || (|Y| + |Z|)^2 - U ||_F``; equality holds iff it is <= tol.
+    ``gap = || (|Y| + |Z|)^2 - U ||_F``; equality holds iff it is
+    <= ``EQUALITY_TOL``.
     Both sides of ``|Y| + |Z| = U^{1/2}`` are PSD and the PSD square root is
     unique, so squaring gives an equivalent test.  It avoids the root, which
     turns rounding noise in the zero eigenvalues of a rank-deficient ``U``
@@ -61,7 +77,7 @@ def equality_case_detect(blocks: ChoiBlocks, tol: float = 1e-8) -> EqualityCase:
     """
     R = row_abs(blocks.Y) + row_abs(blocks.Z)
     gap = float(np.linalg.norm(R @ R - blocks.U))
-    return EqualityCase(gap <= tol, gap)
+    return EqualityCase(gap <= EQUALITY_TOL, gap)
 
 
 @dataclass(frozen=True)
@@ -80,22 +96,20 @@ class DependenceReport:
     singular_values: tuple[float, float]
 
 
-def check_row_dependence(
-    blocks: ChoiBlocks, rank_tol: float = DEPENDENCE_TOL
-) -> DependenceReport:
+def check_row_dependence(blocks: ChoiBlocks) -> DependenceReport:
     """Rank test of the 2 x n stack of Y and Z via its singular values.
 
     Dependent iff the second singular value is at most
-    ``rank_tol * (first + 1)``.
+    ``DEPENDENCE_TOL * (first + 1)``.
     """
     n = blocks.n
     stack = np.vstack([blocks.Y, blocks.Z])
     svals = np.linalg.svd(stack, compute_uv=False)
     s1, s2 = float(svals[0]), float(svals[1])
-    dependent = s2 <= rank_tol * (s1 + 1.0)
+    dependent = s2 <= DEPENDENCE_TOL * (s1 + 1.0)
     if not dependent:
         return DependenceReport(False, None, None, None, (s1, s2))
-    if s1 <= rank_tol:
+    if s1 <= DEPENDENCE_TOL:
         # Y = Z = 0: any direction works; pick the last basis vector.
         eta0 = np.zeros(n, dtype=np.complex128)
         eta0[-1] = 1.0
@@ -122,33 +136,21 @@ class DegenerateClass:
     cp: CpVerdict | None
 
 
-def classify_degenerate(
-    blocks: ChoiBlocks, tol: float = 1e-8, struct_tol: float = 1e-9
-) -> DegenerateClass:
-    y_norm = float(np.linalg.norm(blocks.Y))
-    z_norm = float(np.linalg.norm(blocks.Z))
-    n = blocks.n
-    eye = np.eye(n)
-    if z_norm <= struct_tol and y_norm < 1.0 - tol:
-        gram = np.outer(blocks.Y.conj(), blocks.Y)
-        checks = {
-            "U_equals_gram": float(np.linalg.norm(blocks.U - gram)),
-            "B_equals_complement": float(np.linalg.norm(blocks.B - (eye - gram))),
-            "T_zero": float(np.linalg.norm(blocks.T)),
-        }
-        verdict = cp_check(blocks)
-        ok = all(v <= tol for v in checks.values()) and verdict.holds
-        return DegenerateClass("cp" if ok else "not_applicable", checks, verdict)
-    if y_norm <= struct_tol and z_norm < 1.0 - tol:
-        gram = np.outer(blocks.Z.conj(), blocks.Z)
-        checks = {
-            "U_equals_gram": float(np.linalg.norm(blocks.U - gram)),
-            "B_equals_complement": float(np.linalg.norm(blocks.B - (eye - gram))),
-            "T_zero": float(np.linalg.norm(blocks.T)),
-        }
-        verdict = ccp_check(blocks)
-        ok = all(v <= tol for v in checks.values()) and verdict.holds
-        return DegenerateClass("cocp" if ok else "not_applicable", checks, verdict)
+def classify_degenerate(blocks: ChoiBlocks) -> DegenerateClass:
+    eye = np.eye(blocks.n)
+    for name, row, zero_row, check in (("cp", blocks.Y, blocks.Z, cp_check),
+                                       ("cocp", blocks.Z, blocks.Y, ccp_check)):
+        vanishes = np.linalg.norm(zero_row) <= STRUCT_TOL
+        if vanishes and np.linalg.norm(row) < 1.0 - EQUALITY_TOL:
+            gram = np.outer(row.conj(), row)
+            checks = {
+                "U_equals_gram": float(np.linalg.norm(blocks.U - gram)),
+                "B_equals_complement": float(np.linalg.norm(blocks.B - (eye - gram))),
+                "T_zero": float(np.linalg.norm(blocks.T)),
+            }
+            verdict = check(blocks)
+            ok = all(v <= EQUALITY_TOL for v in checks.values()) and verdict.holds
+            return DegenerateClass(name if ok else "not_applicable", checks, verdict)
     return DegenerateClass("not_applicable", {}, None)
 
 
@@ -219,24 +221,21 @@ def _householder_to_last(eta0: np.ndarray) -> np.ndarray:
     return G
 
 
-def canonicalize(
-    blocks: ChoiBlocks,
-    rank_tol: float = DEPENDENCE_TOL,
-    zero_tol: float = 1e-9,
-    equality_tol: float = 1e-8,
-) -> CanonicalForm:
+def canonicalize(blocks: ChoiBlocks) -> CanonicalForm:
     """Rotate an equality-case map to its canonical shape and read it off.
 
     The rotation fixes f1 and sends the common direction of Y* and Z* to the
     last basis vector; a phase is absorbed so that y (or z when y vanishes)
     is real nonnegative.  The forced zero pattern is verified: the (n-1)
     square corner of T must vanish, U must be supported on its last diagonal
-    entry, and B must equal the identity off that entry.  Violations raise
+    entry, and B must equal the identity off that entry, all within
+    ``STRUCT_TOL``; ``u`` must equal ``(|y| + |z|)^2`` within
+    ``EQUALITY_TOL``.  Violations raise
     :class:`ZeroPatternViolationError` (typically meaning the input was not a
     genuine positive equality-case map); missing dependence of Y and Z raises
     :class:`NotDependentError`.
     """
-    dep = check_row_dependence(blocks, rank_tol=rank_tol)
+    dep = check_row_dependence(blocks)
     if not dep.dependent:
         raise NotDependentError(
             f"rows Y and Z are independent (singular values {dep.singular_values})"
@@ -259,21 +258,21 @@ def canonicalize(
 
     offenders = []
     corner = float(np.max(np.abs(Tc[: n - 1, : n - 1]))) if n > 1 else 0.0
-    if corner > zero_tol:
+    if corner > STRUCT_TOL:
         offenders.append(f"T corner {corner:.3e}")
     u_mask = np.ones((n, n), dtype=bool)
     u_mask[-1, -1] = False
     u_off = float(np.max(np.abs(Uc[u_mask])))
-    if u_off > zero_tol:
+    if u_off > STRUCT_TOL:
         offenders.append(f"U off-direction {u_off:.3e}")
     b_dev = float(np.max(np.abs((Bc - np.eye(n))[u_mask])))
-    if b_dev > max(zero_tol, 1e-9):
+    if b_dev > STRUCT_TOL:
         offenders.append(f"B off-pattern {b_dev:.3e}")
     row_off = max(
         float(np.max(np.abs(Yc[: n - 1]))) if n > 1 else 0.0,
         float(np.max(np.abs(Zc[: n - 1]))) if n > 1 else 0.0,
     )
-    if row_off > zero_tol:
+    if row_off > STRUCT_TOL:
         offenders.append(f"Y/Z off-direction {row_off:.3e}")
     if offenders:
         raise ZeroPatternViolationError(
@@ -283,7 +282,7 @@ def canonicalize(
     y = complex(Yc[-1])
     z = complex(Zc[-1])
     u = float(Uc[-1, -1].real)
-    if abs(u - (abs(y) + abs(z)) ** 2) > equality_tol:
+    if abs(u - (abs(y) + abs(z)) ** 2) > EQUALITY_TOL:
         raise ZeroPatternViolationError(
             f"u = {u:.6e} differs from (|y|+|z|)^2 = {(abs(y)+abs(z))**2:.6e}",
             residual=abs(u - (abs(y) + abs(z)) ** 2),
@@ -321,7 +320,7 @@ class CompressResult:
     choi_2x2: np.ndarray
 
 
-def compress(canon: CanonicalForm, rho, tol: float = 1e-9) -> CompressResult:
+def compress(canon: CanonicalForm, rho) -> CompressResult:
     """Compress the canonical map with the coisometry built from rho.
 
     ``rho`` must be a unit vector of length n.  The coisometry
@@ -372,16 +371,14 @@ def compress(canon: CanonicalForm, rho, tol: float = 1e-9) -> CompressResult:
             "blockwise compression disagrees with the closed-form scalars"
         )
     margin = float(np.sqrt(max(u, 0.0)) - abs(y_c) - abs(z_c))
-    conds = scalar_choi_conditions(1.0, 1.0 - u, u, 0.0, y_c, z_c, canon.t, tol=tol)
+    conds = scalar_choi_conditions(1.0, 1.0 - u, u, 0.0, y_c, z_c, canon.t)
     return CompressResult(
         b=1.0 - u, u=u, y=y_c, z=z_c, t=canon.t,
         margin=margin, conditions=conds, choi_2x2=small,
     )
 
 
-def face_intersection_check(
-    choi: ChoiMatrix, eta0, face_tol: float = 1e-8
-) -> bool:
+def face_intersection_check(choi: ChoiMatrix, eta0) -> bool:
     """Does the map lie in every face indexed by vectors orthogonal to eta0?
 
     ``eta0`` lives in the lower n coordinates; the check verifies
@@ -397,28 +394,22 @@ def face_intersection_check(
     Gfull = _householder_to_last(embedded)
     xi = np.array([0.0, 1.0], dtype=np.complex128)
     for k in range(n):
-        member = face_membership(choi, xi, Gfull[:, k], face_tol=face_tol)
+        member = face_membership(choi, xi, Gfull[:, k])
         if not member.member:
             return False
     return True
 
 
-def random_equality_blocks(
-    n: int,
-    rng: np.random.Generator,
-    coupling_scale: float = 0.08,
-    budget: int = 32,
-    max_tries: int = 60,
-) -> tuple[ChoiBlocks, dict]:
+def random_equality_blocks(n: int, rng: np.random.Generator) -> tuple[ChoiBlocks, dict]:
     """Sample a positivity-certified equality-case map in canonical shape.
 
     The sampler draws y, z with random phases, sets ``u = (|y| + |z|)^2``,
     and draws the T data inside the phase constraints positivity imposes
     near the saturated direction (t in quadrature with the y-z alignment
     phase, V locked to W).  Candidates failing the positivity certificate
-    are rejected and resampled.
+    are rejected and resampled, at most ``SAMPLER_TRIES`` times.
     """
-    for _ in range(max_tries):
+    for _ in range(SAMPLER_TRIES):
         ay = rng.uniform(0.15, 0.45)
         az = rng.uniform(0.15, 0.45)
         pa = rng.uniform(0.0, 2 * np.pi)
@@ -434,7 +425,7 @@ def random_equality_blocks(
         t = 1j * sign * tau * np.exp(-1j * theta_star)
         W = (
             rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-        ) * coupling_scale
+        ) * SAMPLER_COUPLING
         V = -np.exp(-2j * theta_star) * W
         canon = CanonicalForm(
             y=y, z=z, u=u, t=t,
@@ -443,7 +434,9 @@ def random_equality_blocks(
             basis_change=np.eye(n + 1, dtype=np.complex128),
         )
         blocks = canon.blocks()
-        verdict = certify_positivity(blocks, budget=budget, seed=int(rng.integers(2**31)))
+        verdict = certify_positivity(
+            blocks, budget=SAMPLER_BUDGET, seed=int(rng.integers(2**31))
+        )
         if verdict.status != CERTIFIED:
             continue
         truth = {"y": y, "z": z, "u": u, "t": t, "W": W.copy(), "V": V.copy()}

@@ -6,6 +6,12 @@ arguments, and are sized for the matrices this package actually meets
 :func:`numpy.linalg.eigh`; every factorization is re-validated against the
 caller-facing contract (reconstruction residual, column orthonormality) so a
 silent backend failure cannot leak through.
+
+Tolerances are constants: ``HERM_TOL_SCALE`` sets the default Hermiticity
+limit of :func:`require_hermitian`, ``EIG_CHECK_TOL`` the residual that
+:func:`hermitian_eig` accepts, ``EIG_CLAMP_TOL`` the negative eigenvalues
+:func:`psd_sqrt` clamps, ``PSD_TOL`` the PSD verdict of :func:`psd_check` and
+``RANK_TOL`` the singularity test of :func:`psd_inv_sqrt`.
 """
 
 from __future__ import annotations
@@ -26,8 +32,17 @@ from .exceptions import (
 #: Scale factor for the default Hermiticity tolerance.
 HERM_TOL_SCALE = 1e-10
 
+#: Accepted residual of an eigendecomposition, relative to ``max(1, ||M||_F)``.
+EIG_CHECK_TOL = 1e-10
+
 #: Eigenvalues in [-EIG_CLAMP_TOL, 0) are treated as rounding noise and clamped to 0.
 EIG_CLAMP_TOL = 1e-10
+
+#: Smallest eigenvalue at or above ``-PSD_TOL`` counts as PSD.
+PSD_TOL = 1e-9
+
+#: Eigenvalues at or below this make a matrix singular.
+RANK_TOL = 1e-10
 
 
 def as_matrix(matrix) -> np.ndarray:
@@ -48,11 +63,6 @@ def herm_tol(matrix: np.ndarray) -> float:
     return HERM_TOL_SCALE * max(1.0, frobenius(matrix))
 
 
-def herm_defect(matrix: np.ndarray) -> float:
-    """Frobenius distance ``||M - M*||_F`` from the Hermitian matrices."""
-    return frobenius(matrix - matrix.conj().T)
-
-
 def require_square(matrix: np.ndarray) -> np.ndarray:
     if matrix.shape[0] != matrix.shape[1]:
         raise NotSquareError(f"matrix of shape {matrix.shape} is not square")
@@ -67,7 +77,7 @@ def require_hermitian(matrix, tol: float | None = None) -> np.ndarray:
     """
     M = require_square(as_matrix(matrix))
     limit = herm_tol(M) if tol is None else tol
-    defect = herm_defect(M)
+    defect = frobenius(M - M.conj().T)
     if defect > limit:
         raise NotHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds tolerance {limit:.3e}"
@@ -91,36 +101,29 @@ class EigenDecomposition:
         return (V * self.eigenvalues) @ V.conj().T
 
 
-def hermitian_eig(matrix, tol: float = 1e-10) -> EigenDecomposition:
+def hermitian_eig(matrix) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix with contract re-validation.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Square matrix, Hermitian within the default tolerance.
-    tol : float
-        Accepted reconstruction residual, relative to ``max(1, ||M||_F)``.
 
     Raises
     ------
     NotSquareError, NotHermitianError
-        If the input violates the preconditions.
+        If the input is not square, or not Hermitian within the default
+        tolerance.
     NoConvergenceError
-        If the backend fails or the factorization misses the residual bound.
+        If the backend fails or the factorization misses the residual bound
+        :data:`EIG_CHECK_TOL`.
     """
-    M = as_matrix(matrix)
-    require_square(M)
-    Mh = require_hermitian(M)
+    Mh = require_hermitian(matrix)
     try:
         vals, vecs = np.linalg.eigh(Mh)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
     scale = max(1.0, frobenius(Mh))
     recon = (vecs * vals) @ vecs.conj().T
-    if frobenius(recon - Mh) > tol * scale:
+    if frobenius(recon - Mh) > EIG_CHECK_TOL * scale:
         raise NoConvergenceError("eigendecomposition failed the residual check")
     gram = vecs.conj().T @ vecs
-    if frobenius(gram - np.eye(M.shape[0])) > tol * max(1.0, M.shape[0]):
+    if frobenius(gram - np.eye(Mh.shape[0])) > EIG_CHECK_TOL * max(1.0, Mh.shape[0]):
         raise NoConvergenceError("eigenvector matrix is not orthonormal")
     return EigenDecomposition(vals, vecs)
 
@@ -141,16 +144,16 @@ def psd_sqrt(matrix) -> np.ndarray:
     return (S + S.conj().T) / 2.0
 
 
-def psd_inv_sqrt(matrix, rank_tol: float = 1e-10) -> np.ndarray:
+def psd_inv_sqrt(matrix) -> np.ndarray:
     """Inverse square root of a positive definite Hermitian matrix.
 
-    Raises :class:`SingularMatrixError` if any eigenvalue is <= ``rank_tol``.
+    Raises :class:`SingularMatrixError` if any eigenvalue is <= ``RANK_TOL``.
     """
     eig = hermitian_eig(matrix)
     vals = eig.eigenvalues
-    if vals[0] <= rank_tol:
+    if vals[0] <= RANK_TOL:
         raise SingularMatrixError(
-            f"matrix has eigenvalue {vals[0]:.3e} <= rank tolerance {rank_tol:.1e}"
+            f"matrix has eigenvalue {vals[0]:.3e} <= rank tolerance {RANK_TOL:.1e}"
         )
     V = eig.eigenvectors
     R = (V / np.sqrt(vals)) @ V.conj().T
@@ -162,7 +165,7 @@ class PsdVerdict:
     """Outcome of a PSD test.
 
     When ``is_psd`` is false, ``witness`` is a unit vector with
-    ``<w, M w> = min_eigenvalue < -tol``.
+    ``<w, M w> = min_eigenvalue < -PSD_TOL``.
     """
 
     is_psd: bool
@@ -170,7 +173,7 @@ class PsdVerdict:
     witness: np.ndarray | None = None
 
 
-def psd_check(matrix, tol: float = 1e-9) -> PsdVerdict:
+def psd_check(matrix) -> PsdVerdict:
     """Test positive semidefiniteness of a Hermitian matrix.
 
     Returns a verdict carrying either the minimum eigenvalue (PSD case) or a
@@ -178,7 +181,7 @@ def psd_check(matrix, tol: float = 1e-9) -> PsdVerdict:
     """
     eig = hermitian_eig(matrix)
     lam = float(eig.eigenvalues[0])
-    if lam >= -tol:
+    if lam >= -PSD_TOL:
         return PsdVerdict(True, lam, None)
     return PsdVerdict(False, lam, eig.eigenvectors[:, 0].copy())
 
@@ -210,6 +213,11 @@ def partial_transpose(matrix, block_dim: int) -> np.ndarray:
     out[:d, d:] = H[d:, :d]
     out[d:, :d] = H[:d, d:]
     return out
+
+
+def lowest_eigenvalue(matrix) -> float:
+    """Smallest eigenvalue of ``(M + M*)/2``, for margins Hermitian up to rounding."""
+    return float(np.linalg.eigvalsh(require_hermitian(matrix, tol=np.inf))[0])
 
 
 def hermitian_norm(matrix) -> float:

@@ -23,6 +23,11 @@ a proof.  Block-positivity of ``[[P, S], [S*, Q]]`` is the same property,
 equivalent to ``|<eta, S eta>|^2 <= <eta, P eta> <eta, Q eta>`` on the unit
 sphere, and to every admissible combination ``p P + s S + conj(s) S* + q Q``
 (``p, q >= 0``, ``|s|^2 <= p q``) being PSD.
+
+Tolerances are constants: ``POSITIVITY_TOL`` decides every margin here (the
+search, the structural relations, the coupling bound and the scalar
+conditions), ``STRICT_TOL`` a strict coupling bound and ``FACE_TOL`` face
+membership.  Diagonal blocks are PSD-checked at ``matkernel.PSD_TOL``.
 """
 
 from __future__ import annotations
@@ -31,19 +36,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choi import ChoiBlocks, ChoiMatrix, apply_map, assemble_blocks, row_abs
+from .choi import (
+    ChoiBlocks,
+    ChoiMatrix,
+    apply_map,
+    assemble_blocks,
+    row_abs,
+    unital_face_defects,
+)
 from .exceptions import (
     BadScalarsError,
     NotPSDError,
     NotUnitalFaceFormError,
     SingularBlockError,
 )
-from .matkernel import as_matrix, psd_check, psd_sqrt, require_hermitian
+from .matkernel import (
+    RANK_TOL,
+    as_matrix,
+    lowest_eigenvalue,
+    psd_check,
+    psd_sqrt,
+    require_hermitian,
+)
 from .rand import rng_for
 
 CERTIFIED = "certified"
 VIOLATION_FOUND = "violation_found"
 INCONCLUSIVE = "inconclusive"
+
+#: Margins at or above ``-POSITIVITY_TOL`` count as nonnegative.
+POSITIVITY_TOL = 1e-9
 
 #: Margins above this threshold count as strict ("proper") inequalities.
 STRICT_TOL = 1e-7
@@ -149,14 +171,15 @@ class BlockPosVerdict:
     witness: BlockPosWitness | None = None
 
 
-def block_positive_2x2(
-    P,
-    S,
-    Q,
-    budget: int = 64,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> BlockPosVerdict:
+class _PoleNotPSD(NotPSDError):
+    """A diagonal block is not PSD; ``verdict`` is the violation at that pole."""
+
+    def __init__(self, name: str, verdict: BlockPosVerdict):
+        super().__init__(f"{name} is not PSD (min eigenvalue {verdict.margin:.3e})")
+        self.verdict = verdict
+
+
+def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerdict:
     """Search for a violation of block-positivity of ``[[P, S], [S*, Q]]``.
 
     ``P`` and ``Q`` must be Hermitian PSD (raises :class:`NotPSDError`
@@ -164,21 +187,24 @@ def block_positive_2x2(
     positivity engine then scans the fixed point set plus ``budget``
     random points drawn from ``seed`` and refines the lowest.  ``margin``
     is the smallest ``lambda_min(phi(xi xi*))`` found, and values below
-    ``-tol`` are violations, returned with a product vector witness.
+    ``-POSITIVITY_TOL`` are violations, returned with a product vector
+    witness.
     """
     Pm = require_hermitian(as_matrix(P))
     Qm = require_hermitian(as_matrix(Q))
     Sm = as_matrix(S)
-    for name, M in (("P", Pm), ("Q", Qm)):
-        v = psd_check(M, tol=tol)
+    for name, M, lam in (("P", Pm, (1.0 + 0j, 0j)), ("Q", Qm, (0j, 1.0 + 0j))):
+        v = psd_check(M)
         if not v.is_psd:
-            raise NotPSDError(f"{name} is not PSD (min eigenvalue {v.min_eigenvalue:.3e})")
+            witness = BlockPosWitness(eta=v.witness, lam=lam, value=v.min_eigenvalue)
+            verdict = BlockPosVerdict(VIOLATION_FOUND, v.min_eigenvalue, witness)
+            raise _PoleNotPSD(name, verdict)
     n = Pm.shape[0]
     if Sm.shape != (n, n) or Qm.shape != (n, n):
         raise NotPSDError("P, S, Q must share one square shape")
 
     margin, xi, eta = _bloch_min(Pm, Sm, Qm, budget, seed)
-    if margin >= -tol:
+    if margin >= -POSITIVITY_TOL:
         return BlockPosVerdict(CERTIFIED, margin, None)
     p = float(np.real(np.vdot(eta, Pm @ eta)))
     q = float(np.real(np.vdot(eta, Qm @ eta)))
@@ -202,25 +228,22 @@ def admissible_combination(P, S, Q, p: float, q: float, s: complex) -> np.ndarra
     return p * Pm + s * Sm + np.conj(s) * Sm.conj().T + q * Qm
 
 
-def block_positive_choi(
-    choi: ChoiMatrix, budget: int = 64, tol: float = 1e-9, seed: int = 0
-) -> BlockPosVerdict:
+def block_positive_choi(choi: ChoiMatrix, budget: int = 64, seed: int = 0) -> BlockPosVerdict:
     """Block-positivity of a full Choi matrix, i.e. positivity of the map.
 
     Delegates to :func:`block_positive_2x2` on the blocks
-    ``(phi(E_11), phi(E_12), phi(E_22))``, with ``budget``, ``tol`` and
-    ``seed`` as there.  A non-PSD diagonal block is an immediate violation
-    (the map is already negative at a pole, ``lam = (1, 0)`` or ``(0, 1)``).
+    ``(phi(E_11), phi(E_12), phi(E_22))``, with ``budget`` and ``seed`` as
+    there.  A non-PSD diagonal block is an immediate violation (the map is
+    already negative at a pole, ``lam = (1, 0)`` or ``(0, 1)``); the blocks
+    are PSD-checked once, inside :func:`block_positive_2x2`.
     """
-    P = choi.block(1, 1)
-    S = choi.block(1, 2)
-    Q = choi.block(2, 2)
-    for M, lam in ((P, (1.0 + 0j, 0j)), (Q, (0j, 1.0 + 0j))):
-        v = psd_check(M, tol=tol)
-        if not v.is_psd:
-            witness = BlockPosWitness(eta=v.witness, lam=lam, value=v.min_eigenvalue)
-            return BlockPosVerdict(VIOLATION_FOUND, v.min_eigenvalue, witness)
-    return block_positive_2x2(P, S, Q, budget=budget, tol=tol, seed=seed)
+    try:
+        return block_positive_2x2(
+            choi.block(1, 1), choi.block(1, 2), choi.block(2, 2),
+            budget=budget, seed=seed,
+        )
+    except _PoleNotPSD as exc:
+        return exc.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -247,38 +270,35 @@ class FaceStructureReport:
 
 
 def face_structure_report(
-    blocks: ChoiBlocks,
-    tol: float = 1e-9,
-    budget: int = 16,
-    seed: int = 0,
+    blocks: ChoiBlocks, budget: int = 16, seed: int = 0
 ) -> FaceStructureReport:
     """Check the relations every positive face-form map must satisfy.
 
     Reported (never raised): ``a >= 0``; ``B`` and ``U`` PSD; ``C = 0`` when
     ``a = 0``; ``C* C <= a B`` when ``a > 0``; ``x = 0``; and
-    block-positivity of ``[[B, T], [T*, U]]``.  ``tol`` decides every
-    relation; ``budget`` and ``seed`` go to :func:`block_positive_2x2` for
-    the last one.
+    block-positivity of ``[[B, T], [T*, U]]``.  ``POSITIVITY_TOL`` decides
+    every relation; ``budget`` and ``seed`` go to :func:`block_positive_2x2`
+    for the last one.
     """
     rel: dict[str, RelationCheck] = {}
     a = blocks.a
-    rel["a_nonnegative"] = RelationCheck(a >= -tol, float(a))
+    rel["a_nonnegative"] = RelationCheck(a >= -POSITIVITY_TOL, float(a))
     for name, M in (("B_psd", blocks.B), ("U_psd", blocks.U)):
-        v = psd_check(M, tol=tol)
+        v = psd_check(M)
         rel[name] = RelationCheck(v.is_psd, v.min_eigenvalue)
     c_norm = float(np.linalg.norm(blocks.C))
-    if a <= tol:
-        rel["C_zero_when_a_zero"] = RelationCheck(c_norm <= max(tol, 1e-9), -c_norm)
+    if a <= POSITIVITY_TOL:
+        rel["C_zero_when_a_zero"] = RelationCheck(c_norm <= POSITIVITY_TOL, -c_norm)
         rel["C_dominated"] = RelationCheck(True, None, "vacuous at a = 0")
     else:
         rel["C_zero_when_a_zero"] = RelationCheck(True, -c_norm, "vacuous at a > 0")
         gap = a * blocks.B - np.outer(blocks.C.conj(), blocks.C)
-        m = float(np.linalg.eigvalsh(require_hermitian(gap, tol=np.inf))[0])
-        rel["C_dominated"] = RelationCheck(m >= -tol, m)
-    rel["x_zero"] = RelationCheck(abs(blocks.x) <= max(tol, 1e-9), -abs(blocks.x))
+        m = lowest_eigenvalue(gap)
+        rel["C_dominated"] = RelationCheck(m >= -POSITIVITY_TOL, m)
+    rel["x_zero"] = RelationCheck(abs(blocks.x) <= POSITIVITY_TOL, -abs(blocks.x))
     try:
         verdict = block_positive_2x2(
-            blocks.B, blocks.T, blocks.U, budget=budget, tol=tol, seed=seed
+            blocks.B, blocks.T, blocks.U, budget=budget, seed=seed
         )
         rel["BT_block_positive"] = RelationCheck(
             verdict.status != VIOLATION_FOUND, verdict.margin, verdict.status
@@ -293,40 +313,28 @@ def face_structure_report(
 # ---------------------------------------------------------------------------
 
 
-def _require_unital_face(blocks: ChoiBlocks, form_tol: float = 1e-8) -> None:
-    bad = []
-    if abs(blocks.a - 1.0) > form_tol:
-        bad.append(f"a = {blocks.a!r}")
-    if np.linalg.norm(blocks.C) > form_tol:
-        bad.append(f"||C|| = {np.linalg.norm(blocks.C):.3e}")
-    if abs(blocks.x) > form_tol:
-        bad.append(f"|x| = {abs(blocks.x):.3e}")
+def certify_positivity(
+    blocks: ChoiBlocks, budget: int = 64, seed: int = 0
+) -> BlockPosVerdict:
+    """Positivity test for a unital face-form map (a = 1, C = 0, x = 0).
+
+    Raises :class:`NotUnitalFaceFormError` for other blocks (decided by
+    :func:`choi.unital_face_defects`), then runs :func:`block_positive_choi`
+    on the assembled Choi matrix with ``budget`` and ``seed`` as there.  The
+    map is positive iff for every admissible ``(p, q, s)`` both
+    ``p B + s T + conj(s) T* + q U`` and its bordered Schur complement are
+    PSD; these are the lower block of ``phi(xi xi*)`` and its Schur
+    complement, so the engine decides the same property.  ``phi(E_22) f1 = 0``
+    puts every such map on the boundary, so a positive one has ``margin``
+    zero up to rounding.
+    """
+    bad = unital_face_defects(blocks)
     if bad:
         raise NotUnitalFaceFormError(
             "blocks are not in unital face form (need a = 1, C = 0, x = 0): "
             + ", ".join(bad)
         )
-
-
-def certify_positivity(
-    blocks: ChoiBlocks,
-    budget: int = 64,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> BlockPosVerdict:
-    """Positivity test for a unital face-form map (a = 1, C = 0, x = 0).
-
-    Raises :class:`NotUnitalFaceFormError` for other blocks, then runs
-    :func:`block_positive_choi` on the assembled Choi matrix with
-    ``budget``, ``tol`` and ``seed`` as there.  The map is positive iff for
-    every admissible ``(p, q, s)`` both ``p B + s T + conj(s) T* + q U`` and
-    its bordered Schur complement are PSD; these are the lower block of
-    ``phi(xi xi*)`` and its Schur complement, so the engine decides the same
-    property.  ``phi(E_22) f1 = 0`` puts every such map on the boundary, so
-    a positive one has ``margin`` zero up to rounding.
-    """
-    _require_unital_face(blocks)
-    return block_positive_choi(assemble_blocks(blocks), budget=budget, tol=tol, seed=seed)
+    return block_positive_choi(assemble_blocks(blocks), budget=budget, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +351,19 @@ class CouplingBound:
     strict: bool
 
 
-def coupling_bound_check(
-    blocks: ChoiBlocks, tol: float = 1e-9, strict_tol: float = STRICT_TOL
-) -> CouplingBound:
+def coupling_bound_check(blocks: ChoiBlocks) -> CouplingBound:
     """Check ``|Y| + |Z| <= a^{1/2} U^{1/2}``, necessary for positivity.
 
-    ``margin`` is the smallest eigenvalue of the difference; ``strict``
-    requires it to clear :data:`STRICT_TOL`.
+    ``margin`` is the smallest eigenvalue of the difference and holds at
+    :data:`POSITIVITY_TOL`; ``strict`` requires it to clear
+    :data:`STRICT_TOL`.
     """
-    if blocks.a < -tol:
+    if blocks.a < -POSITIVITY_TOL:
         raise BadScalarsError(f"a must be nonnegative, got {blocks.a}")
     root = np.sqrt(max(blocks.a, 0.0)) * psd_sqrt(blocks.U)
     gap = root - row_abs(blocks.Y) - row_abs(blocks.Z)
-    margin = float(np.linalg.eigvalsh(require_hermitian(gap, tol=np.inf))[0])
-    return CouplingBound(margin >= -tol, margin, margin > strict_tol)
+    margin = lowest_eigenvalue(gap)
+    return CouplingBound(margin >= -POSITIVITY_TOL, margin, margin > STRICT_TOL)
 
 
 @dataclass(frozen=True)
@@ -380,18 +387,17 @@ class ScalarConditions:
 
 def scalar_choi_conditions(
     a: float, b: float, u: float, c: complex, y: complex, z: complex, t: complex,
-    tol: float = 1e-9,
 ) -> ScalarConditions:
-    """Evaluate the scalar necessary conditions with margins."""
-    if a < -tol or b < -tol or u < -tol:
+    """Evaluate the scalar necessary conditions with margins at ``POSITIVITY_TOL``."""
+    if a < -POSITIVITY_TOL or b < -POSITIVITY_TOL or u < -POSITIVITY_TOL:
         raise BadScalarsError(f"a, b, u must be nonnegative, got {(a, b, u)}")
     m1 = a * b - abs(c) ** 2
     m2 = b * u - abs(t) ** 2
     m3 = np.sqrt(max(a, 0.0) * max(u, 0.0)) - abs(y) - abs(z)
     return ScalarConditions(
-        ConditionCheck(m1 >= -tol, float(m1)),
-        ConditionCheck(m2 >= -tol, float(m2)),
-        ConditionCheck(m3 >= -tol, float(m3)),
+        ConditionCheck(m1 >= -POSITIVITY_TOL, float(m1)),
+        ConditionCheck(m2 >= -POSITIVITY_TOL, float(m2)),
+        ConditionCheck(m3 >= -POSITIVITY_TOL, float(m3)),
     )
 
 
@@ -406,35 +412,33 @@ class FaceMembership:
     residual: float
 
 
-def face_membership(
-    choi: ChoiMatrix, xi, eta, face_tol: float = FACE_TOL
-) -> FaceMembership:
+def face_membership(choi: ChoiMatrix, xi, eta) -> FaceMembership:
     """Test membership in the maximal face {phi : phi(P_xi) eta = 0}.
 
     ``xi`` (length 2) and ``eta`` (length n+1) are expected unit;
-    ``residual = ||phi(P_xi) eta||_2``.
+    ``residual = ||phi(P_xi) eta||_2``, and membership means
+    ``residual <= FACE_TOL``.
     """
     x = np.asarray(xi, dtype=np.complex128).ravel()
     e = np.asarray(eta, dtype=np.complex128).ravel()
     P = np.outer(x, x.conj())
     out = apply_map(choi, P)
     residual = float(np.linalg.norm(out @ e))
-    return FaceMembership(residual <= face_tol, residual)
+    return FaceMembership(residual <= FACE_TOL, residual)
 
 
-def positivity_slack_triple(
-    blocks: ChoiBlocks, rank_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def positivity_slack_triple(blocks: ChoiBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The triple ``(2B, T, U - Y*Y - Z*Z)`` that positivity forces block-positive.
 
-    Requires ``B`` invertible (raises :class:`SingularBlockError` otherwise).
+    Requires ``B`` invertible at ``matkernel.RANK_TOL`` (raises
+    :class:`SingularBlockError` otherwise).
     ``|Y|^2`` means the square of the row absolute value, which equals
     ``Y* Y = outer(conj(Y), Y)``.
     """
-    evals = np.linalg.eigvalsh(require_hermitian(blocks.B, tol=np.inf))
-    if evals[0] <= rank_tol:
+    lowest = lowest_eigenvalue(blocks.B)
+    if lowest <= RANK_TOL:
         raise SingularBlockError(
-            f"B has eigenvalue {evals[0]:.3e} <= rank tolerance {rank_tol:.1e}"
+            f"B has eigenvalue {lowest:.3e} <= rank tolerance {RANK_TOL:.1e}"
         )
     Q = (
         blocks.U

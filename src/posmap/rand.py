@@ -12,20 +12,14 @@ def rng_for(seed: int, stage: str) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, zlib.crc32(stage.encode())])
 
 
-def random_complex(shape, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def random_complex(shape, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    G = random_complex((n, n), rng, scale)
-    return (G + G.conj().T) / 2.0
-
-
-def random_psd(n: int, rng: np.random.Generator, rank: int | None = None,
-               scale: float = 1.0) -> np.ndarray:
+def random_psd(n: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Wishart-style PSD matrix ``G G*`` with optional rank restriction."""
     k = n if rank is None else int(rank)
-    G = random_complex((n, k), rng, scale)
+    G = random_complex((n, k), rng)
     W = G @ G.conj().T
     return (W + W.conj().T) / 2.0
 

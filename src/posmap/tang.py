@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiMatrix, choi_from_map, conjugate_choi, extract_blocks
+from .choi import STRUCT_TOL, ChoiMatrix, choi_from_map, conjugate_choi, extract_blocks
 from .cpdecomp import ccp_check, cp_check, witness_search
 from .exceptions import BadParamsError, PosmapError
 from .matkernel import as_matrix, frobenius, psd_inv_sqrt
@@ -38,6 +38,12 @@ from .positivity import (
 )
 
 SQRT3 = np.sqrt(3.0)
+
+#: Distance within which the computed coupling entry matches a closed form.
+MATCH_TOL = 1e-9
+
+#: Range of mu swept by :func:`param_grid`.
+GRID_MU = (0.1, 0.9)
 
 
 @dataclass(frozen=True)
@@ -232,7 +238,7 @@ class YEntryResolution:
     """Which closed form matches the computed top-right coupling entry.
 
     The candidates are ``-1/(sqrt(3) rho)`` and ``-1/(sqrt(3) delta)``;
-    ``variant`` is ``"rho"``, ``"delta"`` or ``"neither"`` at tolerance 1e-9.
+    ``variant`` is ``"rho"``, ``"delta"`` or ``"neither"`` at ``MATCH_TOL``.
     """
 
     variant: str
@@ -241,25 +247,25 @@ class YEntryResolution:
     delta_candidate: float
 
 
-def resolve_y_entry(pipeline: TangPipeline, tol: float = 1e-9) -> YEntryResolution:
+def resolve_y_entry(pipeline: TangPipeline) -> YEntryResolution:
     observed = complex(pipeline.Hfinal.H[0, 5])
     rho_c = -1.0 / (SQRT3 * pipeline.rho)
     delta_c = -1.0 / (SQRT3 * pipeline.delta)
-    if abs(observed - rho_c) <= tol:
+    if abs(observed - rho_c) <= MATCH_TOL:
         variant = "rho"
-    elif abs(observed - delta_c) <= tol:
+    elif abs(observed - delta_c) <= MATCH_TOL:
         variant = "delta"
     else:
         variant = "neither"
     return YEntryResolution(variant, observed, rho_c, delta_c)
 
 
-def param_grid(k: int, mu_lo: float = 0.1, mu_hi: float = 0.9) -> list[TangParams]:
-    """A k x k sweep of the admissible region, including the eps boundary."""
+def param_grid(k: int) -> list[TangParams]:
+    """A k x k sweep of the admissible region over ``GRID_MU``, including the eps boundary."""
     if k == 1:
         return [TangParams(0.9, 0.12)]
     grid = []
-    for mu in np.linspace(mu_lo, mu_hi, k):
+    for mu in np.linspace(*GRID_MU, k):
         for frac in np.linspace(0.2, 1.0, k):
             grid.append(TangParams(float(mu), float(frac * mu**2 / 6.0)))
     return grid
@@ -285,16 +291,12 @@ class TangReport:
         return all(c.passed for c in self.checks.values())
 
 
-def verify_tang(
-    params: TangParams,
-    budget: int = 64,
-    seed: int = 0,
-    zero_tol: float = 1e-9,
-) -> TangReport:
+def verify_tang(params: TangParams, budget: int = 64, seed: int = 0) -> TangReport:
     """Run the whole battery of structural checks on one parameter point.
 
     Covers: C = 0 with C, Y, Z mutually orthogonal; B and U diagonal; T
-    supported exactly on its three printed slots; membership in the face of
+    supported exactly on its three printed slots (zeros at ``STRUCT_TOL``);
+    membership in the face of
     (e2, f1); the strict coupling bound; a positivity certificate; failure of
     both complete positivity and complete copositivity; and a PPT witness
     against decomposability.
@@ -304,16 +306,16 @@ def verify_tang(
     checks: dict[str, TangCheck] = {}
 
     c_norm = float(np.linalg.norm(blocks.C))
-    checks["C_zero"] = TangCheck(c_norm <= zero_tol, f"||C|| = {c_norm:.2e}")
+    checks["C_zero"] = TangCheck(c_norm <= STRUCT_TOL, f"||C|| = {c_norm:.2e}")
     ortho = max(
         abs(np.vdot(blocks.Y, blocks.Z)),
         abs(np.vdot(blocks.Y, blocks.C)),
         abs(np.vdot(blocks.Z, blocks.C)),
     )
-    checks["rows_orthogonal"] = TangCheck(ortho <= zero_tol, f"max overlap {ortho:.2e}")
+    checks["rows_orthogonal"] = TangCheck(ortho <= STRUCT_TOL, f"max overlap {ortho:.2e}")
     for name, M in (("B_diagonal", blocks.B), ("U_diagonal", blocks.U)):
         off = float(np.max(np.abs(M - np.diag(np.diagonal(M)))))
-        checks[name] = TangCheck(off <= zero_tol, f"max off-diagonal {off:.2e}")
+        checks[name] = TangCheck(off <= STRUCT_TOL, f"max off-diagonal {off:.2e}")
     T = blocks.T
     support = {(0, 1), (1, 2), (2, 0)}
     worst_zero = max(
@@ -321,7 +323,7 @@ def verify_tang(
     )
     smallest = min(abs(T[i, j]) for i, j in support)
     checks["T_support"] = TangCheck(
-        worst_zero <= zero_tol and smallest > 1e-6,
+        worst_zero <= STRUCT_TOL and smallest > 1e-6,
         f"off-support {worst_zero:.2e}, smallest slot {smallest:.2e}",
     )
     fm = face_membership(pipe.Hfinal, np.array([0.0, 1.0]), np.eye(4)[:, 0])

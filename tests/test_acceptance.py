@@ -25,11 +25,11 @@ def test_criterion_02_normalization_pipeline():
 
 
 def test_criterion_03_positivity_of_family():
-    _report(acceptance.criterion_positivity(grid_k=5, budget=64, seed=0))
+    _report(acceptance.criterion_positivity(grid_k=5, seed=0))
 
 
 def test_criterion_04_nondecomposability_certificate():
-    _report(acceptance.criterion_nondecomposability(seed=0, max_iters=20000))
+    _report(acceptance.criterion_nondecomposability(max_iters=20000))
 
 
 def test_criterion_05_strict_coupling_bound():

@@ -99,6 +99,16 @@ class TestChoiConstruction:
         with pytest.raises(NotHermitianError):
             choi_from_map(phi, 2)
 
+    def test_stores_the_hermitian_part(self, rng):
+        G = random_complex(rng, (6, 6))
+        exact = G + G.conj().T
+        assert np.array_equal(ChoiMatrix.from_array(exact).H, exact)
+        near = exact.copy()
+        near[0, 1] += 1e-12
+        H = ChoiMatrix.from_array(near).H
+        assert np.array_equal(H, H.conj().T)
+        assert np.array_equal(H, (near + near.conj().T) / 2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         H = np.eye(6, dtype=complex)

@@ -132,6 +132,36 @@ class TestClassifyCommand:
         assert "canonical_form" in report
         assert "y" in report["canonical_form"]
 
+    def test_near_hermitian_blocks_classify(self, tmp_path, capsys):
+        # The defect passes the whole-matrix check of from_array but is 100
+        # times the tolerance of the 2x2 block P on its own.
+        H = np.diag([1.0, 1.0, 1000.0, 1000.0]).astype(complex)
+        H[0, 1] = 1e-8j
+        src = tmp_path / "near.json"
+        save_matrix(src, H)
+        out = tmp_path / "report.json"
+        assert main(["classify", str(src), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["flags"]["positive"]["status"] == "certified"
+        assert report["input_digest"] == matrix_digest(H)
+
+    def test_reports_deciding_tolerances(self):
+        from posmap import choi, cpdecomp, extremal, matkernel, positivity
+        from posmap.cli import build_classification
+
+        report = build_classification(tang_choi(TangParams(0.9, 0.12)),
+                                      max_iters=50)
+        assert report["tolerances"] == {
+            "positivity": positivity.POSITIVITY_TOL,
+            "psd": matkernel.PSD_TOL,
+            "struct": choi.STRUCT_TOL,
+            "unital": choi.UNITAL_TOL,
+            "equality": extremal.EQUALITY_TOL,
+            "feas": cpdecomp.FEAS_TOL,
+            "witness": cpdecomp.WITNESS_TOL,
+            "plateau_relative": cpdecomp.PLATEAU_TOL,
+        }
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

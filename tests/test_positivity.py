@@ -116,7 +116,7 @@ class TestBlockPositive2x2:
         combo = admissible_combination(
             P, S, Q, abs(lam1) ** 2, abs(lam2) ** 2, np.conj(lam1) * lam2
         )
-        assert not psd_check(combo, tol=1e-9).is_psd
+        assert not psd_check(combo).is_psd
 
     def test_tang_slack_triple_certified(self, tang_blocks):
         P, S, Q = positivity_slack_triple(tang_blocks)
@@ -208,7 +208,7 @@ class TestAdmissibleCombination:
                 p, q = rng.uniform(0, 2, size=2)
                 s = rng.random() * np.sqrt(p * q) * np.exp(2j * np.pi * rng.random())
                 combo = admissible_combination(P, S, Q, p, q, s)
-                assert psd_check(combo, tol=1e-9).is_psd
+                assert psd_check(combo).is_psd
 
 
 class TestFaceStructure:
@@ -408,3 +408,49 @@ class TestBlockPositiveChoi:
         v = block_positive_choi(ChoiMatrix.from_array(H), budget=8)
         assert v.status == VIOLATION_FOUND
         assert v.witness.lam == (1.0 + 0j, 0j)
+
+
+class TestDiagonalBlockChecks:
+    """Each diagonal block is PSD-checked once, inside block_positive_2x2."""
+
+    @staticmethod
+    def eig_calls(monkeypatch, choi):
+        import posmap.matkernel as matkernel
+
+        calls = []
+        original = matkernel.hermitian_eig
+
+        def counted(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(matkernel, "hermitian_eig", counted)
+        verdict = block_positive_choi(choi, budget=8)
+        return verdict, len(calls)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_certified_path_checks_each_block_once(self, monkeypatch, rng, d):
+        from posmap.choi import ChoiMatrix
+        from posmap.matkernel import partial_transpose
+
+        H = random_psd(2 * d, rng) + partial_transpose(random_psd(2 * d, rng), d)
+        verdict, calls = self.eig_calls(monkeypatch, ChoiMatrix.from_array(H))
+        assert verdict.status == CERTIFIED
+        assert calls == 2
+
+    @pytest.mark.parametrize("pole, lam, expected_calls", [
+        (0, (1.0 + 0j, 0j), 1),
+        (1, (0j, 1.0 + 0j), 2),
+    ])
+    def test_pole_violation_stops_at_the_failing_block(
+        self, monkeypatch, pole, lam, expected_calls
+    ):
+        from posmap.choi import ChoiMatrix
+
+        H = np.eye(6, dtype=complex)
+        H[3 * pole + 2, 3 * pole + 2] = -1.0
+        verdict, calls = self.eig_calls(monkeypatch, ChoiMatrix.from_array(H))
+        assert verdict.status == VIOLATION_FOUND
+        assert verdict.witness.lam == lam
+        assert verdict.margin == pytest.approx(-1.0)
+        assert calls == expected_calls

@@ -1,10 +1,12 @@
-"""Metamorphic properties of the decomposability verdicts.
+"""Metamorphic properties of the positivity and decomposability verdicts.
 
 Swapping the domain basis (H -> (sigma_x (x) I) H (sigma_x (x) I)) and
 changing the codomain basis (H -> (I (x) U)* H (I (x) U)) both map PSD to PSD
-and PT-PSD to PT-PSD, so they preserve decomposability and PPT witnesses.
-The verdict on an input and on its two images must therefore agree, and
-every verdict must carry evidence that re-checks from scratch.
+and PT-PSD to PT-PSD, so they preserve complete (co)positivity,
+decomposability and PPT witnesses.  Both send product vectors to product
+vectors, so they preserve positivity too.  The verdicts on an input and on
+its two images must therefore agree, and every decomposability verdict must
+carry evidence that re-checks from scratch.
 """
 
 import numpy as np
@@ -12,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from posmap.choi import ChoiMatrix
 from posmap.cpdecomp import decompose, validate_certificate, witness_search
-from posmap.matkernel import partial_transpose
+from posmap.matkernel import partial_transpose, psd_check
+from posmap.positivity import CERTIFIED, VIOLATION_FOUND, block_positive_choi
 from posmap.rand import random_psd, random_unitary
 from conftest import product_violation
 
@@ -62,3 +65,29 @@ def test_product_violation_verdicts_invariant(seed, d):
     rng = np.random.default_rng(seed)
     H = product_violation(rng, d)
     assert [verdict(M, d) for M in images(H, d, rng)] == ["no-witness"] * 3
+
+
+def positivity_flags(H, d):
+    """Positivity status, CP flag and coCP flag, as ``classify`` reports them."""
+    status = block_positive_choi(ChoiMatrix.from_array(H)).status
+    return status, psd_check(H).is_psd, psd_check(partial_transpose(H, d)).is_psd
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, d=dims)
+def test_decomposable_positivity_flags_invariant(seed, d):
+    rng = np.random.default_rng(seed)
+    H = random_psd(2 * d, rng) + partial_transpose(random_psd(2 * d, rng), d)
+    flags = [positivity_flags(M, d) for M in images(H, d, rng)]
+    assert flags[0][0] == CERTIFIED
+    assert flags == [flags[0]] * 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, d=dims)
+def test_product_violation_positivity_flags_invariant(seed, d):
+    rng = np.random.default_rng(seed)
+    H = product_violation(rng, d)
+    flags = [positivity_flags(M, d) for M in images(H, d, rng)]
+    assert flags[0][0] == VIOLATION_FOUND
+    assert flags == [flags[0]] * 3
