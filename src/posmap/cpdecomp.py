@@ -7,16 +7,33 @@ PSD after partial transposition.
 
 Both questions are answered by one Dykstra projection of ``-H`` onto the
 PPT cone ``C1 ∩ C2`` (``C1`` PSD, ``C2`` PSD after partial transpose),
-whose polar is ``-(PSD + PT(PSD))`` (Moreau).  The run keeps
-``-H = X + P1 + P2`` exactly, so ``H1 = -P1`` and ``H2 = -P2`` lie in the
-two cones and ``H1 + H2 - H = X``: the split residual is ``||X||_F``.  While
-``X`` is nonzero, ``rho = X / tr X`` is a candidate PPT state with
+whose polar is ``-(PSD + PT(PSD))`` (Moreau).  Its state is the pair of
+Dykstra corrections ``(P1, P2)``, and ``X := -H - P1 - P2``.  Every output of
+one plain Dykstra cycle ``G`` has ``-P1`` PSD and ``PT(-P2)`` PSD, whatever
+its input, so ``H1 = -P1`` and ``H2 = -P2`` lie in the two cones and
+``H1 + H2 - H = X``: the split residual is ``||X||_F``.  While ``X`` is
+nonzero, ``rho = X / tr X`` is a candidate PPT state with
 ``Tr(H rho) = -||X||^2 / tr X`` at the limit.  For face-form ``H`` the cones
 only constrain the indices other than ``d = n+1``, so row and column ``d``
 of ``H1`` and of ``PT(H2)`` are exactly zero, as any split must have them.
+
+Dykstra's iteration converges sublinearly, so the input of each cycle is
+extrapolated by type-II Anderson acceleration (Walker & Ni 2011): the
+corrections, stacked as one real vector so that real mixing coefficients
+keep them Hermitian, are mixed over the last ``ANDERSON_MEMORY + 1`` outputs
+of ``G`` by least squares on their fixed-point residuals ``G(u) - u``.  An
+extrapolated input is kept only while its residual does not exceed that of
+the last kept input.  Otherwise the memory is cleared and the run goes on
+from the output of ``G`` already computed, so a rejection costs no extra
+projection.  Verdicts are read only from outputs of ``G``, never from an
+extrapolated point, so they mean what they mean without acceleration.
+``iterations`` counts evaluations of ``G``, each one pair of cone
+projections, and ``max_iters`` caps them.
+
 A run stops with ``"split"`` (``||X||_F <= FEAS_TOL / 10``), ``"witness"``
 (``rho`` passes the from-scratch state checks with
-``Tr(H rho) < -WITNESS_TOL``), ``"plateau"`` (an iterate moved at most
+``Tr(H rho) < -WITNESS_TOL``), ``"plateau"`` (on a plain step, whose input
+is the previous output of ``G``, ``X`` moved at most
 ``PLATEAU_TOL * max(1, ||H||_F)``) or ``"cap"`` (iteration budget spent).
 Every verdict carries re-checkable evidence, and a failed search is reported
 as "not found", never as a proof.  ``FEAS_TOL`` also bounds a certificate's
@@ -27,6 +44,7 @@ form and the vanishing rows of :func:`cp_check` and :func:`ccp_check`, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,6 +221,15 @@ def condensed_psd_relations(blocks: ChoiBlocks, variant: str = "cp") -> Condense
 #: split tolerance.
 PLATEAU_TOL = 1e-14
 
+#: Anderson acceleration extrapolates from the last ``ANDERSON_MEMORY + 1``
+#: outputs of the Dykstra cycle.
+ANDERSON_MEMORY = 5
+
+#: Added to the diagonal of the Gram matrix of the (unit) residual
+#: differences, so that the least-squares solve stays defined when they are
+#: nearly dependent.
+ANDERSON_REG = 1e-10
+
 
 @dataclass(frozen=True)
 class DecompositionCertificate:
@@ -258,47 +285,108 @@ def _is_ppt_state(rho: np.ndarray, d: int) -> bool:
 def _project(
     choi: ChoiMatrix, face: bool, max_iters: int
 ) -> tuple[DecomposeResult, WitnessResult]:
-    """Dykstra projection of ``-H`` onto ``C1 ∩ C2``; see the module docstring."""
+    """Anderson-accelerated Dykstra projection of ``-H`` onto ``C1 ∩ C2``.
+
+    See the module docstring.  Each iteration evaluates the plain Dykstra
+    cycle ``G`` once, at its last output or at an extrapolation of its
+    recent outputs, and reads every stop off the new output.  A restricted
+    run (``face``) state-checks only candidates below ``-WITNESS_TOL``, so
+    its ``best_value`` is not the best over all candidates; ``decompose``
+    keeps only its first result.
+    """
     H = require_hermitian(choi.H)
     d = choi.dim
-    keep = np.arange(2 * d)
-    if face:
-        keep = np.delete(keep, d)
-    S = np.ix_(keep, keep)
+    size = 2 * d
+    # Flat positions of S x S, and M.take(swap) == partial_transpose(M, d).
+    keep = np.delete(np.arange(size), d)
+    inner = (keep[:, None] * size + keep).ravel()
+    swap = np.arange(size * size).reshape(2, d, 2, d).transpose(2, 1, 0, 3)
+    swap = swap.reshape(size, size)
 
     def cone_step(A):
         # The projection onto C1 and its Dykstra correction.
-        Y = A.copy()
-        Y[S] = psd_project(A[S])
+        if face:
+            Y = A.copy()
+            Y.ravel()[inner] = psd_project(A.take(inner).reshape(size - 1, -1)).ravel()
+        else:
+            Y = psd_project(A)
         return Y, A - Y
+
+    def dykstra(P2):
+        # One plain cycle G(P1, P2); it reads only P2, since X + P1 = -H - P2.
+        g = np.empty((2, size, size), dtype=np.complex128)
+        Y, g[0] = cone_step(negH - P2)
+        _, C = cone_step((Y + P2).take(swap))
+        g[1] = C.take(swap)
+        return g
 
     stop_tol = FEAS_TOL / 10.0
     plateau_tol = PLATEAU_TOL * max(1.0, frobenius(H))
-    X = -H
-    P1 = np.zeros_like(H)
-    P2 = np.zeros_like(H)
+    negH = -H
+    # The state u = (P1, P2); its real view is the vector that is mixed.
+    u = np.zeros((2, size, size), dtype=np.complex128)
+    P1, P2 = u
+    X = X_in = negH
+    plain = True
+    # Anderson memory, a ring of ANDERSON_MEMORY slots: differences of
+    # consecutive residuals G(u) - u scaled to unit norm, the matching
+    # differences of the outputs of G under the same scale, and the
+    # regularized Gram matrix of the former.
+    dF = np.empty((ANDERSON_MEMORY, 2 * u.size))
+    dG = np.empty_like(dF)
+    gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+    pushed, last, accepted = 0, None, np.inf
     best_value, best_rho = np.inf, None
+    # decompose keeps only the split of a restricted run, so there the state
+    # checks run only on candidates that would stop it with a witness.
+    check_below = -WITNESS_TOL if face else np.inf
     stop, iterations = "cap", 0
     for iterations in range(1, max_iters + 1):
-        prev = X
-        Y, P1 = cone_step(X + P1)
-        Z, C = cone_step(partial_transpose(Y + P2, d))
-        X, P2 = partial_transpose(Z, d), partial_transpose(C, d)
+        g = dykstra(u[1])
+        P1, P2 = g
+        X = negH - P1 - P2
         if frobenius(X) <= stop_tol:
             stop = "split"
             break
-        trace = np.trace(X).real
+        trace = X.trace().real
         if trace > 0.0:
             rho = X / trace
-            value = float(np.trace(H @ rho).real)
-            if value < best_value and _is_ppt_state(rho, d):
+            value = float(np.vdot(H, rho).real)  # Tr(H rho), as H = H*
+            if value < min(best_value, check_below) and _is_ppt_state(rho, d):
                 best_value, best_rho = value, rho
                 if value < -WITNESS_TOL:
                     stop = "witness"
                     break
-        if frobenius(X - prev) <= plateau_tol:
+        if plain and frobenius(X - X_in) <= plateau_tol:
             stop = "plateau"
             break
+        gv = g.reshape(-1).view(np.float64)
+        f = gv - u.reshape(-1).view(np.float64)
+        r = math.sqrt(f @ f)
+        if not plain and r > accepted:
+            # Safeguard: drop the memory and go on from the plain output g.
+            pushed = 0
+        elif last is not None:
+            df = f - last[1]
+            scale = math.sqrt(df @ df)
+            if scale > 0.0:
+                slot = pushed % ANDERSON_MEMORY
+                pushed += 1
+                np.divide(df, scale, out=dF[slot])
+                np.divide(gv - last[0], scale, out=dG[slot])
+                col = dF[: min(pushed, ANDERSON_MEMORY)] @ dF[slot]
+                col[slot] += ANDERSON_REG
+                gram[slot, : col.size] = gram[: col.size, slot] = col
+        last, accepted, X_in = (gv, f), r, X
+        held = min(pushed, ANDERSON_MEMORY)
+        plain = held == 0 or r == 0.0
+        if plain:
+            u = g
+        else:
+            # gamma minimizes ||f - dF^T gamma|| by the regularized normal
+            # equations; unit columns keep the Gram matrix bounded.
+            gamma = np.linalg.solve(gram[:held, :held], dF[:held] @ f)
+            u = g - (gamma @ dG[:held]).view(np.complex128).reshape(g.shape)
     residual = frobenius(X)
     if stop == "witness":
         witness = WitnessCertificate(best_rho, best_value)
@@ -323,10 +411,12 @@ def _project(
 def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     """Search for a completely positive / completely copositive split of H.
 
-    Runs the projection with the face restriction when ``H`` is in face
-    form (:func:`choi.face_form_offenders` finds no offender).
-    ``decomposed=False`` is a nondecomposability proof only when ``stop`` is
-    ``"witness"``.
+    Runs the accelerated projection with the face restriction when ``H`` is
+    in face form (:func:`choi.face_form_offenders` finds no offender).  The
+    certificate is read from an output of the plain Dykstra cycle, never
+    from an extrapolated point.  ``iterations`` counts cycles, each one
+    pair of cone projections, up to ``max_iters``.  ``decomposed=False`` is
+    a nondecomposability proof only when ``stop`` is ``"witness"``.
     """
     return _project(choi, not face_form_offenders(choi), max_iters)[0]
 
@@ -360,10 +450,13 @@ def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> No
 def witness_search(choi: ChoiMatrix, max_iters: int = 20000) -> WitnessResult:
     """Look for a PPT state ``rho`` with ``Tr(H rho) < -WITNESS_TOL``.
 
-    Runs the projection without the face restriction.  ``best_value`` is
-    ``Tr(H rho)`` of the best iterate that passed the from-scratch PPT
-    checks (``inf`` when none did), and ``0.0`` when the run found a split.
-    ``found=False`` is not a decomposability proof.
+    Runs the accelerated projection without the face restriction, for at
+    most ``max_iters`` plain Dykstra cycles (pairs of cone projections).
+    Every candidate ``rho`` comes from an output of a plain cycle, never
+    from an extrapolated point.  ``best_value`` is ``Tr(H rho)`` of the best
+    candidate that passed the from-scratch PPT checks (``inf`` when none
+    did), and ``0.0`` when the run found a split.  ``found=False`` is not a
+    decomposability proof.
     """
     return _project(choi, False, max_iters)[1]
 

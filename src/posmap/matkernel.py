@@ -216,8 +216,13 @@ def partial_transpose(matrix, block_dim: int) -> np.ndarray:
 
 
 def lowest_eigenvalue(matrix) -> float:
-    """Smallest eigenvalue of ``(M + M*)/2``, for margins Hermitian up to rounding."""
-    return float(np.linalg.eigvalsh(require_hermitian(matrix, tol=np.inf))[0])
+    """Smallest eigenvalue of ``(M + M*)/2``, for margins Hermitian up to rounding.
+
+    No Hermiticity defect is computed: its norm would overflow on matrices
+    whose entries are near the square root of the largest float.
+    """
+    M = require_square(as_matrix(matrix))
+    return float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
 
 
 def hermitian_norm(matrix) -> float:

@@ -16,7 +16,8 @@ gradient on the sphere (``d lambda / d r_k = <v, A_k v>`` for the unit
 eigenvector ``v``).  Its cost depends on the block size only through the
 eigensolves, so blocks of any size, 1x1 included, are searched alike.
 
-``margin`` is the smallest ``lambda_min(phi(xi xi*))`` the search found.  A
+``margin`` is the smallest ``lambda_min(phi(xi xi*))`` the search found,
+the two poles ``phi(E_11)`` and ``phi(E_22)`` included.  A
 violation is returned with a product vector witness that reproduces a
 negative value; "certified" means no violation was found by the search, not
 a proof.  Block-positivity of ``[[P, S], [S*, Q]]`` is the same property,
@@ -51,6 +52,7 @@ from .exceptions import (
     SingularBlockError,
 )
 from .matkernel import (
+    PSD_TOL,
     RANK_TOL,
     as_matrix,
     lowest_eigenvalue,
@@ -166,9 +168,16 @@ class BlockPosWitness:
 
 @dataclass(frozen=True)
 class BlockPosVerdict:
+    """Outcome of a block-positivity search.
+
+    ``poles`` holds ``lambda_min(P)`` and then ``lambda_min(Q)``, the values
+    at the Bloch sphere's poles; it stops at the first non-PSD block.
+    """
+
     status: str
     margin: float
     witness: BlockPosWitness | None = None
+    poles: tuple[float, ...] = ()
 
 
 class _PoleNotPSD(NotPSDError):
@@ -186,32 +195,36 @@ def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerd
     otherwise); they are the images of the Bloch sphere's poles.  The
     positivity engine then scans the fixed point set plus ``budget``
     random points drawn from ``seed`` and refines the lowest.  ``margin``
-    is the smallest ``lambda_min(phi(xi xi*))`` found, and values below
-    ``-POSITIVITY_TOL`` are violations, returned with a product vector
-    witness.
+    is the smallest ``lambda_min(phi(xi xi*))`` found there or at the
+    poles, and values below ``-POSITIVITY_TOL`` are violations, returned
+    with a product vector witness.
     """
     Pm = require_hermitian(as_matrix(P))
     Qm = require_hermitian(as_matrix(Q))
     Sm = as_matrix(S)
-    for name, M, lam in (("P", Pm, (1.0 + 0j, 0j)), ("Q", Qm, (0j, 1.0 + 0j))):
-        v = psd_check(M)
-        if not v.is_psd:
-            witness = BlockPosWitness(eta=v.witness, lam=lam, value=v.min_eigenvalue)
-            verdict = BlockPosVerdict(VIOLATION_FOUND, v.min_eigenvalue, witness)
-            raise _PoleNotPSD(name, verdict)
     n = Pm.shape[0]
     if Sm.shape != (n, n) or Qm.shape != (n, n):
         raise NotPSDError("P, S, Q must share one square shape")
+    poles: tuple[float, ...] = ()
+    for name, M, lam in (("P", Pm, (1.0 + 0j, 0j)), ("Q", Qm, (0j, 1.0 + 0j))):
+        v = psd_check(M)
+        poles += (v.min_eigenvalue,)
+        if not v.is_psd:
+            witness = BlockPosWitness(eta=v.witness, lam=lam, value=v.min_eigenvalue)
+            verdict = BlockPosVerdict(VIOLATION_FOUND, v.min_eigenvalue, witness, poles)
+            raise _PoleNotPSD(name, verdict)
 
-    margin, xi, eta = _bloch_min(Pm, Sm, Qm, budget, seed)
+    found, xi, eta = _bloch_min(Pm, Sm, Qm, budget, seed)
+    # The poles are points of the sphere too; a face-form map's zero sits at one.
+    margin = min(found, *poles)
     if margin >= -POSITIVITY_TOL:
-        return BlockPosVerdict(CERTIFIED, margin, None)
+        return BlockPosVerdict(CERTIFIED, margin, None, poles)
     p = float(np.real(np.vdot(eta, Pm @ eta)))
     q = float(np.real(np.vdot(eta, Qm @ eta)))
     s = complex(np.vdot(eta, Sm @ eta))
     lam = (complex(np.conj(xi[0])), complex(np.conj(xi[1])))
     witness = BlockPosWitness(eta=eta, lam=lam, value=p * q - abs(s) ** 2)
-    return BlockPosVerdict(VIOLATION_FOUND, margin, witness)
+    return BlockPosVerdict(VIOLATION_FOUND, margin, witness, poles)
 
 
 def admissible_combination(P, S, Q, p: float, q: float, s: complex) -> np.ndarray:
@@ -283,9 +296,22 @@ def face_structure_report(
     rel: dict[str, RelationCheck] = {}
     a = blocks.a
     rel["a_nonnegative"] = RelationCheck(a >= -POSITIVITY_TOL, float(a))
-    for name, M in (("B_psd", blocks.B), ("U_psd", blocks.U)):
-        v = psd_check(M)
-        rel[name] = RelationCheck(v.is_psd, v.min_eigenvalue)
+    try:
+        verdict = block_positive_2x2(
+            blocks.B, blocks.T, blocks.U, budget=budget, seed=seed
+        )
+        poles = verdict.poles
+        block_relation = RelationCheck(
+            verdict.status != VIOLATION_FOUND, verdict.margin, verdict.status
+        )
+    except NotPSDError as exc:
+        poles = exc.verdict.poles if isinstance(exc, _PoleNotPSD) else ()
+        block_relation = RelationCheck(False, None, str(exc))
+    # block_positive_2x2 PSD-checks B and then U, and stops at the first
+    # failure; only the blocks it left unchecked are checked here.
+    unchecked = (blocks.B, blocks.U)[len(poles):]
+    poles += tuple(psd_check(M).min_eigenvalue for M in unchecked)
+    rel["B_psd"], rel["U_psd"] = (RelationCheck(m >= -PSD_TOL, m) for m in poles)
     c_norm = float(np.linalg.norm(blocks.C))
     if a <= POSITIVITY_TOL:
         rel["C_zero_when_a_zero"] = RelationCheck(c_norm <= POSITIVITY_TOL, -c_norm)
@@ -296,15 +322,7 @@ def face_structure_report(
         m = lowest_eigenvalue(gap)
         rel["C_dominated"] = RelationCheck(m >= -POSITIVITY_TOL, m)
     rel["x_zero"] = RelationCheck(abs(blocks.x) <= POSITIVITY_TOL, -abs(blocks.x))
-    try:
-        verdict = block_positive_2x2(
-            blocks.B, blocks.T, blocks.U, budget=budget, seed=seed
-        )
-        rel["BT_block_positive"] = RelationCheck(
-            verdict.status != VIOLATION_FOUND, verdict.margin, verdict.status
-        )
-    except NotPSDError as exc:
-        rel["BT_block_positive"] = RelationCheck(False, None, str(exc))
+    rel["BT_block_positive"] = block_relation
     return FaceStructureReport(rel)
 
 

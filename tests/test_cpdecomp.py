@@ -224,6 +224,30 @@ class TestStopReason:
         assert out.stop == "cap" and out.iterations == 5
 
 
+class TestAcceleratedProjection:
+    """Anderson acceleration cuts the projection pairs a verdict takes."""
+
+    def test_random_maps_split_within_25_iterations(self, rng):
+        for d in [6, 7, 8, 9, 10] * 2:
+            H = random_decomposable(rng, d)
+            out = decompose(H, max_iters=25)
+            assert out.decomposed and out.stop == "split", (d, out.stop)
+            assert out.iterations <= 25
+            validate_certificate(H, out.certificate)
+
+    def test_raw_tang_witness_within_150_iterations(self, tang_raw):
+        out = witness_search(tang_raw, max_iters=150)
+        assert out.found
+        rho = out.certificate.rho
+        assert out.certificate.value == pytest.approx(
+            float(np.trace(tang_raw.H @ rho).real), abs=1e-12
+        )
+        assert out.certificate.value < -1e-6
+        assert abs(np.trace(rho).real - 1.0) <= 1e-9
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-8
+        assert np.linalg.eigvalsh(partial_transpose(rho, 4))[0] >= -1e-8
+
+
 class TestPptProject:
     def test_output_is_ppt_state(self, rng):
         X = random_complex(rng, (8, 8))

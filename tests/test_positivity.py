@@ -23,6 +23,7 @@ from posmap.positivity import (
     scalar_choi_conditions,
 )
 from posmap.acceptance import _certified_triple, _violating_triple
+from posmap.extremal import random_equality_blocks
 from posmap.rand import random_psd, rng_for
 from posmap.tang import TangParams, build_pipeline
 from conftest import random_complex
@@ -159,6 +160,16 @@ class TestBlockPositive2x2:
         with pytest.raises(NotPSDError):
             block_positive_2x2(np.diag([1.0, -1.0]), np.zeros((2, 2)), np.eye(2))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_face_form_margin_is_zero(self, rng, n):
+        # phi(E_22) f1 = 0 puts the zero of a face-form map at the south pole,
+        # which the engine's point set misses; the pole check supplies it.
+        blocks, _ = random_equality_blocks(n, rng)
+        v = block_positive_choi(assemble_blocks(blocks))
+        assert v.status == CERTIFIED
+        assert abs(v.margin) <= 1e-12
+        assert v.margin == min(v.poles) and len(v.poles) == 2
+
 
 class TestLargeBlocks:
     """Block sizes 4..10, which no sphere grid in C^d covered."""
@@ -228,6 +239,44 @@ class TestFaceStructure:
         )
         report = face_structure_report(blocks)
         assert not report.relations["C_zero_when_a_zero"].passed
+
+    def test_normalized_tang_checks_b_and_u_once(self, monkeypatch):
+        import posmap.matkernel as matkernel
+
+        blocks = extract_blocks(build_pipeline(TangParams(0.9, 0.12)).Hfinal)
+        expected = {
+            name: psd_check(M).min_eigenvalue
+            for name, M in (("B_psd", blocks.B), ("U_psd", blocks.U))
+        }
+        calls = []
+        original = matkernel.hermitian_eig
+
+        def counted(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(matkernel, "hermitian_eig", counted)
+        report = face_structure_report(blocks)
+        assert len(calls) == 2
+        for name, lowest in expected.items():
+            assert report.relations[name].passed
+            assert report.relations[name].margin == lowest
+
+    def test_indefinite_b_still_reports_u(self):
+        n = 2
+        U = np.diag([2.0, 3.0]).astype(complex)
+        blocks = ChoiBlocks(
+            a=1.0, x=0j, C=np.zeros(n, dtype=complex),
+            Y=np.zeros(n, dtype=complex), Z=np.zeros(n, dtype=complex),
+            B=np.diag([1.0, -1.0]).astype(complex),
+            T=np.zeros((n, n), dtype=complex), U=U,
+        )
+        report = face_structure_report(blocks)
+        assert not report.relations["B_psd"].passed
+        assert report.relations["B_psd"].margin == pytest.approx(-1.0)
+        assert report.relations["U_psd"].passed
+        assert report.relations["U_psd"].margin == pytest.approx(2.0)
+        assert not report.relations["BT_block_positive"].passed
 
     def test_nonzero_x_fails(self, tang_blocks):
         bad = ChoiBlocks(
