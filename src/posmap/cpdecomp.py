@@ -21,11 +21,11 @@ Dykstra's iteration converges sublinearly, so the input of each cycle is
 extrapolated by type-II Anderson acceleration (Walker & Ni 2011): the
 corrections, stacked as one real vector so that real mixing coefficients
 keep them Hermitian, are mixed over the last ``ANDERSON_MEMORY + 1`` outputs
-of ``G`` by least squares on their fixed-point residuals ``G(u) - u``.  An
-extrapolated input is kept only while its residual does not exceed that of
-the last kept input.  Otherwise the memory is cleared and the run goes on
-from the output of ``G`` already computed, so a rejection costs no extra
-projection.  Verdicts are read only from outputs of ``G``, never from an
+of ``G`` by least squares on their fixed-point residuals ``G(u) - u``
+(regularized by ``ANDERSON_REG``).  An extrapolated input is kept only while
+its residual does not exceed that of the last kept input.  Otherwise the
+memory is cleared and the run goes on from the output of ``G`` already
+computed, so a rejection costs no extra projection.  Verdicts are read only from outputs of ``G``, never from an
 extrapolated point, so they mean what they mean without acceleration.
 ``iterations`` counts evaluations of ``G``, each one pair of cone
 projections, and ``max_iters`` caps them.
@@ -217,7 +217,7 @@ def condensed_psd_relations(blocks: ChoiBlocks, variant: str = "cp") -> Condense
 # ---------------------------------------------------------------------------
 
 #: An iterate that moves less than this times ``max(1, ||H||_F)`` in one
-#: cycle has stalled.  Larger values stop decomposable inputs short of the
+#: plain cycle has stalled.  Larger values stop decomposable inputs short of the
 #: split tolerance.
 PLATEAU_TOL = 1e-14
 
@@ -295,6 +295,7 @@ def _project(
     keeps only its first result.
     """
     H = require_hermitian(choi.H)
+    negH = -H
     d = choi.dim
     size = 2 * d
     # Flat positions of S x S, and M.take(swap) == partial_transpose(M, d).
@@ -322,7 +323,6 @@ def _project(
 
     stop_tol = FEAS_TOL / 10.0
     plateau_tol = PLATEAU_TOL * max(1.0, frobenius(H))
-    negH = -H
     # The state u = (P1, P2); its real view is the vector that is mixed.
     u = np.zeros((2, size, size), dtype=np.complex128)
     P1, P2 = u
@@ -337,8 +337,8 @@ def _project(
     gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
     pushed, last, accepted = 0, None, np.inf
     best_value, best_rho = np.inf, None
-    # decompose keeps only the split of a restricted run, so there the state
-    # checks run only on candidates that would stop it with a witness.
+    # decompose keeps only the DecomposeResult of a restricted run, so there
+    # the state checks run only on candidates that would stop it.
     check_below = -WITNESS_TOL if face else np.inf
     stop, iterations = "cap", 0
     for iterations in range(1, max_iters + 1):

@@ -80,6 +80,21 @@ def cp_shaped_blocks(n=2, y=0.6):
     return unital_blocks(n, Y, np.zeros(n), np.eye(n) - gram, np.zeros((n, n)), gram)
 
 
+def eig_calls(monkeypatch, call):
+    """``call()`` and the number of checked ``hermitian_eig`` calls it made."""
+    import posmap.matkernel as matkernel
+
+    calls = []
+    original = matkernel.hermitian_eig
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(matkernel, "hermitian_eig", counted)
+    return call(), len(calls)
+
+
 @pytest.fixture(scope="module")
 def tang_blocks():
     return extract_blocks(build_pipeline(TangParams(0.5, 1 / 24)).Hfinal)
@@ -168,7 +183,7 @@ class TestBlockPositive2x2:
         v = block_positive_choi(assemble_blocks(blocks))
         assert v.status == CERTIFIED
         assert abs(v.margin) <= 1e-12
-        assert v.margin == min(v.poles) and len(v.poles) == 2
+        assert len(v.poles) == 2 and v.margin <= min(v.poles)
 
 
 class TestLargeBlocks:
@@ -241,23 +256,13 @@ class TestFaceStructure:
         assert not report.relations["C_zero_when_a_zero"].passed
 
     def test_normalized_tang_checks_b_and_u_once(self, monkeypatch):
-        import posmap.matkernel as matkernel
-
         blocks = extract_blocks(build_pipeline(TangParams(0.9, 0.12)).Hfinal)
         expected = {
             name: psd_check(M).min_eigenvalue
             for name, M in (("B_psd", blocks.B), ("U_psd", blocks.U))
         }
-        calls = []
-        original = matkernel.hermitian_eig
-
-        def counted(matrix):
-            calls.append(matrix)
-            return original(matrix)
-
-        monkeypatch.setattr(matkernel, "hermitian_eig", counted)
-        report = face_structure_report(blocks)
-        assert len(calls) == 2
+        report, calls = eig_calls(monkeypatch, lambda: face_structure_report(blocks))
+        assert calls == 2
         for name, lowest in expected.items():
             assert report.relations[name].passed
             assert report.relations[name].margin == lowest
@@ -464,18 +469,7 @@ class TestDiagonalBlockChecks:
 
     @staticmethod
     def eig_calls(monkeypatch, choi):
-        import posmap.matkernel as matkernel
-
-        calls = []
-        original = matkernel.hermitian_eig
-
-        def counted(matrix):
-            calls.append(matrix)
-            return original(matrix)
-
-        monkeypatch.setattr(matkernel, "hermitian_eig", counted)
-        verdict = block_positive_choi(choi, budget=8)
-        return verdict, len(calls)
+        return eig_calls(monkeypatch, lambda: block_positive_choi(choi, budget=8))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_certified_path_checks_each_block_once(self, monkeypatch, rng, d):
