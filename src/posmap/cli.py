@@ -52,7 +52,8 @@ EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 
 #: The constants that decide ``classify``'s flags; ``plateau_relative`` is
-#: scaled by ``max(1, ||H||_F)``, the others are absolute.
+#: scaled by ``max(1, ||H||_F)``, ``feas`` and ``witness`` by
+#: ``min(1, ||H||_F)``, and the others are absolute.
 TOLERANCES = {
     "positivity": POSITIVITY_TOL,
     "psd": PSD_TOL,

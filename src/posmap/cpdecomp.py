@@ -30,16 +30,20 @@ extrapolated point, so they mean what they mean without acceleration.
 ``iterations`` counts evaluations of ``G``, each one pair of cone
 projections, and ``max_iters`` caps them.
 
-A run stops with ``"split"`` (``||X||_F <= FEAS_TOL / 10``), ``"witness"``
-(``rho`` passes the from-scratch state checks with
-``Tr(H rho) < -WITNESS_TOL``), ``"plateau"`` (on a plain step, whose input
-is the previous output of ``G``, ``X`` moved at most
+The split and witness tolerances are ``FEAS_TOL`` and ``WITNESS_TOL`` times
+``min(1, ||H||_F)``: residuals and witness values scale with ``H``, and
+absolute values would let a small enough map split trivially.  A run stops
+with ``"split"`` (``||X||_F`` at most a tenth of the split tolerance),
+``"witness"`` (``rho`` passes the from-scratch state checks and ``Tr(H rho)``
+is below minus the witness tolerance), ``"plateau"`` (on a plain step, whose
+input is the previous output of ``G``, ``X`` moved at most
 ``PLATEAU_TOL * max(1, ||H||_F)``) or ``"cap"`` (iteration budget spent).
 Every verdict carries re-checkable evidence, and a failed search is reported
-as "not found", never as a proof.  ``FEAS_TOL`` also bounds a certificate's
-cone violations and Kadison-Schwarz margins.  ``choi.STRUCT_TOL`` decides face
-form and the vanishing rows of :func:`cp_check` and :func:`ccp_check`, and
-``matkernel.PSD_TOL`` their PSD tests.
+as "not found", never as a proof.  The split tolerance also bounds a
+certificate's cone violations; the Kadison-Schwarz margins, which scale with
+``||H||^2``, are held to the absolute ``FEAS_TOL``.  ``choi.STRUCT_TOL``
+decides face form and the vanishing rows of :func:`cp_check` and
+:func:`ccp_check`, and ``matkernel.PSD_TOL`` their PSD tests.
 """
 
 from __future__ import annotations
@@ -74,6 +78,12 @@ from .matkernel import (
 
 FEAS_TOL = 1e-7
 WITNESS_TOL = 1e-6
+
+
+def _scaled_tolerances(H) -> tuple[float, float]:
+    """The split and witness tolerances for ``H`` (see the module docstring)."""
+    scale = min(1.0, frobenius(H))
+    return FEAS_TOL * scale, WITNESS_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +300,13 @@ def _project(
     See the module docstring.  Each iteration evaluates the plain Dykstra
     cycle ``G`` once, at its last output or at an extrapolation of its
     recent outputs, and reads every stop off the new output.  A restricted
-    run (``face``) state-checks only candidates below ``-WITNESS_TOL``, so
-    its ``best_value`` is not the best over all candidates; ``decompose``
-    keeps only its first result.
+    run (``face``) state-checks only candidates that would stop it with a
+    witness, so its ``best_value`` is not the best over all candidates;
+    ``decompose`` keeps only its first result.
     """
     H = require_hermitian(choi.H)
     negH = -H
+    feas_tol, witness_tol = _scaled_tolerances(H)
     d = choi.dim
     size = 2 * d
     # Flat positions of S x S, and M.take(swap) == partial_transpose(M, d).
@@ -321,7 +332,7 @@ def _project(
         g[1] = C.take(swap)
         return g
 
-    stop_tol = FEAS_TOL / 10.0
+    stop_tol = feas_tol / 10.0
     plateau_tol = PLATEAU_TOL * max(1.0, frobenius(H))
     # The state u = (P1, P2); its real view is the vector that is mixed.
     u = np.zeros((2, size, size), dtype=np.complex128)
@@ -339,7 +350,7 @@ def _project(
     best_value, best_rho = np.inf, None
     # decompose keeps only the DecomposeResult of a restricted run, so there
     # the state checks run only on candidates that would stop it.
-    check_below = -WITNESS_TOL if face else np.inf
+    check_below = -witness_tol if face else np.inf
     stop, iterations = "cap", 0
     for iterations in range(1, max_iters + 1):
         g = dykstra(u[1])
@@ -354,7 +365,7 @@ def _project(
             value = float(np.vdot(H, rho).real)  # Tr(H rho), as H = H*
             if value < min(best_value, check_below) and _is_ppt_state(rho, d):
                 best_value, best_rho = value, rho
-                if value < -WITNESS_TOL:
+                if value < -witness_tol:
                     stop = "witness"
                     break
         if plain and frobenius(X - X_in) <= plateau_tol:
@@ -392,7 +403,7 @@ def _project(
         witness = WitnessCertificate(best_rho, best_value)
         return (DecomposeResult(False, None, residual, iterations, stop),
                 WitnessResult(True, witness, best_value))
-    if residual > FEAS_TOL:
+    if residual > feas_tol:
         return (DecomposeResult(False, None, residual, iterations, stop),
                 WitnessResult(False, None, best_value))
     H1, H2 = -P1, -P2
@@ -425,30 +436,31 @@ def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> No
     """Independently re-validate a decomposition certificate.
 
     Raises :class:`InvalidCertificateError` if the residual or either cone
-    membership fails at ``FEAS_TOL``.
+    membership fails at ``FEAS_TOL`` times ``min(1, ||H||_F)``.
     """
     H1 = as_matrix(cert.H1)
     H2 = as_matrix(cert.H2)
     problems = []
+    feas_tol = _scaled_tolerances(choi.H)[0]
     res = frobenius(H1 + H2 - choi.H)
-    if res > FEAS_TOL:
-        problems.append(f"residual {res:.3e} > {FEAS_TOL:.1e}")
+    if res > feas_tol:
+        problems.append(f"residual {res:.3e} > {feas_tol:.1e}")
     m1 = float(np.linalg.eigvalsh(require_hermitian(H1, tol=1e-8))[0])
-    if m1 < -FEAS_TOL:
+    if m1 < -feas_tol:
         problems.append(f"H1 min eigenvalue {m1:.3e}")
     m2 = float(
         np.linalg.eigvalsh(
             require_hermitian(partial_transpose(H2, choi.dim), tol=1e-8)
         )[0]
     )
-    if m2 < -FEAS_TOL:
+    if m2 < -feas_tol:
         problems.append(f"H2 partial-transpose min eigenvalue {m2:.3e}")
     if problems:
         raise InvalidCertificateError("; ".join(problems))
 
 
 def witness_search(choi: ChoiMatrix, max_iters: int = 20000) -> WitnessResult:
-    """Look for a PPT state ``rho`` with ``Tr(H rho) < -WITNESS_TOL``.
+    """Look for a PPT state ``rho`` with ``Tr(H rho) < -WITNESS_TOL * min(1, ||H||_F)``.
 
     Runs the accelerated projection without the face restriction, for at
     most ``max_iters`` plain Dykstra cycles (pairs of cone projections).

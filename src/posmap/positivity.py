@@ -11,10 +11,14 @@ with Bloch vector ``r`` on the unit sphere S^2 is
 where ``r = (2 Re xi1 conj(xi2), 2 Im xi1 conj(xi2), |xi1|^2 - |xi2|^2)``.
 One engine answers every positivity question in this module: it takes
 ``lambda_min(M(r))`` over a fixed point set on S^2 plus seeded random points
-with one batched eigensolve, then refines the lowest few by projected
-gradient on the sphere (``d lambda / d r_k = <v, A_k v>`` for the unit
-eigenvector ``v``).  Its cost depends on the block size only through the
-eigensolves, so blocks of any size, 1x1 included, are searched alike.
+with one batched eigensolve, then refines the lowest few by alternating
+minimization of ``<eta, M(r) eta>`` over ``r`` and the unit ``eta``.  With
+``eta`` fixed the form is ``a + r.b`` with ``b_k = <eta, A_k eta>``, which is
+smallest on S^2 at ``r = -b/|b|``; with ``r`` fixed it is smallest at the
+unit eigenvector of ``lambda_min(M(r))``.  A step never raises
+``lambda_min``, since ``lambda_min(M(-b/|b|)) <= a - |b| <= a + r.b``.  Its
+cost depends on the block size only through the eigensolves, so blocks of
+any size, 1x1 included, are searched alike.
 
 ``margin`` is the smallest ``lambda_min(phi(xi xi*))`` the search found,
 the two poles ``phi(E_11)`` and ``phi(E_22)`` included.  A
@@ -79,7 +83,8 @@ FACE_TOL = 1e-8
 #: sets cost more than they find at block sizes near 10.
 BLOCH_POINTS = 512
 
-#: Lowest scanned points refined by projected gradient, and the step cap.
+#: Lowest scanned points refined by the alternating step, and a cap on the
+#: steps; the refinement stops earlier once no start improves.
 REFINE_STARTS = 8
 REFINE_STEPS = 60
 
@@ -110,6 +115,14 @@ def _bloch_matrices(A: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _bloch_min(P, S, Q, budget: int, seed: int):
     """Smallest ``lambda_min(phi(xi xi*))`` found over unit ``xi`` in C^2.
 
+    Scans the fixed point set and ``budget`` points drawn from ``seed``,
+    then refines the ``REFINE_STARTS`` lowest together.  Each step moves
+    every start from ``r`` to ``-b/|b|``, with ``b_k = <eta, A_k eta>`` at
+    its unit eigenvector ``eta``, and keeps the move where ``lambda_min``
+    fell.  That minimizes ``<eta, M(r) eta>`` over S^2, so ``lambda_min`` at
+    the new point is at most its value at ``r``.  The refinement stops when
+    no start improves, or after ``REFINE_STEPS`` steps.
+
     Returns ``(value, xi, eta)`` with ``eta`` the unit eigenvector of
     ``phi(xi xi*)`` at ``value``.
     """
@@ -124,19 +137,16 @@ def _bloch_min(P, S, Q, budget: int, seed: int):
     r = points[np.argsort(lowest)[:REFINE_STARTS]]
     w, V = np.linalg.eigh(_bloch_matrices(A, r))
     value, eta = w[:, 0], V[:, :, 0]
-    step = np.full(r.shape[0], 0.1)
     for _ in range(REFINE_STEPS):
-        grad = np.einsum("mi,kij,mj->mk", eta.conj(), A[1:], eta).real
-        grad -= np.sum(grad * r, axis=1, keepdims=True) * r
-        size = np.linalg.norm(grad, axis=1)
-        if not np.any((size > 0.0) & (step > 1e-12)):
-            break
-        trial = r - (step / np.maximum(size, 1e-300))[:, None] * grad
-        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        b = np.einsum("mi,kij,mj->mk", eta.conj(), A[1:], eta).real
+        size = np.linalg.norm(b, axis=1, keepdims=True)
+        # b = 0 leaves no direction to take (M(0) = A0 is not on S^2): stay.
+        trial = np.where(size > 0.0, -b / np.where(size > 0.0, size, 1.0), r)
         w, V = np.linalg.eigh(_bloch_matrices(A, trial))
         better = w[:, 0] < value
+        if not np.any(better):
+            break
         r[better], value[better], eta[better] = trial[better], w[better, 0], V[better, :, 0]
-        step = np.where(better, np.minimum(1.5 * step, 0.5), 0.5 * step)
 
     k = int(np.argmin(value))
     r1, r2, r3 = r[k]
@@ -194,7 +204,9 @@ def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerd
     ``P`` and ``Q`` must be Hermitian PSD (raises :class:`NotPSDError`
     otherwise); they are the images of the Bloch sphere's poles.  The
     positivity engine then scans the fixed point set plus ``budget``
-    random points drawn from ``seed`` and refines the lowest.  ``margin``
+    random points drawn from ``seed`` and refines the lowest by its
+    alternating step, which never raises ``lambda_min`` and stops once no
+    start improves (at most ``REFINE_STEPS`` steps).  ``margin``
     is the smallest ``lambda_min(phi(xi xi*))`` found there or at the
     poles, and values below ``-POSITIVITY_TOL`` are violations, returned
     with a product vector witness.

@@ -6,8 +6,12 @@ and PT-PSD to PT-PSD, so they preserve complete (co)positivity,
 decomposability and PPT witnesses.  Both send product vectors to product
 vectors, so they preserve positivity too.  The verdicts on an input and on
 its two images must therefore agree, and every decomposability verdict must
-carry evidence that re-checks from scratch.
+carry evidence that re-checks from scratch.  Multiplying H by a positive
+scale preserves all of these cones too, so it must not change the
+decomposability verdict either.
 """
+
+from functools import cache
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -17,6 +21,7 @@ from posmap.cpdecomp import decompose, validate_certificate, witness_search
 from posmap.matkernel import partial_transpose, psd_check
 from posmap.positivity import CERTIFIED, VIOLATION_FOUND, block_positive_choi
 from posmap.rand import random_psd, random_unitary
+from posmap.tang import TangParams, build_pipeline
 from conftest import product_violation
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -46,7 +51,8 @@ def verdict(H, d):
         assert abs(np.trace(rho).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(rho)[0] >= -1e-8
         assert np.linalg.eigvalsh(partial_transpose(rho, d))[0] >= -1e-8
-        assert np.trace(H @ rho).real < -1e-6
+        # Tr(H rho) scales with H; below ||H||_F = 1 so does its threshold.
+        assert np.trace(H @ rho).real < -1e-6 * min(1.0, np.linalg.norm(H))
         return "no-witness"
     return "unknown"
 
@@ -91,3 +97,35 @@ def test_product_violation_positivity_flags_invariant(seed, d):
     flags = [positivity_flags(M, d) for M in images(H, d, rng)]
     assert flags[0][0] == VIOLATION_FOUND
     assert flags == [flags[0]] * 3
+
+
+@cache
+def tang_maps():
+    """Raw and normalized Tang (0.9, 0.12), both nondecomposable."""
+    pipe = build_pipeline(TangParams(0.9, 0.12))
+    return pipe.H0.H, pipe.Hfinal.H
+
+
+def scaling_input(family, seed, d):
+    """``(H, d)`` from one input family; the Tang maps ignore ``seed`` and ``d``."""
+    rng = np.random.default_rng(seed)
+    if family == "decomposable":
+        return random_psd(2 * d, rng) + partial_transpose(random_psd(2 * d, rng), d), d
+    if family == "product violation":
+        return product_violation(rng, d), d
+    H = tang_maps()[family == "tang normalized"]
+    return H, H.shape[0] // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(
+        ["decomposable", "product violation", "tang raw", "tang normalized"]
+    ),
+    seed=seeds,
+    d=dims,
+    exponent=st.floats(min_value=-10.0, max_value=0.0),
+)
+def test_decomposability_verdict_invariant_under_scaling(family, seed, d, exponent):
+    H, d = scaling_input(family, seed, d)
+    assert verdict(10.0**exponent * H, d) == verdict(H, d)
