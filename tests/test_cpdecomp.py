@@ -200,6 +200,16 @@ class TestDecompose:
         with pytest.raises(InvalidCertificateError):
             validate_certificate(H, bad)
 
+    def test_zero_split_of_small_map_rejected(self, tang_raw):
+        # Its residual is ||H||_F < FEAS_TOL; the tolerance scales with H.
+        H = ChoiMatrix.from_array(1e-9 * tang_raw.H)
+        zero = np.zeros_like(H.H)
+        trivial = DecompositionCertificate(
+            H1=zero, H2=zero, residual=frobenius(H.H), min_eig_H1=0.0, min_eig_H2_pt=0.0
+        )
+        with pytest.raises(InvalidCertificateError):
+            validate_certificate(H, trivial)
+
 
 class TestStopReason:
     def test_decomposable_splits(self, rng):
