@@ -45,7 +45,6 @@ from .extremal import (
     scramble_blocks,
 )
 from .matkernel import (
-    EigenDecomposition,
     PsdVerdict,
     hermitian_eig,
     partial_transpose,

@@ -22,6 +22,8 @@ from .choi import (
     row_abs_product,
 )
 from .cpdecomp import (
+    STATE_TOL,
+    STATE_TRACE_TOL,
     ccp_check,
     cp_check,
     decompose,
@@ -191,10 +193,10 @@ def criterion_nondecomposability(max_iters: int = 20000) -> CriterionResult:
     value = float(np.trace(H0.H @ rho).real)
     checks = {
         "value": value < -1e-6,
-        "trace": abs(np.trace(rho).real - 1.0) <= 1e-9,
-        "psd": np.linalg.eigvalsh(require_hermitian(rho))[0] >= -1e-8,
+        "trace": abs(np.trace(rho).real - 1.0) <= STATE_TRACE_TOL,
+        "psd": np.linalg.eigvalsh(require_hermitian(rho))[0] >= -STATE_TOL,
         "ppt": np.linalg.eigvalsh(require_hermitian(partial_transpose(rho, 4)))[0]
-        >= -1e-8,
+        >= -STATE_TOL,
     }
     dec = decompose(H0, max_iters=max_iters)
     exclusivity = not (dec.decomposed and wit.found)

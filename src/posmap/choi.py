@@ -45,7 +45,12 @@ UNITAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """Choi matrix of a Hermiticity-preserving map into (n+1)x(n+1) matrices."""
+    """Choi matrix of a Hermiticity-preserving map into (n+1)x(n+1) matrices.
+
+    :meth:`from_array` validates its input and stores an exactly Hermitian
+    ``H``, which ``cpdecomp`` relies on: its projection and
+    ``kadison_constraints`` read ``H`` as stored, without a Hermiticity check.
+    """
 
     n: int
     H: np.ndarray

@@ -5,7 +5,9 @@ for a Choi matrix file), ``decompose`` (split certificate), ``canonical``
 (equality-case canonical form), and ``verify`` (the built-in battery).
 
 Exit codes: 0 success, 1 battery criterion failed, 2 bad parameters,
-3 I/O or parse error (including NaN or infinite entries).  The stochastic
+3 I/O or parse error (including NaN or infinite entries), 4 solver failure
+after the input loaded (``classify`` and ``decompose``: an eigensolver that
+did not converge, or a certificate that failed its re-check).  The stochastic
 subcommands, ``classify`` and ``verify``, derive every stream from one seed
 (``--seed`` or the ``POSMAP_SEED`` environment variable).
 """
@@ -18,11 +20,15 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .acceptance import run_battery
 from .choi import STRUCT_TOL, UNITAL_TOL, ChoiMatrix, extract_blocks, unital_face_defects
 from .cpdecomp import (
     FEAS_TOL,
     PLATEAU_TOL,
+    STATE_TOL,
+    STATE_TRACE_TOL,
     WITNESS_TOL,
     decompose,
     kadison_constraints,
@@ -50,6 +56,7 @@ EXIT_OK = 0
 EXIT_CRITERION = 1
 EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
+EXIT_SOLVER = 4
 
 #: The constants that decide ``classify``'s flags; ``plateau_relative`` is
 #: scaled by ``max(1, ||H||_F)``, ``feas`` and ``witness`` by
@@ -63,6 +70,8 @@ TOLERANCES = {
     "feas": FEAS_TOL,
     "witness": WITNESS_TOL,
     "plateau_relative": PLATEAU_TOL,
+    "state_trace": STATE_TRACE_TOL,
+    "state": STATE_TOL,
 }
 
 
@@ -202,9 +211,15 @@ def _cmd_classify(args) -> int:
         return EXIT_IO
     # The digest identifies the file's matrix; ``choi.H`` is its Hermitian part.
     report = {"input_digest": matrix_digest(matrix)}
-    report.update(build_classification(
-        choi, budget=args.budget, max_iters=args.max_iters, seed=args.seed
-    ))
+    try:
+        report.update(build_classification(
+            choi, budget=args.budget, max_iters=args.max_iters, seed=args.seed
+        ))
+    except (PosmapError, np.linalg.LinAlgError) as exc:
+        # LinAlgError too: the positivity engine and the state checks call
+        # LAPACK directly.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     _emit(report, args.out)
     return EXIT_OK
 
@@ -215,12 +230,18 @@ def _cmd_decompose(args) -> int:
     except (ParseError, PosmapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    result = decompose(choi, max_iters=args.max_iters)
+    try:
+        result = decompose(choi, max_iters=args.max_iters)
+        if result.decomposed:
+            kadison = kadison_constraints(choi, result.certificate)
+    except (PosmapError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     obj: dict = {"decomposed": result.decomposed, "iterations": result.iterations,
                  "residual": result.residual, "stop": result.stop}
     if result.decomposed:
         obj["certificate"] = jsonable(result.certificate)
-        obj["kadison"] = jsonable(kadison_constraints(choi, result.certificate))
+        obj["kadison"] = jsonable(kadison)
     else:
         obj["note"] = ("no decomposition found within the iteration budget; "
                        "this is not a nondecomposability proof")

@@ -67,7 +67,6 @@ from .matkernel import (
     RANK_TOL,
     as_matrix,
     frobenius,
-    hermitian_norm,
     lowest_eigenvalue,
     partial_transpose,
     psd_check,
@@ -78,6 +77,13 @@ from .matkernel import (
 
 FEAS_TOL = 1e-7
 WITNESS_TOL = 1e-6
+
+#: A state passes :func:`_is_ppt_state` with trace within ``STATE_TRACE_TOL``
+#: of one, Hermitian within ``STATE_TOL`` and PSD down to ``-STATE_TOL`` before
+#: and after partial transpose; :func:`validate_certificate` checks Hermiticity
+#: at ``STATE_TOL`` too.
+STATE_TRACE_TOL = 1e-9
+STATE_TOL = 1e-8
 
 
 def _scaled_tolerances(H) -> tuple[float, float]:
@@ -284,12 +290,12 @@ class WitnessResult:
 
 def _is_ppt_state(rho: np.ndarray, d: int) -> bool:
     """Trace one, PSD and PSD after partial transpose, checked from scratch."""
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
+    if abs(np.trace(rho).real - 1.0) > STATE_TRACE_TOL:
         return False
-    if np.linalg.eigvalsh(require_hermitian(rho, tol=1e-8))[0] < -1e-8:
+    if np.linalg.eigvalsh(require_hermitian(rho, tol=STATE_TOL))[0] < -STATE_TOL:
         return False
-    pt = partial_transpose(rho, d)
-    return bool(np.linalg.eigvalsh(require_hermitian(pt, tol=1e-8))[0] >= -1e-8)
+    pt = require_hermitian(partial_transpose(rho, d), tol=STATE_TOL)
+    return bool(np.linalg.eigvalsh(pt)[0] >= -STATE_TOL)
 
 
 def _project(
@@ -304,7 +310,7 @@ def _project(
     witness, so its ``best_value`` is not the best over all candidates;
     ``decompose`` keeps only its first result.
     """
-    H = require_hermitian(choi.H)
+    H = choi.H
     negH = -H
     feas_tol, witness_tol = _scaled_tolerances(H)
     d = choi.dim
@@ -445,12 +451,12 @@ def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> No
     res = frobenius(H1 + H2 - choi.H)
     if res > feas_tol:
         problems.append(f"residual {res:.3e} > {feas_tol:.1e}")
-    m1 = float(np.linalg.eigvalsh(require_hermitian(H1, tol=1e-8))[0])
+    m1 = float(np.linalg.eigvalsh(require_hermitian(H1, tol=STATE_TOL))[0])
     if m1 < -feas_tol:
         problems.append(f"H1 min eigenvalue {m1:.3e}")
     m2 = float(
         np.linalg.eigvalsh(
-            require_hermitian(partial_transpose(H2, choi.dim), tol=1e-8)
+            require_hermitian(partial_transpose(H2, choi.dim), tol=STATE_TOL)
         )[0]
     )
     if m2 < -feas_tol:
@@ -548,7 +554,8 @@ def kadison_constraints(choi: ChoiMatrix, cert: DecompositionCertificate) -> Kad
     H = _positional_blocks(choi.H, d)
     H1 = _positional_blocks(as_matrix(cert.H1), d)
     H2 = _positional_blocks(as_matrix(cert.H2), d)
-    norm = hermitian_norm(H[(1, 1)] + H[(2, 2)])
+    # Operator norm of phi(I), a sum of blocks of the exactly Hermitian H.
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(H[(1, 1)] + H[(2, 2)]))))
     entry = {}
     for i in (1, 2):
         for j in (1, 2):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from posmap.choi import ChoiMatrix, assemble_blocks
 from posmap.cli import main
@@ -16,17 +17,41 @@ from posmap.io import (
 )
 from posmap.rand import random_psd, rng_for
 from posmap.tang import TangParams, build_pipeline, tang_choi
-from conftest import random_complex
+
+
+#: Finite doubles, with the edges a text round trip can lose: signed zeros,
+#: subnormals, the smallest normal and the largest double.
+EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGES + [-v for v in EDGES]),
+)
+
+
+@st.composite
+def complex_matrices(draw):
+    rows = draw(st.integers(min_value=1, max_value=4))
+    cols = draw(st.integers(min_value=1, max_value=4))
+    parts = draw(st.lists(finite_doubles, min_size=2 * rows * cols,
+                          max_size=2 * rows * cols))
+    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(rows, cols)
 
 
 class TestMatrixSchema:
-    def test_round_trip_bit_faithful(self, rng, tmp_path):
-        M = random_complex(rng, (5, 3))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(M=complex_matrices())
+    def test_round_trip_bit_faithful(self, M, tmp_path):
         path = tmp_path / "m.json"
         save_matrix(path, M)
-        back = load_matrix(path)
-        assert np.array_equal(M, back)
-        assert matrix_digest(M) == matrix_digest(back)
+        for back in (load_matrix(path),
+                     matrix_from_obj(json.loads(json.dumps(jsonable(M))))):
+            assert back.shape == M.shape
+            # Raw bits, so that -0.0 differs from 0.0 and every subnormal counts.
+            assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+            assert np.array_equal(np.signbit(back.view(np.float64)),
+                                  np.signbit(M.view(np.float64)))
+            assert matrix_digest(back) == matrix_digest(M)
 
     def test_schema_fields(self):
         obj = matrix_to_obj(np.array([[1.0 + 2.0j]]))
@@ -160,6 +185,8 @@ class TestClassifyCommand:
             "feas": cpdecomp.FEAS_TOL,
             "witness": cpdecomp.WITNESS_TOL,
             "plateau_relative": cpdecomp.PLATEAU_TOL,
+            "state_trace": cpdecomp.STATE_TRACE_TOL,
+            "state": cpdecomp.STATE_TOL,
         }
 
     def test_parse_error_exit_3(self, tmp_path, capsys):
@@ -252,6 +279,23 @@ class TestNormOverflowInput:
         src = tmp_path / "big.json"
         save_matrix(src, H)
         assert main([command, str(src)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestSolverFailure:
+    # A failing eigh reaches the commands through the kernel, as
+    # NoConvergenceError; a failing eigvalsh through direct LAPACK calls.
+    @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
+    @pytest.mark.parametrize("command", ["classify", "decompose"])
+    def test_exit_4_with_error_line(self, command, solver, tmp_path, monkeypatch,
+                                    capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        src = tmp_path / "map.json"
+        save_matrix(src, tang_choi(TangParams(0.9, 0.12)).H)
+        monkeypatch.setattr(np.linalg, solver, fail)
+        assert main([command, str(src)]) == 4
         assert capsys.readouterr().err.startswith("error: ")
 
 

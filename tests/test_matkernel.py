@@ -3,6 +3,7 @@ import pytest
 
 from posmap.exceptions import (
     DimensionMismatchError,
+    NoConvergenceError,
     NotHermitianError,
     NotPSDError,
     NotSquareError,
@@ -35,22 +36,22 @@ def map_of_identity_4x4(mu, eps):
 
 class TestHermitianEig:
     def test_diagonal(self):
-        eig = hermitian_eig(np.diag([2.0, 1.0]))
-        assert np.allclose(eig.eigenvalues, [1.0, 2.0])
-        assert np.allclose(np.abs(eig.eigenvectors), np.eye(2)[:, ::-1])
+        vals, vecs = hermitian_eig(np.diag([2.0, 1.0]))
+        assert np.allclose(vals, [1.0, 2.0])
+        assert np.allclose(np.abs(vecs), np.eye(2)[:, ::-1])
 
     def test_exchange_matrix_spectrum(self):
-        eig = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
+        vals, _ = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.allclose(vals, [-1.0, 1.0])
 
     def test_random_reconstruction(self, rng):
         for _ in range(20):
             M = random_hermitian(rng, 8)
-            eig = hermitian_eig(M)
-            assert frobenius(eig.reconstruct() - M) <= 1e-9 * frobenius(M)
-            gram = eig.eigenvectors.conj().T @ eig.eigenvectors
+            vals, V = hermitian_eig(M)
+            assert frobenius((V * vals) @ V.conj().T - M) <= 1e-9 * frobenius(M)
+            gram = V.conj().T @ V
             assert frobenius(gram - np.eye(8)) < 1e-12
-            assert np.all(np.diff(eig.eigenvalues) >= 0)
+            assert np.all(np.diff(vals) >= 0)
 
     def test_rejects_non_square(self):
         with pytest.raises(NotSquareError):
@@ -59,6 +60,16 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("routine", [hermitian_eig, psd_check, psd_project],
+                             ids=lambda f: f.__name__)
+    def test_lapack_failure_raises_no_convergence(self, routine, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergenceError):
+            routine(np.eye(3))
 
 
 class TestPsdSqrt:
