@@ -23,7 +23,6 @@ from .cpdecomp import (
     DecompositionCertificate,
     DecomposeResult,
     WitnessCertificate,
-    WitnessResult,
     ccp_check,
     condensed_psd_relations,
     cp_check,
@@ -55,7 +54,6 @@ from .matkernel import (
 )
 from .positivity import (
     CERTIFIED,
-    INCONCLUSIVE,
     VIOLATION_FOUND,
     BlockPosVerdict,
     CouplingBound,

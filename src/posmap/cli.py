@@ -1,20 +1,26 @@
 """Command-line front end.
 
 Subcommands: ``tang`` (generate family members), ``classify`` (full report
-for a Choi matrix file), ``decompose`` (split certificate), ``canonical``
+for a Choi matrix file), ``decompose`` (one projection run), ``canonical``
 (equality-case canonical form), and ``verify`` (the built-in battery).
+``decompose`` prints the run's ``iterations``, ``residual`` and ``stop``,
+and either its split ``certificate`` with the ``kadison`` margins, its PPT
+``witness`` (``rho`` and ``value``, as in ``classify``), or a note that a
+search that found neither is not a nondecomposability proof.
 
 Exit codes: 0 success, 1 battery criterion failed, 2 bad parameters,
 3 I/O or parse error (including NaN or infinite entries), 4 solver failure
 after the input loaded (``classify`` and ``decompose``: an eigensolver that
 did not converge, or a certificate that failed its re-check).  The stochastic
 subcommands, ``classify`` and ``verify``, derive every stream from one seed
-(``--seed`` or the ``POSMAP_SEED`` environment variable).
+(``--seed``, or the ``POSMAP_SEED`` environment variable as set when
+:func:`main` runs).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,7 +51,6 @@ from .io import jsonable, load_matrix, matrix_digest, matrix_to_obj, save_matrix
 from .matkernel import PSD_TOL, partial_transpose, psd_check
 from .positivity import (
     POSITIVITY_TOL,
-    NotPSDError,
     block_positive_choi,
     coupling_bound_check,
     face_structure_report,
@@ -124,7 +129,7 @@ def build_classification(
         )
         try:
             report["coupling_bound"] = jsonable(coupling_bound_check(blocks))
-        except (NotPSDError, PosmapError) as exc:
+        except PosmapError as exc:
             report["coupling_bound"] = {"error": str(exc)}
         timings["face_structure"] = time.perf_counter() - t0
         unital = not unital_face_defects(blocks)
@@ -163,7 +168,7 @@ def build_classification(
         timings["witness_search"] = time.perf_counter() - t0
         if wit.found:
             flags["decomposable"] = "no-witness"
-            report["witness"] = jsonable(wit.certificate)
+            report["witness"] = jsonable(wit.witness)
         else:
             flags["decomposable"] = "unknown"
             report["witness"] = {
@@ -242,6 +247,8 @@ def _cmd_decompose(args) -> int:
     if result.decomposed:
         obj["certificate"] = jsonable(result.certificate)
         obj["kadison"] = jsonable(kadison)
+    elif result.found:
+        obj["witness"] = jsonable(result.witness)
     else:
         obj["note"] = ("no decomposition found within the iteration budget; "
                        "this is not a nondecomposability proof")
@@ -306,7 +313,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=20000,
                    help="iteration cap of the split search, and of the "
                         "witness search when no split is found")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None,
+                   help="default: POSMAP_SEED, or 0")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("decompose", help="search for a CP + coCP split")
@@ -323,13 +331,22 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the built-in verification battery")
     p.add_argument("--grid", type=int, default=3,
                    help="parameter grid size (1 = smoke mode)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None,
+                   help="default: POSMAP_SEED, or 0")
     p.set_defaults(func=_cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: building takes far longer than parsing.
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    if vars(args).get("seed", 0) is None:
+        args.seed = _default_seed()
     return args.func(args)
 
 

@@ -38,12 +38,14 @@ with ``"split"`` (``||X||_F`` at most a tenth of the split tolerance),
 is below minus the witness tolerance), ``"plateau"`` (on a plain step, whose
 input is the previous output of ``G``, ``X`` moved at most
 ``PLATEAU_TOL * max(1, ||H||_F)``) or ``"cap"`` (iteration budget spent).
-Every verdict carries re-checkable evidence, and a failed search is reported
-as "not found", never as a proof.  The split tolerance also bounds a
-certificate's cone violations; the Kadison-Schwarz margins, which scale with
-``||H||^2``, are held to the absolute ``FEAS_TOL``.  ``choi.STRUCT_TOL``
-decides face form and the vanishing rows of :func:`cp_check` and
-:func:`ccp_check`, and ``matkernel.PSD_TOL`` their PSD tests.
+A run returns one :class:`DecomposeResult`, which holds the split or the
+witness it found.  Every verdict carries re-checkable evidence, and a failed
+search is reported as "not found", never as a proof.  The split tolerance
+also bounds a certificate's cone violations; the Kadison-Schwarz margins,
+which scale with ``||H||^2``, are held to the absolute ``FEAS_TOL``.
+``choi.STRUCT_TOL`` decides face form and the vanishing rows of
+:func:`cp_check` and :func:`ccp_check`, and ``matkernel.PSD_TOL`` their PSD
+tests.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .choi import (
     extract_blocks,
     face_form_offenders,
 )
-from .exceptions import InvalidCertificateError, NotInFaceFormError
+from .exceptions import InvalidCertificateError
 from .matkernel import (
     EIG_CLAMP_TOL,
     RANK_TOL,
@@ -263,17 +265,6 @@ class DecompositionCertificate:
 
 
 @dataclass(frozen=True)
-class DecomposeResult:
-    """Outcome of the split search; ``stop`` is why the projection ended."""
-
-    decomposed: bool
-    certificate: DecompositionCertificate | None
-    residual: float
-    iterations: int
-    stop: str
-
-
-@dataclass(frozen=True)
 class WitnessCertificate:
     """PPT state with ``value = Tr(H rho) < 0``, re-validated from scratch."""
 
@@ -282,10 +273,35 @@ class WitnessCertificate:
 
 
 @dataclass(frozen=True)
-class WitnessResult:
-    found: bool
-    certificate: WitnessCertificate | None
+class DecomposeResult:
+    """Outcome of one projection run: a split, a witness, or neither.
+
+    ``witness`` is set when the run stopped on ``"witness"``, and
+    ``certificate`` otherwise when its last output is within the split
+    tolerance; at most one of them is.  ``residual`` is ``||X||_F`` of the
+    last output (the certificate's own residual after a split),
+    ``iterations`` counts Dykstra cycles and ``stop`` is why the run ended.
+    ``best_value`` is ``Tr(H rho)`` of the best candidate state that passed
+    the from-scratch PPT checks (``inf`` when none did), and ``0.0`` after a
+    split, which proves ``Tr(H rho) >= 0`` over every PPT state.  A
+    face-restricted run checks only candidates that would stop it with a
+    witness, so there ``best_value`` is ``inf`` unless ``witness`` is set.
+    """
+
+    certificate: DecompositionCertificate | None
+    witness: WitnessCertificate | None
+    residual: float
+    iterations: int
+    stop: str
     best_value: float
+
+    @property
+    def decomposed(self) -> bool:
+        return self.certificate is not None
+
+    @property
+    def found(self) -> bool:
+        return self.witness is not None
 
 
 def _is_ppt_state(rho: np.ndarray, d: int) -> bool:
@@ -298,17 +314,13 @@ def _is_ppt_state(rho: np.ndarray, d: int) -> bool:
     return bool(np.linalg.eigvalsh(pt)[0] >= -STATE_TOL)
 
 
-def _project(
-    choi: ChoiMatrix, face: bool, max_iters: int
-) -> tuple[DecomposeResult, WitnessResult]:
+def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
     """Anderson-accelerated Dykstra projection of ``-H`` onto ``C1 ∩ C2``.
 
     See the module docstring.  Each iteration evaluates the plain Dykstra
     cycle ``G`` once, at its last output or at an extrapolation of its
-    recent outputs, and reads every stop off the new output.  A restricted
-    run (``face``) state-checks only candidates that would stop it with a
-    witness, so its ``best_value`` is not the best over all candidates;
-    ``decompose`` keeps only its first result.
+    recent outputs, and reads every stop off the new output; ``face``
+    restricts ``C1`` to the indices other than ``d``.
     """
     H = choi.H
     negH = -H
@@ -354,8 +366,7 @@ def _project(
     gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
     pushed, last, accepted = 0, None, np.inf
     best_value, best_rho = np.inf, None
-    # decompose keeps only the DecomposeResult of a restricted run, so there
-    # the state checks run only on candidates that would stop it.
+    # A restricted run state-checks only candidates that would stop it.
     check_below = -witness_tol if face else np.inf
     stop, iterations = "cap", 0
     for iterations in range(1, max_iters + 1):
@@ -405,37 +416,35 @@ def _project(
             gamma = np.linalg.solve(gram[:held, :held], dF[:held] @ f)
             u = g - (gamma @ dG[:held]).view(np.complex128).reshape(g.shape)
     residual = frobenius(X)
+    cert = witness = None
     if stop == "witness":
         witness = WitnessCertificate(best_rho, best_value)
-        return (DecomposeResult(False, None, residual, iterations, stop),
-                WitnessResult(True, witness, best_value))
-    if residual > feas_tol:
-        return (DecomposeResult(False, None, residual, iterations, stop),
-                WitnessResult(False, None, best_value))
-    H1, H2 = -P1, -P2
-    cert = DecompositionCertificate(
-        H1=H1,
-        H2=H2,
-        residual=frobenius(H1 + H2 - choi.H),
-        min_eig_H1=lowest_eigenvalue(H1),
-        min_eig_H2_pt=lowest_eigenvalue(partial_transpose(H2, d)),
-    )
-    # A split proves Tr(H rho) >= 0 over every PPT state.
-    return (DecomposeResult(True, cert, cert.residual, iterations, stop),
-            WitnessResult(False, None, 0.0))
+    elif residual <= feas_tol:
+        H1, H2 = -P1, -P2
+        cert = DecompositionCertificate(
+            H1=H1,
+            H2=H2,
+            residual=frobenius(H1 + H2 - choi.H),
+            min_eig_H1=lowest_eigenvalue(H1),
+            min_eig_H2_pt=lowest_eigenvalue(partial_transpose(H2, d)),
+        )
+        residual, best_value = cert.residual, 0.0
+    return DecomposeResult(cert, witness, residual, iterations, stop, best_value)
 
 
 def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     """Search for a completely positive / completely copositive split of H.
 
     Runs the accelerated projection with the face restriction when ``H`` is
-    in face form (:func:`choi.face_form_offenders` finds no offender).  The
-    certificate is read from an output of the plain Dykstra cycle, never
-    from an extrapolated point.  ``iterations`` counts cycles, each one
-    pair of cone projections, up to ``max_iters``.  ``decomposed=False`` is
-    a nondecomposability proof only when ``stop`` is ``"witness"``.
+    in face form (:func:`choi.face_form_offenders` finds no offender), for
+    at most ``max_iters`` cycles, each one pair of cone projections.  The
+    one :class:`DecomposeResult` holds the split (``certificate``) or the
+    PPT witness (``witness``) that stopped the run, both read from an output
+    of the plain Dykstra cycle, never from an extrapolated point.  With
+    neither, the run failed: that is neither a decomposability nor a
+    nondecomposability proof.
     """
-    return _project(choi, not face_form_offenders(choi), max_iters)[0]
+    return _project(choi, not face_form_offenders(choi), max_iters)
 
 
 def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> None:
@@ -465,18 +474,15 @@ def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> No
         raise InvalidCertificateError("; ".join(problems))
 
 
-def witness_search(choi: ChoiMatrix, max_iters: int = 20000) -> WitnessResult:
+def witness_search(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     """Look for a PPT state ``rho`` with ``Tr(H rho) < -WITNESS_TOL * min(1, ||H||_F)``.
 
-    Runs the accelerated projection without the face restriction, for at
-    most ``max_iters`` plain Dykstra cycles (pairs of cone projections).
-    Every candidate ``rho`` comes from an output of a plain cycle, never
-    from an extrapolated point.  ``best_value`` is ``Tr(H rho)`` of the best
-    candidate that passed the from-scratch PPT checks (``inf`` when none
-    did), and ``0.0`` when the run found a split.  ``found=False`` is not a
+    The same projection as :func:`decompose`, without the face restriction,
+    so ``best_value`` is the best over every candidate state of the run.
+    Its result may hold a split instead; ``found=False`` is not a
     decomposability proof.
     """
-    return _project(choi, False, max_iters)[1]
+    return _project(choi, False, max_iters)
 
 
 #: :func:`ppt_project` stops after ``PPT_CYCLES`` cycles, or earlier once a
@@ -564,11 +570,8 @@ def kadison_constraints(choi: ChoiMatrix, cert: DecompositionCertificate) -> Kad
             entry[(i, j)] = lowest_eigenvalue(R - L)
 
     block = {}
-    try:
+    if not face_form_offenders(choi):
         blocks = extract_blocks(choi)
-    except NotInFaceFormError:
-        blocks = None
-    if blocks is not None:
         n = blocks.n
         Y, Z, T = blocks.Y, blocks.Z, blocks.T
         a1 = float(H1[(1, 1)][0, 0].real)

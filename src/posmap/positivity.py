@@ -51,7 +51,7 @@ from .choi import (
 )
 from .exceptions import (
     BadScalarsError,
-    NotPSDError,
+    DimensionMismatchError,
     NotUnitalFaceFormError,
     SingularBlockError,
 )
@@ -68,7 +68,6 @@ from .rand import rng_for
 
 CERTIFIED = "certified"
 VIOLATION_FOUND = "violation_found"
-INCONCLUSIVE = "inconclusive"
 
 #: Margins at or above ``-POSITIVITY_TOL`` count as nonnegative.
 POSITIVITY_TOL = 1e-9
@@ -190,41 +189,35 @@ class BlockPosVerdict:
     poles: tuple[float, ...] = ()
 
 
-class _PoleNotPSD(NotPSDError):
-    """A diagonal block is not PSD; ``verdict`` is the violation at that pole."""
-
-    def __init__(self, name: str, verdict: BlockPosVerdict):
-        super().__init__(f"{name} is not PSD (min eigenvalue {verdict.margin:.3e})")
-        self.verdict = verdict
-
-
 def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerdict:
     """Search for a violation of block-positivity of ``[[P, S], [S*, Q]]``.
 
-    ``P`` and ``Q`` must be Hermitian PSD (raises :class:`NotPSDError`
-    otherwise); they are the images of the Bloch sphere's poles.  The
-    positivity engine then scans the fixed point set plus ``budget``
-    random points drawn from ``seed`` and refines the lowest by its
-    alternating step, which never raises ``lambda_min`` and stops once no
-    start improves (at most ``REFINE_STEPS`` steps).  ``margin``
-    is the smallest ``lambda_min(phi(xi xi*))`` found there or at the
-    poles, and values below ``-POSITIVITY_TOL`` are violations, returned
-    with a product vector witness.
+    ``P`` and ``Q``, the images of the Bloch sphere's poles, are PSD-checked
+    first, in that order.  A non-PSD one is a violation, returned at once
+    (no exception) with ``lam = (1, 0)`` or ``(0, 1)``, the block's lowest
+    eigenvector as ``eta``, and ``poles`` ending at that block.  Otherwise
+    the positivity engine scans the fixed point set plus ``budget`` random
+    points drawn from ``seed`` and refines the lowest by its alternating
+    step, which never raises ``lambda_min`` and stops once no start improves
+    (at most ``REFINE_STEPS`` steps).  ``margin`` is the smallest
+    ``lambda_min(phi(xi xi*))`` found there or at the poles, and values
+    below ``-POSITIVITY_TOL`` are violations, returned with a product vector
+    witness.  ``P``, ``S`` and ``Q`` of different shapes raise
+    :class:`DimensionMismatchError`.
     """
     Pm = require_hermitian(as_matrix(P))
     Qm = require_hermitian(as_matrix(Q))
     Sm = as_matrix(S)
     n = Pm.shape[0]
     if Sm.shape != (n, n) or Qm.shape != (n, n):
-        raise NotPSDError("P, S, Q must share one square shape")
+        raise DimensionMismatchError("P, S, Q must share one square shape")
     poles: tuple[float, ...] = ()
-    for name, M, lam in (("P", Pm, (1.0 + 0j, 0j)), ("Q", Qm, (0j, 1.0 + 0j))):
+    for M, lam in ((Pm, (1.0 + 0j, 0j)), (Qm, (0j, 1.0 + 0j))):
         v = psd_check(M)
         poles += (v.min_eigenvalue,)
         if not v.is_psd:
             witness = BlockPosWitness(eta=v.witness, lam=lam, value=v.min_eigenvalue)
-            verdict = BlockPosVerdict(VIOLATION_FOUND, v.min_eigenvalue, witness, poles)
-            raise _PoleNotPSD(name, verdict)
+            return BlockPosVerdict(VIOLATION_FOUND, v.min_eigenvalue, witness, poles)
 
     found, xi, eta = _bloch_min(Pm, Sm, Qm, budget, seed)
     # The poles are points of the sphere too; a face-form map's zero sits at one.
@@ -262,13 +255,9 @@ def block_positive_choi(choi: ChoiMatrix, budget: int = 64, seed: int = 0) -> Bl
     already negative at a pole, ``lam = (1, 0)`` or ``(0, 1)``); the blocks
     are PSD-checked once, inside :func:`block_positive_2x2`.
     """
-    try:
-        return block_positive_2x2(
-            choi.block(1, 1), choi.block(1, 2), choi.block(2, 2),
-            budget=budget, seed=seed,
-        )
-    except _PoleNotPSD as exc:
-        return exc.verdict
+    return block_positive_2x2(
+        choi.block(1, 1), choi.block(1, 2), choi.block(2, 2), budget=budget, seed=seed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +297,11 @@ def face_structure_report(
     rel: dict[str, RelationCheck] = {}
     a = blocks.a
     rel["a_nonnegative"] = RelationCheck(a >= -POSITIVITY_TOL, float(a))
-    try:
-        verdict = block_positive_2x2(
-            blocks.B, blocks.T, blocks.U, budget=budget, seed=seed
-        )
-        poles = verdict.poles
-        block_relation = RelationCheck(
-            verdict.status != VIOLATION_FOUND, verdict.margin, verdict.status
-        )
-    except NotPSDError as exc:
-        poles = exc.verdict.poles if isinstance(exc, _PoleNotPSD) else ()
-        block_relation = RelationCheck(False, None, str(exc))
+    verdict = block_positive_2x2(blocks.B, blocks.T, blocks.U, budget=budget, seed=seed)
     # block_positive_2x2 PSD-checks B and then U, and stops at the first
     # failure; only the blocks it left unchecked are checked here.
-    unchecked = (blocks.B, blocks.U)[len(poles):]
-    poles += tuple(psd_check(M).min_eigenvalue for M in unchecked)
+    unchecked = (blocks.B, blocks.U)[len(verdict.poles):]
+    poles = verdict.poles + tuple(psd_check(M).min_eigenvalue for M in unchecked)
     rel["B_psd"], rel["U_psd"] = (RelationCheck(m >= -PSD_TOL, m) for m in poles)
     c_norm = float(np.linalg.norm(blocks.C))
     if a <= POSITIVITY_TOL:
@@ -334,7 +313,9 @@ def face_structure_report(
         m = lowest_eigenvalue(gap)
         rel["C_dominated"] = RelationCheck(m >= -POSITIVITY_TOL, m)
     rel["x_zero"] = RelationCheck(abs(blocks.x) <= POSITIVITY_TOL, -abs(blocks.x))
-    rel["BT_block_positive"] = block_relation
+    rel["BT_block_positive"] = RelationCheck(
+        verdict.status != VIOLATION_FOUND, verdict.margin, verdict.status
+    )
     return FaceStructureReport(rel)
 
 

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from posmap.choi import ChoiMatrix, assemble_blocks
 from posmap.cli import main
+from posmap.cpdecomp import STATE_TOL, STATE_TRACE_TOL, WITNESS_TOL
 from posmap.exceptions import ParseError
 from posmap.io import (
     jsonable,
@@ -15,6 +16,7 @@ from posmap.io import (
     matrix_to_obj,
     save_matrix,
 )
+from posmap.matkernel import partial_transpose
 from posmap.rand import random_psd, rng_for
 from posmap.tang import TangParams, build_pipeline, tang_choi
 
@@ -26,6 +28,18 @@ finite_doubles = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(EDGES + [-v for v in EDGES]),
 )
+
+
+def assert_ppt_witness(H, witness):
+    """``witness`` is ``{rho, value}`` with rho a PPT state and Tr(H rho) < 0."""
+    rho = matrix_from_obj(witness["rho"])
+    assert abs(np.trace(rho).real - 1.0) <= STATE_TRACE_TOL
+    assert np.linalg.eigvalsh(rho)[0] >= -STATE_TOL
+    d = H.shape[0] // 2
+    assert np.linalg.eigvalsh(partial_transpose(rho, d))[0] >= -STATE_TOL
+    value = np.trace(H @ rho).real
+    assert value < -WITNESS_TOL
+    assert witness["value"] == pytest.approx(value, abs=1e-12)
 
 
 @st.composite
@@ -203,6 +217,16 @@ class TestClassifyCommand:
         report = json.loads(out.read_text())
         assert report["input_digest"] == matrix_digest(load_matrix(src))
 
+    def test_raw_tang_reports_its_witness(self, tmp_path):
+        H = tang_choi(TangParams(0.9, 0.12)).H
+        src = tmp_path / "raw.json"
+        save_matrix(src, H)
+        out = tmp_path / "report.json"
+        assert main(["classify", str(src), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["flags"]["decomposable"] == "no-witness"
+        assert_ppt_witness(H, report["witness"])
+
     def test_deterministic_given_seed(self, tmp_path):
         src = tmp_path / "raw.json"
         main(["tang", "--mu", "0.9", "--eps", "0.12", "--out", str(src)])
@@ -219,8 +243,6 @@ class TestClassifyCommand:
 
 class TestDecomposeCommand:
     def test_decomposable_file(self, tmp_path, rng):
-        from posmap.matkernel import partial_transpose
-
         H = random_psd(6, rng) + partial_transpose(random_psd(6, rng), 3)
         src = tmp_path / "h.json"
         save_matrix(src, H)
@@ -232,6 +254,56 @@ class TestDecomposeCommand:
         H1 = matrix_from_obj(obj["certificate"]["H1"])
         H2 = matrix_from_obj(obj["certificate"]["H2"])
         assert np.linalg.norm(H1 + H2 - H) <= 1e-7
+
+    def test_raw_tang_prints_its_witness(self, tmp_path):
+        H = tang_choi(TangParams(0.9, 0.12)).H
+        src = tmp_path / "raw.json"
+        save_matrix(src, H)
+        out = tmp_path / "run.json"
+        assert main(["decompose", str(src), "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["decomposed"] is False and obj["stop"] == "witness"
+        assert "note" not in obj and "certificate" not in obj
+        assert_ppt_witness(H, obj["witness"])
+
+    def test_failed_search_says_it_proves_nothing(self, tmp_path):
+        src = tmp_path / "raw.json"
+        save_matrix(src, tang_choi(TangParams(0.9, 0.12)).H)
+        out = tmp_path / "run.json"
+        assert main(["decompose", str(src), "--out", str(out),
+                     "--max-iters", "2"]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["stop"] == "cap"
+        assert "witness" not in obj and "certificate" not in obj
+        assert "not a nondecomposability proof" in obj["note"]
+
+
+class TestParser:
+    def test_built_at_most_once_and_seed_read_per_call(self, tmp_path,
+                                                       monkeypatch):
+        from posmap import cli
+
+        builds, seeds = [], []
+        make_parser = cli.make_parser
+
+        def counting_make_parser():
+            builds.append(1)
+            return make_parser()
+
+        def record(choi, budget, max_iters, seed):
+            seeds.append(seed)
+            return {}
+
+        monkeypatch.setattr(cli, "make_parser", counting_make_parser)
+        monkeypatch.setattr(cli, "build_classification", record)
+        src = tmp_path / "h.json"
+        save_matrix(src, random_psd(4, rng_for(0, "cli-parser")))
+        for seed in ("7", "11"):
+            monkeypatch.setenv("POSMAP_SEED", seed)
+            assert main(["classify", str(src), "--out", str(tmp_path / "r.json")]) == 0
+        assert len(builds) <= 1
+        assert seeds == [7, 11]
+        assert cli.make_parser().parse_args(["classify", "x"]).max_iters == 20000
 
 
 class TestCanonicalCommand:

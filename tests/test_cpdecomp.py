@@ -248,11 +248,11 @@ class TestAcceleratedProjection:
     def test_raw_tang_witness_within_150_iterations(self, tang_raw):
         out = witness_search(tang_raw, max_iters=150)
         assert out.found
-        rho = out.certificate.rho
-        assert out.certificate.value == pytest.approx(
+        rho = out.witness.rho
+        assert out.witness.value == pytest.approx(
             float(np.trace(tang_raw.H @ rho).real), abs=1e-12
         )
-        assert out.certificate.value < -1e-6
+        assert out.witness.value < -1e-6
         assert abs(np.trace(rho).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(rho)[0] >= -1e-8
         assert np.linalg.eigvalsh(partial_transpose(rho, 4))[0] >= -1e-8
@@ -289,7 +289,7 @@ class TestWitnessSearch:
     def test_tang_witnessed(self, tang_raw):
         out = witness_search(tang_raw)
         assert out.found
-        cert = out.certificate
+        cert = out.witness
         assert cert.value < -1e-6
         assert abs(np.trace(cert.rho).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(cert.rho)[0] >= -1e-8

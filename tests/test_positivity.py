@@ -4,6 +4,7 @@ import pytest
 from posmap.choi import ChoiBlocks, assemble_blocks, extract_blocks, row_abs
 from posmap.exceptions import (
     BadScalarsError,
+    DimensionMismatchError,
     NotPSDError,
     NotUnitalFaceFormError,
     SingularBlockError,
@@ -172,8 +173,19 @@ class TestBlockPositive2x2:
             assert v.status == (CERTIFIED if exact >= -1e-9 else VIOLATION_FOUND)
 
     def test_rejects_indefinite_p(self):
-        with pytest.raises(NotPSDError):
-            block_positive_2x2(np.diag([1.0, -1.0]), np.zeros((2, 2)), np.eye(2))
+        # A non-PSD P is a violation at the north pole, returned, not raised.
+        v = block_positive_2x2(np.diag([1.0, -1.0]), np.zeros((2, 2)), np.eye(2))
+        assert v.status == VIOLATION_FOUND
+        assert v.margin == pytest.approx(-1.0)
+        assert v.poles == (v.margin,)
+        assert v.witness.lam == (1.0 + 0j, 0j)
+        assert abs(abs(v.witness.eta[1]) - 1.0) < 1e-12
+
+    def test_mismatched_shapes_raise_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            block_positive_2x2(np.eye(2), np.zeros((3, 3)), np.eye(2))
+        with pytest.raises(DimensionMismatchError):
+            block_positive_2x2(np.eye(2), np.zeros((2, 2)), np.eye(3))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_face_form_margin_is_zero(self, rng, n):

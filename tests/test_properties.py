@@ -47,7 +47,7 @@ def verdict(H, d):
         validate_certificate(choi, dec.certificate)
         return "yes"
     if wit.found:
-        rho = wit.certificate.rho
+        rho = wit.witness.rho
         assert abs(np.trace(rho).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(rho)[0] >= -1e-8
         assert np.linalg.eigvalsh(partial_transpose(rho, d))[0] >= -1e-8
