@@ -54,6 +54,7 @@ from .matkernel import (
 )
 from .positivity import (
     CERTIFIED,
+    PROVED,
     VIOLATION_FOUND,
     BlockPosVerdict,
     CouplingBound,

@@ -8,6 +8,20 @@ and either its split ``certificate`` with the ``kadison`` margins, its PPT
 ``witness`` (``rho`` and ``value``, as in ``classify``), or a note that a
 search that found neither is not a nondecomposability proof.
 
+``classify`` runs its stages in this order.  The split search
+(``decompose``) runs first.  A split proves positivity, since a decomposable
+map is positive: every unit product vector ``v`` has ``<v, H v> >=
+lower_bound = min_eig_H1 + min_eig_H2_pt - residual``, read off the
+certificate.  When that bound is at least ``-POSITIVITY_TOL``, ``positive``
+reads ``{"status": "proved", "lower_bound": ..., "evidence": "split",
+"witness": null}``, which holds up to the rounding in those three fields; it
+has no ``margin``, and the positivity engine does not run, so ``timings``
+has no ``positivity`` entry.  Otherwise (no split, or a split whose bound is
+below ``-POSITIVITY_TOL``) the engine runs and ``positive`` carries its
+``status`` (``certified`` or ``violation_found``), ``margin`` and
+``witness``.  The CP and coCP checks and the face-form stages follow.
+Without a split, the unrestricted witness search runs last.
+
 Exit codes: 0 success, 1 battery criterion failed, 2 bad parameters,
 3 I/O or parse error (including NaN or infinite entries), 4 solver failure
 after the input loaded (``classify`` and ``decompose``: an eigensolver that
@@ -36,6 +50,7 @@ from .cpdecomp import (
     STATE_TOL,
     STATE_TRACE_TOL,
     WITNESS_TOL,
+    DecompositionCertificate,
     decompose,
     kadison_constraints,
     witness_search,
@@ -51,6 +66,7 @@ from .io import jsonable, load_matrix, matrix_digest, matrix_to_obj, save_matrix
 from .matkernel import PSD_TOL, partial_transpose, psd_check
 from .positivity import (
     POSITIVITY_TOL,
+    PROVED,
     block_positive_choi,
     coupling_bound_check,
     face_structure_report,
@@ -65,7 +81,8 @@ EXIT_SOLVER = 4
 
 #: The constants that decide ``classify``'s flags; ``plateau_relative`` is
 #: scaled by ``max(1, ||H||_F)``, ``feas`` and ``witness`` by
-#: ``min(1, ||H||_F)``, and the others are absolute.
+#: ``min(1, ||H||_F)``, and the others are absolute.  ``positivity`` decides
+#: both the engine's margin and a split's ``lower_bound`` (``proved``).
 TOLERANCES = {
     "positivity": POSITIVITY_TOL,
     "psd": PSD_TOL,
@@ -89,23 +106,44 @@ def _emit(obj: dict, out: str | None) -> None:
         print(text)
 
 
+def _split_lower_bound(cert: DecompositionCertificate) -> float:
+    """A lower bound on ``<v, H v>`` over unit product vectors ``v``, from a split.
+
+    With ``X = H1 + H2 - H`` and ``v = lam (x) eta``,
+    ``<v, H1 v> >= min_eig_H1``, ``<v, H2 v> = <w, PT(H2) w> >= min_eig_H2_pt``
+    for the unit ``w = conj(lam) (x) eta``, and ``|<v, X v>| <= ||X||_2 <=
+    ||X||_F = residual``.  Exact up to the rounding in those three fields.
+    """
+    return float(cert.min_eig_H1 + cert.min_eig_H2_pt - cert.residual)
+
+
 def build_classification(
     choi: ChoiMatrix,
     budget: int = 64,
     max_iters: int = 20000,
     seed: int = 0,
 ) -> dict:
-    """Assemble the full machine-readable classification report."""
+    """Assemble the full machine-readable classification report.
+
+    The split search runs first; see the module docstring for the stages.
+    """
     timings: dict[str, float] = {}
     report: dict = {"shape": {"domain": 2, "codomain": choi.dim}}
 
     t0 = time.perf_counter()
-    pos = block_positive_choi(choi, budget=budget, seed=seed)
-    timings["positivity"] = time.perf_counter() - t0
-    flags: dict = {
-        "positive": {"status": pos.status, "margin": pos.margin,
-                     "witness": jsonable(pos.witness)},
-    }
+    dec = decompose(choi, max_iters=max_iters)
+    timings["decompose"] = time.perf_counter() - t0
+    bound = _split_lower_bound(dec.certificate) if dec.decomposed else -np.inf
+    if bound >= -POSITIVITY_TOL:
+        positive = {"status": PROVED, "lower_bound": bound, "evidence": "split",
+                    "witness": None}
+    else:
+        t0 = time.perf_counter()
+        pos = block_positive_choi(choi, budget=budget, seed=seed)
+        timings["positivity"] = time.perf_counter() - t0
+        positive = {"status": pos.status, "margin": pos.margin,
+                    "witness": jsonable(pos.witness)}
+    flags: dict = {"positive": positive}
 
     t0 = time.perf_counter()
     cp = psd_check(choi.H)
@@ -151,9 +189,6 @@ def build_classification(
         else:
             flags["equality_case"] = None
 
-    t0 = time.perf_counter()
-    dec = decompose(choi, max_iters=max_iters)
-    timings["decompose"] = time.perf_counter() - t0
     if dec.decomposed:
         flags["decomposable"] = "yes"
         report["decomposition"] = {

@@ -24,9 +24,12 @@ any size, 1x1 included, are searched alike.
 the two poles ``phi(E_11)`` and ``phi(E_22)`` included.  A
 violation is returned with a product vector witness that reproduces a
 negative value; "certified" means no violation was found by the search, not
-a proof.  Block-positivity of ``[[P, S], [S*, Q]]`` is the same property,
-equivalent to ``|<eta, S eta>|^2 <= <eta, P eta> <eta, Q eta>`` on the unit
-sphere, and to every admissible combination ``p P + s S + conj(s) S* + q Q``
+a proof.  The search never returns ``PROVED``: that status is a positivity
+proof read off a validated CP + coCP split, since a decomposable map is
+positive (``cli.build_classification``).  Block-positivity of
+``[[P, S], [S*, Q]]`` is the same property, equivalent to
+``|<eta, S eta>|^2 <= <eta, P eta> <eta, Q eta>`` on the unit sphere, and to
+every admissible combination ``p P + s S + conj(s) S* + q Q``
 (``p, q >= 0``, ``|s|^2 <= p q``) being PSD.
 
 Tolerances are constants: ``POSITIVITY_TOL`` decides every margin here (the
@@ -67,6 +70,7 @@ from .matkernel import (
 from .rand import rng_for
 
 CERTIFIED = "certified"
+PROVED = "proved"
 VIOLATION_FOUND = "violation_found"
 
 #: Margins at or above ``-POSITIVITY_TOL`` count as nonnegative.

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from posmap import cli
 from posmap.choi import ChoiMatrix, assemble_blocks
-from posmap.cli import main
+from posmap.cli import build_classification, main
 from posmap.cpdecomp import STATE_TOL, STATE_TRACE_TOL, WITNESS_TOL
 from posmap.exceptions import ParseError
 from posmap.io import (
@@ -17,8 +18,10 @@ from posmap.io import (
     save_matrix,
 )
 from posmap.matkernel import partial_transpose
-from posmap.rand import random_psd, rng_for
+from posmap.positivity import POSITIVITY_TOL, block_positive_choi
+from posmap.rand import random_psd, random_unit_vector, rng_for
 from posmap.tang import TangParams, build_pipeline, tang_choi
+from conftest import product_violation
 
 
 #: Finite doubles, with the edges a text round trip can lose: signed zeros,
@@ -181,7 +184,10 @@ class TestClassifyCommand:
         out = tmp_path / "report.json"
         assert main(["classify", str(src), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["flags"]["positive"]["status"] == "certified"
+        # The diagonal map splits, so classify proves positivity without the
+        # engine; the engine must still take the near-Hermitian blocks.
+        assert report["flags"]["positive"]["status"] == "proved"
+        assert block_positive_choi(ChoiMatrix.from_array(H)).status == "certified"
         assert report["input_digest"] == matrix_digest(H)
 
     def test_reports_deciding_tolerances(self):
@@ -239,6 +245,71 @@ class TestClassifyCommand:
             obj.pop("timings")
             reports.append(json.dumps(obj, sort_keys=True))
         assert reports[0] == reports[1]
+
+
+def decomposable_map(rng, d):
+    H = random_psd(2 * d, rng) + partial_transpose(random_psd(2 * d, rng), d)
+    return H / np.linalg.norm(H)
+
+
+class TestSplitFirstPositivity:
+    """A validated split proves positivity; the engine runs only without one."""
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return block_positive_choi(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "block_positive_choi", spy)
+        return calls
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_split_proves_positivity_without_engine(self, d, rng, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the positivity engine ran")
+
+        monkeypatch.setattr(cli, "block_positive_choi", engine)
+        H = decomposable_map(rng, d)
+        report = build_classification(ChoiMatrix.from_array(H))
+        cert = report["decomposition"]["certificate"]
+        positive = report["flags"]["positive"]
+        bound = cert["min_eig_H1"] + cert["min_eig_H2_pt"] - cert["residual"]
+        assert positive == {"status": "proved", "lower_bound": bound,
+                            "evidence": "split", "witness": None}
+        assert bound >= -POSITIVITY_TOL
+        assert "positivity" not in report["timings"]
+        values = [
+            np.vdot(v, H @ v).real
+            for v in (np.kron(random_unit_vector(2, rng), random_unit_vector(d, rng))
+                      for _ in range(300))
+        ]
+        assert bound <= min(values) + 1e-12
+
+    def test_split_with_negative_bound_runs_engine(self, engine_calls):
+        # Shifted just below the engine's margin, the map has a product value
+        # of at most -3e-9, so no split can bound it above -POSITIVITY_TOL;
+        # this instance still splits within the split tolerance.
+        H0 = decomposable_map(np.random.default_rng(1), 3)
+        margin = block_positive_choi(ChoiMatrix.from_array(H0)).margin
+        H = H0 - (margin + 3e-9) * np.eye(6)
+        report = build_classification(ChoiMatrix.from_array(H))
+        assert report["flags"]["decomposable"] == "yes"
+        cert = report["decomposition"]["certificate"]
+        bound = cert["min_eig_H1"] + cert["min_eig_H2_pt"] - cert["residual"]
+        assert bound < -POSITIVITY_TOL
+        assert len(engine_calls) == 1
+        assert report["flags"]["positive"]["status"] != "proved"
+        assert "margin" in report["flags"]["positive"]
+        assert "positivity" in report["timings"]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_product_violation_never_proved(self, d, rng, engine_calls):
+        report = build_classification(ChoiMatrix.from_array(product_violation(rng, d)))
+        assert len(engine_calls) == 1
+        assert report["flags"]["positive"]["status"] == "violation_found"
 
 
 class TestDecomposeCommand:
