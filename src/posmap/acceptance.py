@@ -186,8 +186,8 @@ def criterion_nondecomposability(max_iters: int = 20000) -> CriterionResult:
     if not dec.found:
         return _result(
             "C4", "nondecomposability certificate", False,
-            f"no witness found (stop: {dec.stop}, best value "
-            f"{dec.best_value:.3e})", started,
+            f"no witness found after {dec.iterations} iterations "
+            f"(stop: {dec.stop})", started,
         )
     rho = dec.witness.rho
     value = float(np.trace(H0.H @ rho).real)

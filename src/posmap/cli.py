@@ -20,7 +20,10 @@ has no ``positivity`` entry.  Otherwise (no split, or a split whose bound is
 below ``-POSITIVITY_TOL``) the engine runs and ``positive`` carries its
 ``status`` (``certified`` or ``violation_found``), ``margin`` and
 ``witness``.  The CP and coCP checks and the face-form stages follow.
-Without a split, the unrestricted witness search runs last.
+Without a split, the unrestricted witness search runs last.  Its witness
+(``rho`` and ``value``) gives ``decomposable: no-witness``; without one,
+``decomposable`` reads ``unknown`` and ``witness`` holds ``found: false``,
+the run's own ``residual``, ``iterations`` and ``stop``, and its ``budget``.
 
 Exit codes: 0 success, 1 battery criterion failed, 2 bad parameters,
 3 I/O or parse error (including NaN or infinite entries), 4 solver failure
@@ -208,7 +211,9 @@ def build_classification(
             flags["decomposable"] = "unknown"
             report["witness"] = {
                 "found": False,
-                "best_value": wit.best_value,
+                "residual": wit.residual,
+                "iterations": wit.iterations,
+                "stop": wit.stop,
                 "budget": {"max_iters": max_iters},
             }
         report["decomposition"] = {
@@ -322,6 +327,14 @@ def _default_seed() -> int:
         return 0
 
 
+def positive_int(text: str) -> int:
+    """An ``argparse`` type: an integer of at least 1 (its name appears in errors)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posmap",
@@ -345,7 +358,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-restarts", type=int, default=16,
                    help="ignored: the witness search no longer restarts; "
                         "accepted so that existing command lines still parse")
-    p.add_argument("--max-iters", type=int, default=20000,
+    p.add_argument("--max-iters", type=positive_int, default=20000,
                    help="iteration cap of the split search, and of the "
                         "witness search when no split is found")
     p.add_argument("--seed", type=int, default=None,
@@ -354,7 +367,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="search for a CP + coCP split")
     p.add_argument("input")
-    p.add_argument("--max-iters", type=int, default=20000)
+    p.add_argument("--max-iters", type=positive_int, default=20000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_decompose)
 
@@ -364,7 +377,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_canonical)
 
     p = sub.add_parser("verify", help="run the built-in verification battery")
-    p.add_argument("--grid", type=int, default=3,
+    p.add_argument("--grid", type=positive_int, default=3,
                    help="parameter grid size (1 = smoke mode)")
     p.add_argument("--seed", type=int, default=None,
                    help="default: POSMAP_SEED, or 0")

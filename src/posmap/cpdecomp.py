@@ -34,10 +34,12 @@ The split and witness tolerances are ``FEAS_TOL`` and ``WITNESS_TOL`` times
 ``min(1, ||H||_F)``: residuals and witness values scale with ``H``, and
 absolute values would let a small enough map split trivially.  A run stops
 with ``"split"`` (``||X||_F`` at most a tenth of the split tolerance),
-``"witness"`` (``rho`` passes the from-scratch state checks and ``Tr(H rho)``
-is below minus the witness tolerance), ``"plateau"`` (on a plain step, whose
+``"witness"`` (``Tr(H rho)`` is below minus the witness tolerance and ``rho``
+passes the from-scratch state checks), ``"plateau"`` (on a plain step, whose
 input is the previous output of ``G``, ``X`` moved at most
 ``PLATEAU_TOL * max(1, ||H||_F)``) or ``"cap"`` (iteration budget spent).
+Every run, face-restricted or not, state-checks only a candidate whose value
+is below minus the witness tolerance, so a check that passes stops the run.
 A run returns one :class:`DecomposeResult`, which holds the split or the
 witness it found.  Every verdict carries re-checkable evidence, and a failed
 search is reported as "not found", never as a proof.  The split tolerance
@@ -281,11 +283,6 @@ class DecomposeResult:
     tolerance; at most one of them is.  ``residual`` is ``||X||_F`` of the
     last output (the certificate's own residual after a split),
     ``iterations`` counts Dykstra cycles and ``stop`` is why the run ended.
-    ``best_value`` is ``Tr(H rho)`` of the best candidate state that passed
-    the from-scratch PPT checks (``inf`` when none did), and ``0.0`` after a
-    split, which proves ``Tr(H rho) >= 0`` over every PPT state.  A
-    face-restricted run checks only candidates that would stop it with a
-    witness, so there ``best_value`` is ``inf`` unless ``witness`` is set.
     """
 
     certificate: DecompositionCertificate | None
@@ -293,7 +290,6 @@ class DecomposeResult:
     residual: float
     iterations: int
     stop: str
-    best_value: float
 
     @property
     def decomposed(self) -> bool:
@@ -312,6 +308,15 @@ def _is_ppt_state(rho: np.ndarray, d: int) -> bool:
         return False
     pt = require_hermitian(partial_transpose(rho, d), tol=STATE_TOL)
     return bool(np.linalg.eigvalsh(pt)[0] >= -STATE_TOL)
+
+
+def _certificate_numbers(choi: ChoiMatrix, H1, H2) -> tuple[float, float, float]:
+    """``||H1 + H2 - H||_F``, ``lambda_min(H1)`` and ``lambda_min(PT(H2))``; both
+    parts must be Hermitian within ``STATE_TOL`` (else :class:`NotHermitianError`)."""
+    residual = frobenius(H1 + H2 - choi.H)
+    m1 = float(np.linalg.eigvalsh(require_hermitian(H1, tol=STATE_TOL))[0])
+    pt = require_hermitian(partial_transpose(H2, choi.dim), tol=STATE_TOL)
+    return residual, m1, float(np.linalg.eigvalsh(pt)[0])
 
 
 def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
@@ -365,9 +370,7 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
     dG = np.empty_like(dF)
     gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
     pushed, last, accepted = 0, None, np.inf
-    best_value, best_rho = np.inf, None
-    # A restricted run state-checks only candidates that would stop it.
-    check_below = -witness_tol if face else np.inf
+    cert = witness = None
     stop, iterations = "cap", 0
     for iterations in range(1, max_iters + 1):
         g = dykstra(u[1])
@@ -380,11 +383,10 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
         if trace > 0.0:
             rho = X / trace
             value = float(np.vdot(H, rho).real)  # Tr(H rho), as H = H*
-            if value < min(best_value, check_below) and _is_ppt_state(rho, d):
-                best_value, best_rho = value, rho
-                if value < -witness_tol:
-                    stop = "witness"
-                    break
+            if value < -witness_tol and _is_ppt_state(rho, d):
+                witness = WitnessCertificate(rho, value)
+                stop = "witness"
+                break
         if plain and frobenius(X - X_in) <= plateau_tol:
             stop = "plateau"
             break
@@ -416,20 +418,11 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
             gamma = np.linalg.solve(gram[:held, :held], dF[:held] @ f)
             u = g - (gamma @ dG[:held]).view(np.complex128).reshape(g.shape)
     residual = frobenius(X)
-    cert = witness = None
-    if stop == "witness":
-        witness = WitnessCertificate(best_rho, best_value)
-    elif residual <= feas_tol:
+    if witness is None and residual <= feas_tol:
         H1, H2 = -P1, -P2
-        cert = DecompositionCertificate(
-            H1=H1,
-            H2=H2,
-            residual=frobenius(H1 + H2 - choi.H),
-            min_eig_H1=lowest_eigenvalue(H1),
-            min_eig_H2_pt=lowest_eigenvalue(partial_transpose(H2, d)),
-        )
-        residual, best_value = cert.residual, 0.0
-    return DecomposeResult(cert, witness, residual, iterations, stop, best_value)
+        cert = DecompositionCertificate(H1, H2, *_certificate_numbers(choi, H1, H2))
+        residual = cert.residual
+    return DecomposeResult(cert, witness, residual, iterations, stop)
 
 
 def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
@@ -453,21 +446,13 @@ def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> No
     Raises :class:`InvalidCertificateError` if the residual or either cone
     membership fails at ``FEAS_TOL`` times ``min(1, ||H||_F)``.
     """
-    H1 = as_matrix(cert.H1)
-    H2 = as_matrix(cert.H2)
     problems = []
     feas_tol = _scaled_tolerances(choi.H)[0]
-    res = frobenius(H1 + H2 - choi.H)
+    res, m1, m2 = _certificate_numbers(choi, as_matrix(cert.H1), as_matrix(cert.H2))
     if res > feas_tol:
         problems.append(f"residual {res:.3e} > {feas_tol:.1e}")
-    m1 = float(np.linalg.eigvalsh(require_hermitian(H1, tol=STATE_TOL))[0])
     if m1 < -feas_tol:
         problems.append(f"H1 min eigenvalue {m1:.3e}")
-    m2 = float(
-        np.linalg.eigvalsh(
-            require_hermitian(partial_transpose(H2, choi.dim), tol=STATE_TOL)
-        )[0]
-    )
     if m2 < -feas_tol:
         problems.append(f"H2 partial-transpose min eigenvalue {m2:.3e}")
     if problems:
@@ -477,8 +462,7 @@ def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> No
 def witness_search(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     """Look for a PPT state ``rho`` with ``Tr(H rho) < -WITNESS_TOL * min(1, ||H||_F)``.
 
-    The same projection as :func:`decompose`, without the face restriction,
-    so ``best_value`` is the best over every candidate state of the run.
+    The same projection as :func:`decompose`, without the face restriction.
     Its result may hold a split instead; ``found=False`` is not a
     decomposability proof.
     """

@@ -340,6 +340,6 @@ def verify_tang(params: TangParams, budget: int = 64, seed: int = 0) -> TangRepo
     checks["not_ccp"] = TangCheck(not ccp.holds, f"min eig {ccp.direct_min_eig:.3e}")
     wit = witness_search(pipe.Hfinal)
     checks["witnessed_nondecomposable"] = TangCheck(
-        wit.found, f"best value {wit.best_value:.3e}"
+        wit.found, f"stop {wit.stop} after {wit.iterations} iterations"
     )
     return TangReport(params, pipe, checks, resolve_y_entry(pipe))

@@ -33,6 +33,15 @@ finite_doubles = st.one_of(
 )
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """Parse CLI output as strict JSON: ``NaN`` and ``Infinity`` are rejected."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def assert_ppt_witness(H, witness):
     """``witness`` is ``{rho, value}`` with rho a PPT state and Tr(H rho) < 0."""
     rho = matrix_from_obj(witness["rho"])
@@ -113,7 +122,7 @@ class TestTangCommand:
         code = main(["tang", "--mu", "0.5", "--eps", "0.01"])
         assert code == 0
         captured = capsys.readouterr()
-        obj = json.loads(captured.out)
+        obj = strict_json(captured.out)
         assert obj["rows"] == 8
         assert "rho=" in captured.err
 
@@ -126,7 +135,7 @@ class TestClassifyCommand:
         code = main(["classify", str(src), "--out", str(out),
                      "--witness-restarts", "6", "--max-iters", "4000"])
         assert code == 0
-        report = json.loads(out.read_text())
+        report = strict_json(out.read_text())
         assert report["flags"]["positive"]["status"] == "certified"
         assert report["flags"]["cp"] is False
         assert report["flags"]["ccp"] is False
@@ -140,7 +149,7 @@ class TestClassifyCommand:
         save_matrix(src, random_psd(6, rng))
         out = tmp_path / "report.json"
         assert main(["classify", str(src), "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
+        report = strict_json(out.read_text())
         assert report["flags"]["cp"] is True
         assert report["flags"]["decomposable"] == "yes"
 
@@ -153,7 +162,7 @@ class TestClassifyCommand:
         out = tmp_path / "report.json"
         assert main(["classify", str(src), "--out", str(out),
                      "--max-iters", "50"]) == 0
-        report = json.loads(out.read_text())
+        report = strict_json(out.read_text())
         assert report["flags"]["decomposable"] == "yes"
         cert = report["decomposition"]["certificate"]
         validate_certificate(ChoiMatrix.from_array(H), DecompositionCertificate(
@@ -169,7 +178,7 @@ class TestClassifyCommand:
         save_matrix(src, assemble_blocks(blocks).H)
         out = tmp_path / "report.json"
         assert main(["classify", str(src), "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
+        report = strict_json(out.read_text())
         assert report["flags"]["equality_case"] is True
         assert "canonical_form" in report
         assert "y" in report["canonical_form"]
@@ -183,7 +192,7 @@ class TestClassifyCommand:
         save_matrix(src, H)
         out = tmp_path / "report.json"
         assert main(["classify", str(src), "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
+        report = strict_json(out.read_text())
         # The diagonal map splits, so classify proves positivity without the
         # engine; the engine must still take the near-Hermitian blocks.
         assert report["flags"]["positive"]["status"] == "proved"
@@ -220,7 +229,7 @@ class TestClassifyCommand:
         out = tmp_path / "report.json"
         main(["classify", str(src), "--out", str(out),
               "--witness-restarts", "4", "--max-iters", "2000"])
-        report = json.loads(out.read_text())
+        report = strict_json(out.read_text())
         assert report["input_digest"] == matrix_digest(load_matrix(src))
 
     def test_raw_tang_reports_its_witness(self, tmp_path):
@@ -229,7 +238,7 @@ class TestClassifyCommand:
         save_matrix(src, H)
         out = tmp_path / "report.json"
         assert main(["classify", str(src), "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
+        report = strict_json(out.read_text())
         assert report["flags"]["decomposable"] == "no-witness"
         assert_ppt_witness(H, report["witness"])
 
@@ -241,10 +250,39 @@ class TestClassifyCommand:
             out = tmp_path / f"r{k}.json"
             main(["classify", str(src), "--out", str(out), "--seed", "7",
                   "--witness-restarts", "4", "--max-iters", "2000"])
-            obj = json.loads(out.read_text())
+            obj = strict_json(out.read_text())
             obj.pop("timings")
             reports.append(json.dumps(obj, sort_keys=True))
         assert reports[0] == reports[1]
+
+    def test_unknown_report_is_strict_json(self, tmp_path):
+        # No candidate of this short run is state-checked; the report once
+        # printed ``"best_value": Infinity``.
+        rng = np.random.default_rng(29)
+        G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        src = tmp_path / "h.json"
+        save_matrix(src, G + G.conj().T)
+        out = tmp_path / "report.json"
+        assert main(["classify", str(src), "--out", str(out),
+                     "--max-iters", "5"]) == 0
+        report = strict_json(out.read_text())
+        assert report["flags"]["decomposable"] == "unknown"
+        assert report["witness"]["stop"] == "cap"
+        assert report["witness"]["iterations"] == 5
+
+    def test_unknown_report_carries_the_witness_run(self, tmp_path):
+        src = tmp_path / "map.json"
+        save_matrix(src, build_pipeline(TangParams(0.9, 0.12)).Hfinal.H)
+        out = tmp_path / "report.json"
+        assert main(["classify", str(src), "--out", str(out),
+                     "--max-iters", "2"]) == 0
+        report = strict_json(out.read_text())
+        assert report["flags"]["decomposable"] == "unknown"
+        witness = report["witness"]
+        assert witness == {"found": False, "residual": witness["residual"],
+                           "iterations": 2, "stop": "cap",
+                           "budget": {"max_iters": 2}}
+        assert 0.0 < witness["residual"] < np.inf
 
 
 def decomposable_map(rng, d):
@@ -319,7 +357,7 @@ class TestDecomposeCommand:
         save_matrix(src, H)
         out = tmp_path / "cert.json"
         assert main(["decompose", str(src), "--out", str(out)]) == 0
-        obj = json.loads(out.read_text())
+        obj = strict_json(out.read_text())
         assert obj["decomposed"] is True
         assert obj["residual"] <= 1e-7
         H1 = matrix_from_obj(obj["certificate"]["H1"])
@@ -332,7 +370,7 @@ class TestDecomposeCommand:
         save_matrix(src, H)
         out = tmp_path / "run.json"
         assert main(["decompose", str(src), "--out", str(out)]) == 0
-        obj = json.loads(out.read_text())
+        obj = strict_json(out.read_text())
         assert obj["decomposed"] is False and obj["stop"] == "witness"
         assert "note" not in obj and "certificate" not in obj
         assert_ppt_witness(H, obj["witness"])
@@ -343,7 +381,7 @@ class TestDecomposeCommand:
         out = tmp_path / "run.json"
         assert main(["decompose", str(src), "--out", str(out),
                      "--max-iters", "2"]) == 0
-        obj = json.loads(out.read_text())
+        obj = strict_json(out.read_text())
         assert obj["stop"] == "cap"
         assert "witness" not in obj and "certificate" not in obj
         assert "not a nondecomposability proof" in obj["note"]
@@ -377,6 +415,35 @@ class TestParser:
         assert cli.make_parser().parse_args(["classify", "x"]).max_iters == 20000
 
 
+class TestDegenerateSizes:
+    """Iteration caps and grid sizes below 1 are rejected by the parser."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--max-iters", "0"],
+        ["classify", "--max-iters", "-3"],
+        ["decompose", "--max-iters", "0"],
+        ["decompose", "--max-iters", "-1"],
+    ])
+    def test_max_iters_below_one_exit_2(self, argv, tmp_path, capsys):
+        src = tmp_path / "h.json"
+        save_matrix(src, random_psd(4, rng_for(0, "cli-sizes")))
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(src), *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-iters: must be at least 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_grid_below_one_exit_2(self, grid, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--grid", grid])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--grid: must be at least 1" in captured.err
+        assert captured.out == ""
+
+
 class TestCanonicalCommand:
     def test_writes_canonical_form(self, tmp_path):
         from posmap.extremal import random_equality_blocks, scramble_blocks
@@ -388,7 +455,7 @@ class TestCanonicalCommand:
         save_matrix(src, assemble_blocks(scrambled).H)
         out = tmp_path / "canon.json"
         assert main(["canonical", str(src), "--out", str(out)]) == 0
-        obj = json.loads(out.read_text())
+        obj = strict_json(out.read_text())
         y = complex(*obj["y"])
         assert abs(abs(y) - abs(truth["y"])) < 1e-8
 

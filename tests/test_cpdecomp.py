@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from posmap import cpdecomp
 from posmap.choi import ChoiBlocks, ChoiMatrix, assemble_blocks, extract_blocks
 from posmap.cpdecomp import (
     ccp_check,
@@ -12,6 +13,7 @@ from posmap.cpdecomp import (
     kadison_constraints,
     ppt_project,
     validate_certificate,
+    WITNESS_TOL,
     witness_search,
 )
 from posmap.exceptions import InvalidCertificateError
@@ -278,13 +280,13 @@ class TestWitnessSearch:
         H = ChoiMatrix.from_array(random_psd(6, rng))
         out = witness_search(H)
         assert not out.found
-        assert out.best_value >= -1e-8
+        assert out.decomposed and out.stop == "split"
 
     def test_pt_psd_input_finds_nothing(self, rng):
         H = ChoiMatrix.from_array(partial_transpose(random_psd(6, rng), 3))
         out = witness_search(H)
         assert not out.found
-        assert out.best_value >= -1e-8
+        assert out.decomposed and out.stop == "split"
 
     def test_tang_witnessed(self, tang_raw):
         out = witness_search(tang_raw)
@@ -305,6 +307,38 @@ class TestWitnessSearch:
         wit = witness_search(H)
         dec = decompose(H)
         assert not (wit.found and dec.decomposed)
+
+
+class TestStateChecks:
+    """A run state-checks a candidate only when it would stop the run."""
+
+    @pytest.fixture
+    def checked_states(self, monkeypatch):
+        """Every candidate state handed to the state check, in order."""
+        states = []
+        check = cpdecomp._is_ppt_state
+
+        def spy(rho, d):
+            states.append(rho)
+            return check(rho, d)
+
+        monkeypatch.setattr(cpdecomp, "_is_ppt_state", spy)
+        return states
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_split_run_checks_no_state(self, d, rng, checked_states):
+        out = decompose(random_decomposable(rng, d))
+        assert out.decomposed and out.stop == "split"
+        assert checked_states == []
+
+    def test_raw_tang_checks_only_stopping_candidates(self, tang_raw,
+                                                      checked_states):
+        out = witness_search(tang_raw)
+        assert out.found and out.stop == "witness" and out.iterations == 51
+        assert out.witness.value == pytest.approx(-7.46e-4, abs=5e-7)
+        values = [float(np.vdot(tang_raw.H, rho).real) for rho in checked_states]
+        assert values and all(v < -WITNESS_TOL for v in values)
+        assert values[-1] == out.witness.value
 
 
 class TestKadison:
