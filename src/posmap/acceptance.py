@@ -124,7 +124,7 @@ def criterion_choi_reproduction() -> CriterionResult:
     )
 
 
-def criterion_pipeline(grid_k: int = 5) -> CriterionResult:
+def criterion_pipeline(grid_k: int) -> CriterionResult:
     """C2: normalization residuals across the parameter grid, under 1 s."""
     started = time.perf_counter()
     bounds = {
@@ -147,7 +147,7 @@ def criterion_pipeline(grid_k: int = 5) -> CriterionResult:
     return _result("C2", "normalization pipeline", not failures, detail, started)
 
 
-def criterion_positivity(grid_k: int = 5, seed: int = 0) -> CriterionResult:
+def criterion_positivity(grid_k: int, seed: int) -> CriterionResult:
     """C3: positivity certified on the grid; neither CP nor coCP."""
     started = time.perf_counter()
     worst_margin = np.inf
@@ -178,7 +178,7 @@ def criterion_positivity(grid_k: int = 5, seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_nondecomposability(max_iters: int = 20000) -> CriterionResult:
+def criterion_nondecomposability(max_iters: int) -> CriterionResult:
     """C4: PPT witness and a failed split, from one run on the reference point."""
     started = time.perf_counter()
     H0 = tang_choi(TangParams(0.9, 0.12))
@@ -211,7 +211,7 @@ def criterion_nondecomposability(max_iters: int = 20000) -> CriterionResult:
     )
 
 
-def criterion_strictness(grid_k: int = 5) -> CriterionResult:
+def criterion_strictness(grid_k: int) -> CriterionResult:
     """C5: the coupling bound is strict everywhere on the grid."""
     started = time.perf_counter()
     worst = np.inf
@@ -228,7 +228,7 @@ def criterion_strictness(grid_k: int = 5) -> CriterionResult:
                    f"smallest margin {worst:.3e}", started)
 
 
-def criterion_row_calculus(trials: int = 200, seed: int = 0) -> CriterionResult:
+def criterion_row_calculus(trials: int, seed: int) -> CriterionResult:
     """C6: the row-vector absolute-value identities over random trials."""
     started = time.perf_counter()
     rng = rng_for(seed, "criterion-row-calculus")
@@ -272,9 +272,7 @@ def _violating_triple(n, rng):
     return P, S, Q
 
 
-def criterion_blockpos_equivalence(
-    certified: int = 50, combos: int = 100, seed: int = 0
-) -> CriterionResult:
+def criterion_blockpos_equivalence(certified: int, combos: int, seed: int) -> CriterionResult:
     """C7: the scalar-combination form of block-positivity, both directions."""
     started = time.perf_counter()
     rng = rng_for(seed, "criterion-blockpos")
@@ -362,7 +360,7 @@ def _random_face_blocks(n, rng, kind):
     return ChoiBlocks(a=a, x=0j, C=C, Y=zero, Z=row, B=B, T=mid.conj().T, U=U)
 
 
-def criterion_cp_crossvalidation(trials: int = 100, seed: int = 0) -> CriterionResult:
+def criterion_cp_crossvalidation(trials: int, seed: int) -> CriterionResult:
     """C8: structural CP/coCP tests agree with the direct spectral tests."""
     started = time.perf_counter()
     rng = rng_for(seed, "criterion-cp-crossval")
@@ -386,9 +384,7 @@ def criterion_cp_crossvalidation(trials: int = 100, seed: int = 0) -> CriterionR
     )
 
 
-def criterion_decomposition_roundtrip(
-    instances: int = 50, seed: int = 0
-) -> CriterionResult:
+def criterion_decomposition_roundtrip(instances: int, seed: int) -> CriterionResult:
     """C9: random PSD + PT-PSD inputs are split back with valid constraints."""
     started = time.perf_counter()
     rng = rng_for(seed, "criterion-decompose")
@@ -407,14 +403,12 @@ def criterion_decomposition_roundtrip(
             )
         worst_res = max(worst_res, out.residual)
         report = kadison_constraints(H, out.certificate)
-        margins = list(report.entry_margins.values()) + list(
-            report.block_margins.values()
-        )
-        worst_margin = min(worst_margin, min(margins))
+        margin = min(report.entry_margins.values())
+        worst_margin = min(worst_margin, margin)
         if not report.all_pass():
             return _result(
                 "C9", "decomposable round trip", False,
-                f"instance {k} has constraint margin {min(margins):.3e}", started,
+                f"instance {k} has constraint margin {margin:.3e}", started,
             )
     return _result(
         "C9", "decomposable round trip", True,
@@ -437,9 +431,7 @@ def _degenerate_fixture(n, rng, kind):
                       B=eye - gram, T=np.zeros((n, n), np.complex128), U=gram)
 
 
-def criterion_equality_suite(
-    fixtures: int = 100, compressions: int = 20, seed: int = 0
-) -> CriterionResult:
+def criterion_equality_suite(fixtures: int, compressions: int, seed: int) -> CriterionResult:
     """C10: the saturated-bound structure theory on scrambled fixtures."""
     started = time.perf_counter()
     rng = rng_for(seed, "criterion-equality")
@@ -515,16 +507,20 @@ def criterion_coupling_entry() -> CriterionResult:
     )
 
 
-def run_battery(grid_k: int = 3, seed: int = 0, smoke: bool = False) -> list[CriterionResult]:
-    """Run every criterion; ``smoke`` shrinks the stochastic batteries."""
-    if smoke:
+def run_battery(grid_k: int, seed: int) -> list[CriterionResult]:
+    """Run every criterion on the ``grid_k x grid_k`` parameter grid.
+
+    ``grid_k = 1`` is smoke mode: one parameter point and smaller stochastic
+    batteries.
+    """
+    if grid_k <= 1:
         sizes = dict(c6=50, c7=(10, 20), c8=24, c9=8, c10=(12, 5), iters=4000)
     else:
         sizes = dict(c6=200, c7=(50, 100), c8=100, c9=50, c10=(100, 20),
                      iters=20000)
     results = [
         criterion_choi_reproduction(),
-        criterion_pipeline(grid_k=max(grid_k, 2) if grid_k > 1 else 1),
+        criterion_pipeline(grid_k=grid_k),
         criterion_positivity(grid_k=grid_k, seed=seed),
         criterion_nondecomposability(max_iters=sizes["iters"]),
         criterion_strictness(grid_k=grid_k),

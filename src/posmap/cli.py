@@ -309,7 +309,7 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_battery(grid_k=args.grid, seed=args.seed, smoke=args.grid <= 1)
+    results = run_battery(grid_k=args.grid, seed=args.seed)
     failures = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -327,12 +327,21 @@ def _default_seed() -> int:
         return 0
 
 
+def _int_at_least(low: int, text: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """An ``argparse`` type: an integer of at least 1 (its name appears in errors)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_at_least(1, text)
+
+
+def nonnegative_int(text: str) -> int:
+    """An ``argparse`` type: an integer of at least 0 (its name appears in errors)."""
+    return _int_at_least(0, text)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -352,7 +361,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="full classification report for a Choi matrix")
     p.add_argument("input")
     p.add_argument("--out", default=None)
-    p.add_argument("--budget", type=int, default=64,
+    p.add_argument("--budget", type=nonnegative_int, default=64,
                    help="seeded random points added to the fixed Bloch-sphere "
                         "scan of the positivity search")
     p.add_argument("--witness-restarts", type=int, default=16,

@@ -62,7 +62,6 @@ from .choi import (
     ChoiBlocks,
     ChoiMatrix,
     assemble_blocks,
-    extract_blocks,
     face_form_offenders,
 )
 from .exceptions import InvalidCertificateError
@@ -105,13 +104,15 @@ def _scaled_tolerances(H) -> tuple[float, float]:
 class CpVerdict:
     """Outcome of a complete (co)positivity test.
 
-    The structural route (vanishing off-diagonal row plus PSD condensed
-    matrix) decides the verdict; the direct spectral test of the full Choi
-    matrix (partially transposed for the copositive variant) is recorded
-    alongside for cross-validation.  ``factor`` is a PSD square root of the
-    condensed matrix when the verdict is positive; ``witness`` is a violating
-    unit vector of the condensed matrix otherwise (``None`` when the failure
-    is the nonzero row itself, whose norm is ``row_norm``).
+    The structural route (vanishing row ``d`` plus PSD condensed matrix)
+    decides the verdict; the direct spectral test of the full Choi matrix
+    (partially transposed for the copositive variant) is recorded alongside
+    for cross-validation.  ``row_norm`` is the norm of row ``d`` of that
+    matrix, the coupling row with ``x`` (``(x~, Z)``, or ``(x, Y)`` for the
+    copositive variant).  ``factor`` is a PSD square root of the condensed
+    matrix when the verdict is positive; ``witness`` is a violating unit
+    vector of the condensed matrix otherwise (``None`` when the failure is
+    the nonzero row itself).
     """
 
     holds: bool
@@ -122,44 +123,38 @@ class CpVerdict:
     witness: np.ndarray | None = None
 
 
-def _row_and_mid(blocks: ChoiBlocks, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """Coupling row and middle block of the ``"cp"`` or ``"ccp"`` condensed matrix."""
+def _variant_matrix(blocks: ChoiBlocks, variant: str) -> tuple[np.ndarray, int]:
+    """``H`` (``"cp"``) or ``PT(H)`` (``"ccp"``) of the blocks, and ``d = n + 1``."""
+    H = assemble_blocks(blocks)
     if variant == "cp":
-        return blocks.Y, blocks.T
+        return H.H, H.dim
     if variant == "ccp":
-        return blocks.Z, blocks.T.conj().T
+        return partial_transpose(H.H, H.dim), H.dim
     raise ValueError(f"variant must be 'cp' or 'ccp', got {variant!r}")
+
+
+def _delete_index(M: np.ndarray, d: int) -> np.ndarray:
+    return np.delete(np.delete(M, d, axis=0), d, axis=1)
 
 
 def condensed_matrix(blocks: ChoiBlocks, variant: str) -> np.ndarray:
     """The (2n+1)-square matrix whose positivity characterizes CP or coCP.
 
-    ``variant="cp"`` builds ``[[a, C, Y], [C*, B, T], [Y*, T*, U]]``;
-    ``variant="ccp"`` swaps ``Y -> Z`` and ``T -> T*``.
+    It is ``H`` (``variant="cp"``) or ``PT(H)`` (``variant="ccp"``) with row
+    and column ``d = n + 1`` deleted: ``[[a, C, Y], [C*, B, T], [Y*, T*, U]]``,
+    and for ``"ccp"`` the same with ``Y -> Z`` and ``T -> T*``.  In face form
+    ``H[d, d] = 0``, so the deleted row holds only ``x`` and the coupling
+    row (``Z``, or ``Y`` after the partial transpose).
     """
-    n = blocks.n
-    row, mid = _row_and_mid(blocks, variant)
-    K = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.complex128)
-    K[0, 0] = blocks.a
-    K[0, 1 : n + 1] = blocks.C
-    K[1 : n + 1, 0] = blocks.C.conj()
-    K[0, n + 1 :] = row
-    K[n + 1 :, 0] = row.conj()
-    K[1 : n + 1, 1 : n + 1] = blocks.B
-    K[1 : n + 1, n + 1 :] = mid
-    K[n + 1 :, 1 : n + 1] = mid.conj().T
-    K[n + 1 :, n + 1 :] = blocks.U
-    return K
+    return _delete_index(*_variant_matrix(blocks, variant))
 
 
 def _cp_like_check(blocks: ChoiBlocks, variant: str) -> CpVerdict:
-    row = blocks.Z if variant == "cp" else blocks.Y
-    row_norm = float(np.linalg.norm(row))
-    K = condensed_matrix(blocks, variant)
+    M, d = _variant_matrix(blocks, variant)
+    row_norm = float(np.linalg.norm(M[d]))
+    K = _delete_index(M, d)
     kv = psd_check(K)
-    H = assemble_blocks(blocks)
-    direct = H.H if variant == "cp" else partial_transpose(H.H, H.dim)
-    dv = psd_check(direct)
+    dv = psd_check(M)
     holds = row_norm <= STRUCT_TOL and kv.is_psd
     factor = psd_sqrt(psd_project(K)) if holds else None
     witness = None if kv.is_psd else kv.witness
@@ -174,7 +169,7 @@ def _cp_like_check(blocks: ChoiBlocks, variant: str) -> CpVerdict:
 
 
 def cp_check(blocks: ChoiBlocks) -> CpVerdict:
-    """Complete positivity: Z = 0 and the condensed matrix PSD.
+    """Complete positivity: x = 0, Z = 0 and the condensed matrix PSD.
 
     Equivalently the full Choi matrix is PSD; both routes are computed and
     reported (the structural route decides, the spectral route cross-checks).
@@ -183,7 +178,7 @@ def cp_check(blocks: ChoiBlocks) -> CpVerdict:
 
 
 def ccp_check(blocks: ChoiBlocks) -> CpVerdict:
-    """Complete copositivity: Y = 0 and the mirrored condensed matrix PSD.
+    """Complete copositivity: x = 0, Y = 0 and the mirrored condensed matrix PSD.
 
     Cross-validated against the PSD test of the partially transposed Choi
     matrix.
@@ -215,8 +210,13 @@ class CondensedRelations:
 
 
 def condensed_psd_relations(blocks: ChoiBlocks, variant: str = "cp") -> CondensedRelations:
-    """Margins of the block inequalities implied by complete (co)positivity."""
-    row, mid = _row_and_mid(blocks, variant)
+    """Margins of the block inequalities implied by complete (co)positivity.
+
+    The coupling row and middle block are read off :func:`condensed_matrix`.
+    """
+    n = blocks.n
+    K = condensed_matrix(blocks, variant)
+    row, mid = K[0, n + 1 :], K[1 : n + 1, n + 1 :]
     singular = lowest_eigenvalue(blocks.B) <= RANK_TOL
     t_margin = None
     if not singular:
@@ -505,19 +505,15 @@ class KadisonReport:
     """Margins of the Schwarz-type constraints a genuine split must satisfy.
 
     ``entry_margins[(i, j)]`` is the minimum eigenvalue of
-    ``||phi(I)|| (phi1(E_jj) + phi2(E_ii)) - phi(E_ij)* phi(E_ij)``;
-    ``block_margins`` repeats the two off-diagonal constraints assembled from
-    the named face-form blocks (present only for face-form inputs).
+    ``||phi(I)|| (phi1(E_jj) + phi2(E_ii)) - phi(E_ij)* phi(E_ij)``.
     """
 
     norm_phi_identity: float
     entry_margins: dict[tuple[int, int], float]
-    block_margins: dict[str, float]
 
     def all_pass(self) -> bool:
         """Every margin is at least ``-FEAS_TOL``, the certificate's error."""
-        vals = list(self.entry_margins.values()) + list(self.block_margins.values())
-        return all(v >= -FEAS_TOL for v in vals)
+        return all(v >= -FEAS_TOL for v in self.entry_margins.values())
 
 
 def _positional_blocks(M: np.ndarray, d: int):
@@ -535,9 +531,12 @@ def kadison_constraints(choi: ChoiMatrix, cert: DecompositionCertificate) -> Kad
     on failure).  For every pair ``(i, j)`` the Schwarz inequality for the
     split map bounds ``phi(E_ij)* phi(E_ij)`` by
     ``||phi(I)|| (phi1(E_jj) + phi2(E_ii))``; margins must be nonnegative up
-    to the certificate's feasibility error.  For face-form inputs the two
-    off-diagonal constraints are additionally assembled from the named blocks
-    ``(Y, Z, T, ...)`` of ``H`` and of the certificate parts.
+    to the certificate's feasibility error.  For face-form inputs these are
+    also the constraints written in the named blocks ``(Y, Z, T, ...)``:
+    ``H1[d, d] + H2[d, d] = H[d, d] = 0`` with both terms nonnegative, so row
+    ``d`` of ``H1`` and of ``PT(H2)`` vanishes; the named-block form of the
+    ``(1, 2)`` and ``(2, 1)`` constraints is their entry form with that row
+    set to zero.
     """
     validate_certificate(choi, cert)
     d = choi.dim
@@ -552,39 +551,4 @@ def kadison_constraints(choi: ChoiMatrix, cert: DecompositionCertificate) -> Kad
             L = H[(i, j)].conj().T @ H[(i, j)]
             R = norm * (H1[(j, j)] + H2[(i, i)])
             entry[(i, j)] = lowest_eigenvalue(R - L)
-
-    block = {}
-    if not face_form_offenders(choi):
-        blocks = extract_blocks(choi)
-        n = blocks.n
-        Y, Z, T = blocks.Y, blocks.Z, blocks.T
-        a1 = float(H1[(1, 1)][0, 0].real)
-        C1 = H1[(1, 1)][0, 1:]
-        B1 = H1[(1, 1)][1:, 1:]
-        U1 = H1[(2, 2)][1:, 1:]
-        a2 = float(H2[(1, 1)][0, 0].real)
-        C2 = H2[(1, 1)][0, 1:]
-        B2 = H2[(1, 1)][1:, 1:]
-        U2 = H2[(2, 2)][1:, 1:]
-
-        def bordered(scalar, row, mat):
-            M = np.zeros((n + 1, n + 1), dtype=np.complex128)
-            M[0, 0] = scalar
-            M[0, 1:] = row
-            M[1:, 0] = np.conj(row)
-            M[1:, 1:] = mat
-            return M
-
-        lhs12 = bordered(
-            np.linalg.norm(Z) ** 2, Z @ T, np.outer(Y.conj(), Y) + T.conj().T @ T
-        )
-        rhs12 = norm * bordered(a2, C2, B2 + U1)
-        lhs21 = bordered(
-            np.linalg.norm(Y) ** 2,
-            Y @ T.conj().T,
-            np.outer(Z.conj(), Z) + T @ T.conj().T,
-        )
-        rhs21 = norm * bordered(a1, C1, B1 + U2)
-        block["offdiag_12"] = lowest_eigenvalue(rhs12 - lhs12)
-        block["offdiag_21"] = lowest_eigenvalue(rhs21 - lhs21)
-    return KadisonReport(norm, entry, block)
+    return KadisonReport(norm, entry)

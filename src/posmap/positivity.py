@@ -169,38 +169,40 @@ class BlockPosWitness:
 
     ``lam`` and ``eta`` give the product vector ``kron(lam, eta)``, whose
     quadratic form ``sum conj(lam_i) lam_j <eta, A_ij eta>`` against the
-    Choi matrix is negative.  ``value`` is the determinant-form value
-    ``<e,Pe><e,Qe> - |<e,Se>|^2`` at ``eta`` (the smallest eigenvalue of the
-    block, for a non-PSD diagonal block).
+    Choi matrix reproduces the verdict's negative ``margin``.
     """
 
     eta: np.ndarray
     lam: tuple[complex, complex]
-    value: float
 
 
 @dataclass(frozen=True)
 class BlockPosVerdict:
     """Outcome of a block-positivity search.
 
-    ``poles`` holds ``lambda_min(P)`` and then ``lambda_min(Q)``, the values
-    at the Bloch sphere's poles; it stops at the first non-PSD block.
+    ``poles`` is always ``(lambda_min(P), lambda_min(Q))``, the values at
+    the Bloch sphere's poles, and ``margin`` is at most both.
     """
 
     status: str
     margin: float
-    witness: BlockPosWitness | None = None
-    poles: tuple[float, ...] = ()
+    witness: BlockPosWitness | None
+    poles: tuple[float, float]
+
+
+#: ``lam`` of the product vectors at the poles ``phi(E_11)`` and ``phi(E_22)``.
+_POLE_LAMS = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
 
 
 def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerdict:
     """Search for a violation of block-positivity of ``[[P, S], [S*, Q]]``.
 
-    ``P`` and ``Q``, the images of the Bloch sphere's poles, are PSD-checked
-    first, in that order.  A non-PSD one is a violation, returned at once
-    (no exception) with ``lam = (1, 0)`` or ``(0, 1)``, the block's lowest
-    eigenvector as ``eta``, and ``poles`` ending at that block.  Otherwise
-    the positivity engine scans the fixed point set plus ``budget`` random
+    ``P`` and ``Q``, the images of the Bloch sphere's poles, are both
+    PSD-checked first.  When the lower of the two is not PSD, that is the
+    violation, returned at once (no exception) with ``margin`` its smallest
+    eigenvalue, ``lam = (1, 0)`` for ``P`` or ``(0, 1)`` for ``Q`` (``P``
+    on a tie) and the block's lowest eigenvector as ``eta``.  Otherwise the
+    positivity engine scans the fixed point set plus ``budget`` random
     points drawn from ``seed`` and refines the lowest by its alternating
     step, which never raises ``lambda_min`` and stops once no start improves
     (at most ``REFINE_STEPS`` steps).  ``margin`` is the smallest
@@ -215,25 +217,20 @@ def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerd
     n = Pm.shape[0]
     if Sm.shape != (n, n) or Qm.shape != (n, n):
         raise DimensionMismatchError("P, S, Q must share one square shape")
-    poles: tuple[float, ...] = ()
-    for M, lam in ((Pm, (1.0 + 0j, 0j)), (Qm, (0j, 1.0 + 0j))):
-        v = psd_check(M)
-        poles += (v.min_eigenvalue,)
-        if not v.is_psd:
-            witness = BlockPosWitness(eta=v.witness, lam=lam, value=v.min_eigenvalue)
-            return BlockPosVerdict(VIOLATION_FOUND, v.min_eigenvalue, witness, poles)
+    checks = (psd_check(Pm), psd_check(Qm))
+    poles = tuple(v.min_eigenvalue for v in checks)
+    low = int(poles[1] < poles[0])
+    if not checks[low].is_psd:
+        witness = BlockPosWitness(eta=checks[low].witness, lam=_POLE_LAMS[low])
+        return BlockPosVerdict(VIOLATION_FOUND, poles[low], witness, poles)
 
     found, xi, eta = _bloch_min(Pm, Sm, Qm, budget, seed)
     # The poles are points of the sphere too; a face-form map's zero sits at one.
     margin = min(found, *poles)
     if margin >= -POSITIVITY_TOL:
         return BlockPosVerdict(CERTIFIED, margin, None, poles)
-    p = float(np.real(np.vdot(eta, Pm @ eta)))
-    q = float(np.real(np.vdot(eta, Qm @ eta)))
-    s = complex(np.vdot(eta, Sm @ eta))
     lam = (complex(np.conj(xi[0])), complex(np.conj(xi[1])))
-    witness = BlockPosWitness(eta=eta, lam=lam, value=p * q - abs(s) ** 2)
-    return BlockPosVerdict(VIOLATION_FOUND, margin, witness, poles)
+    return BlockPosVerdict(VIOLATION_FOUND, margin, BlockPosWitness(eta, lam), poles)
 
 
 def admissible_combination(P, S, Q, p: float, q: float, s: complex) -> np.ndarray:
@@ -256,8 +253,9 @@ def block_positive_choi(choi: ChoiMatrix, budget: int = 64, seed: int = 0) -> Bl
     Delegates to :func:`block_positive_2x2` on the blocks
     ``(phi(E_11), phi(E_12), phi(E_22))``, with ``budget`` and ``seed`` as
     there.  A non-PSD diagonal block is an immediate violation (the map is
-    already negative at a pole, ``lam = (1, 0)`` or ``(0, 1)``); the blocks
-    are PSD-checked once, inside :func:`block_positive_2x2`.
+    already negative at a pole), reported at the lower pole, ``lam = (1, 0)``
+    or ``(0, 1)``; the blocks are PSD-checked once, inside
+    :func:`block_positive_2x2`.
     """
     return block_positive_2x2(
         choi.block(1, 1), choi.block(1, 2), choi.block(2, 2), budget=budget, seed=seed
@@ -302,11 +300,7 @@ def face_structure_report(
     a = blocks.a
     rel["a_nonnegative"] = RelationCheck(a >= -POSITIVITY_TOL, float(a))
     verdict = block_positive_2x2(blocks.B, blocks.T, blocks.U, budget=budget, seed=seed)
-    # block_positive_2x2 PSD-checks B and then U, and stops at the first
-    # failure; only the blocks it left unchecked are checked here.
-    unchecked = (blocks.B, blocks.U)[len(verdict.poles):]
-    poles = verdict.poles + tuple(psd_check(M).min_eigenvalue for M in unchecked)
-    rel["B_psd"], rel["U_psd"] = (RelationCheck(m >= -PSD_TOL, m) for m in poles)
+    rel["B_psd"], rel["U_psd"] = (RelationCheck(m >= -PSD_TOL, m) for m in verdict.poles)
     c_norm = float(np.linalg.norm(blocks.C))
     if a <= POSITIVITY_TOL:
         rel["C_zero_when_a_zero"] = RelationCheck(c_norm <= POSITIVITY_TOL, -c_norm)

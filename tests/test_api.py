@@ -16,7 +16,7 @@ ALLOWED = {("matkernel.py", "require_hermitian", "tol")}
 
 #: Parameters with defaults in ``src/posmap/*.py``, methods and the two
 #: exception constructors included.
-MAX_DEFAULTED = 41
+MAX_DEFAULTED = 21
 
 
 def functions():

@@ -416,7 +416,8 @@ class TestParser:
 
 
 class TestDegenerateSizes:
-    """Iteration caps and grid sizes below 1 are rejected by the parser."""
+    """Iteration caps and grid sizes below 1, and negative point budgets, are
+    rejected by the parser."""
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--max-iters", "0"],
@@ -442,6 +443,18 @@ class TestDegenerateSizes:
         captured = capsys.readouterr()
         assert "--grid: must be at least 1" in captured.err
         assert captured.out == ""
+
+    def test_negative_budget_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "h.json"
+        save_matrix(src, random_psd(4, rng_for(0, "cli-sizes")))
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(src), "--budget", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--budget: must be at least 0" in err
+        assert "Traceback" not in err
+        # A budget of 0 adds no random points to the fixed scan, and stays valid.
+        assert main(["classify", str(src), "--budget", "0"]) == 0
 
 
 class TestCanonicalCommand:

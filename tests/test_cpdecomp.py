@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from posmap.cpdecomp import (
     witness_search,
 )
 from posmap.exceptions import InvalidCertificateError
-from posmap.matkernel import frobenius, partial_transpose, psd_check
+from posmap.matkernel import PSD_TOL, frobenius, partial_transpose, psd_check
 from posmap.rand import random_psd
 from posmap.tang import TangParams, build_pipeline, tang_choi
 from conftest import product_violation, random_complex
@@ -40,6 +42,17 @@ def mirror_blocks(blocks):
         a=blocks.a, x=blocks.x, C=blocks.C, Y=blocks.Z, Z=blocks.Y,
         B=blocks.B, T=blocks.T.conj().T, U=blocks.U,
     )
+
+
+def condensed_layout(blocks, variant):
+    """``[[a, C, Y], [C*, B, T], [Y*, T*, U]]``, or for ``"ccp"`` the same
+    with ``Y -> Z`` and ``T -> T*``, written out from the named blocks."""
+    row, mid = (blocks.Y, blocks.T) if variant == "cp" else (blocks.Z, blocks.T.conj().T)
+    return np.block([
+        [np.array([[blocks.a]]), blocks.C[None, :], row[None, :]],
+        [blocks.C.conj()[:, None], blocks.B, mid],
+        [row.conj()[:, None], mid.conj().T, blocks.U],
+    ])
 
 
 def random_decomposable(rng, d):
@@ -88,15 +101,35 @@ class TestCpCheck:
         assert v.direct_min_eig < -1e-3
 
     def test_nonzero_z_fails_regardless(self):
+        # A nonzero Z, or x, fails CP however PSD the condensed matrix is,
+        # and the mirrored blocks fail coCP; the direct test agrees.
         blocks = cp_shaped_blocks()
-        bad = ChoiBlocks(
-            a=blocks.a, x=blocks.x, C=blocks.C, Y=blocks.Y,
-            Z=np.array([0.5, 0.0], dtype=complex), B=blocks.B, T=blocks.T,
-            U=blocks.U,
-        )
-        v = cp_check(bad)
-        assert not v.holds
-        assert v.row_norm > 0.4
+        for offending, row_norm in (
+            ({"Z": np.array([0.5, 0.0], dtype=complex)}, 0.5),
+            ({"x": 1e-3 + 0j}, 1e-3),
+        ):
+            bad = replace(blocks, **offending)
+            for check, checked in ((cp_check, bad), (ccp_check, mirror_blocks(bad))):
+                v = check(checked)
+                assert not v.holds
+                assert v.row_norm == pytest.approx(row_norm)
+                assert v.condensed_min_eig >= -PSD_TOL
+                assert v.direct_min_eig < -PSD_TOL
+
+    @pytest.mark.parametrize("variant", ["cp", "ccp"])
+    def test_condensed_matrix_is_the_block_layout(self, rng, variant):
+        for _ in range(10):
+            n = int(rng.integers(1, 5))
+            B = random_complex(rng, (n, n))
+            U = random_complex(rng, (n, n))
+            blocks = ChoiBlocks(
+                a=float(rng.uniform(0, 2)), x=complex(*rng.standard_normal(2)),
+                C=random_complex(rng, n), Y=random_complex(rng, n),
+                Z=random_complex(rng, n), B=(B + B.conj().T) / 2,
+                T=random_complex(rng, (n, n)), U=(U + U.conj().T) / 2,
+            )
+            K = condensed_matrix(blocks, variant)
+            assert np.array_equal(K, condensed_layout(blocks, variant))
 
     def test_ccp_mirror(self):
         v = ccp_check(mirror_blocks(cp_shaped_blocks()))
@@ -366,9 +399,14 @@ class TestKadison:
         assert report.all_pass()
         assert min(report.entry_margins.values()) < 1e-5
 
-    def test_face_form_block_margins_present(self, rng):
+    def test_face_form_split_has_zero_row_d(self, rng):
+        # Row d of H1 and of PT(H2) vanishes in a face-form split, so the
+        # constraints written in the named blocks are entry margins (1, 2)
+        # and (2, 1).
         H = face_form_decomposable(rng)
         out = decompose(H)
+        d = H.dim
+        assert not np.any(out.certificate.H1[d])
+        assert not np.any(partial_transpose(out.certificate.H2, d)[d])
         report = kadison_constraints(H, out.certificate)
-        assert set(report.block_margins) == {"offdiag_12", "offdiag_21"}
         assert report.all_pass()

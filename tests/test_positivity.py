@@ -177,7 +177,7 @@ class TestBlockPositive2x2:
         v = block_positive_2x2(np.diag([1.0, -1.0]), np.zeros((2, 2)), np.eye(2))
         assert v.status == VIOLATION_FOUND
         assert v.margin == pytest.approx(-1.0)
-        assert v.poles == (v.margin,)
+        assert v.poles == (v.margin, pytest.approx(1.0))
         assert v.witness.lam == (1.0 + 0j, 0j)
         assert abs(abs(v.witness.eta[1]) - 1.0) < 1e-12
 
@@ -208,7 +208,6 @@ class TestLargeBlocks:
         assert v.status == VIOLATION_FOUND
         H = np.block([[P, S], [S.conj().T, Q]])
         assert witness_value(H, v.witness) < 0.0
-        assert v.witness.value < 0.0
         assert v.margin <= dense_lambda_min(P, S, Q, n_samples=10000) + 1e-6
 
     @pytest.mark.parametrize("d", range(4, 11))
@@ -493,22 +492,27 @@ class TestDiagonalBlockChecks:
         assert verdict.status == CERTIFIED
         assert calls == 2
 
-    @pytest.mark.parametrize("pole, lam, expected_calls", [
+    @pytest.mark.parametrize("lower, lam, failing", [
         (0, (1.0 + 0j, 0j), 1),
         (1, (0j, 1.0 + 0j), 2),
     ])
     def test_pole_violation_stops_at_the_failing_block(
-        self, monkeypatch, pole, lam, expected_calls
+        self, monkeypatch, lower, lam, failing
     ):
+        # Both poles are checked once, and the violation is at the lower one,
+        # whether one pole fails or both do.
         from posmap.choi import ChoiMatrix
 
         H = np.eye(6, dtype=complex)
-        H[3 * pole + 2, 3 * pole + 2] = -1.0
+        H[3 * lower + 2, 3 * lower + 2] = -2.0
+        if failing == 2:
+            H[3 * (1 - lower) + 2, 3 * (1 - lower) + 2] = -1.0
         verdict, calls = self.eig_calls(monkeypatch, ChoiMatrix.from_array(H))
         assert verdict.status == VIOLATION_FOUND
         assert verdict.witness.lam == lam
-        assert verdict.margin == pytest.approx(-1.0)
-        assert calls == expected_calls
+        assert verdict.margin == pytest.approx(-2.0)
+        assert verdict.poles[lower] == verdict.margin == min(verdict.poles)
+        assert calls == 2
 
 
 class TestAlternatingRefinement:
