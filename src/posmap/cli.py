@@ -25,20 +25,23 @@ Without a split, the unrestricted witness search runs last.  Its witness
 ``decomposable`` reads ``unknown`` and ``witness`` holds ``found: false``,
 the run's own ``residual``, ``iterations`` and ``stop``, and its ``budget``.
 
+Every report (``classify``, ``decompose``, ``canonical``) and every matrix
+(``tang``) is written, to ``--out`` or to stdout, as one line of compact
+JSON followed by a newline; ``python -m json.tool FILE`` prints it indented.
+
 Exit codes: 0 success, 1 battery criterion failed, 2 bad parameters,
-3 I/O or parse error (including NaN or infinite entries), 4 solver failure
-after the input loaded (``classify`` and ``decompose``: an eigensolver that
-did not converge, or a certificate that failed its re-check).  The stochastic
-subcommands, ``classify`` and ``verify``, derive every stream from one seed
-(``--seed``, or the ``POSMAP_SEED`` environment variable as set when
-:func:`main` runs).
+3 I/O or parse error (any malformed input file, NaN or infinite entries
+included), 4 solver failure after the input loaded (``classify`` and
+``decompose``: an eigensolver that did not converge, or a certificate that
+failed its re-check).  The stochastic subcommands, ``classify`` and
+``verify``, derive every stream from one seed (``--seed``, or the
+``POSMAP_SEED`` environment variable as set when :func:`main` runs).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
@@ -65,7 +68,7 @@ from .exceptions import (
     PosmapError,
 )
 from .extremal import EQUALITY_TOL, canonicalize, check_row_dependence, equality_case_detect
-from .io import jsonable, load_matrix, matrix_digest, matrix_to_obj, save_matrix
+from .io import jsonable, load_matrix, matrix_digest, matrix_to_obj, write_json
 from .matkernel import PSD_TOL, partial_transpose, psd_check
 from .positivity import (
     POSITIVITY_TOL,
@@ -101,12 +104,11 @@ TOLERANCES = {
 
 
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Every subcommand's JSON output: to ``out``, or to stdout if None.
+
+    A named step of its own, so that ``perfbench`` can time it as ``cli.emit``.
+    """
+    write_json(obj, out)
 
 
 def _split_lower_bound(cert: DecompositionCertificate) -> float:
@@ -240,10 +242,7 @@ def _cmd_tang(args) -> int:
         file=sys.stderr,
     )
     matrix = pipe.H0.H if args.stage == "raw" else pipe.Hfinal.H
-    if args.out:
-        save_matrix(args.out, matrix)
-    else:
-        print(json.dumps(matrix_to_obj(matrix)))
+    _emit(matrix_to_obj(matrix), args.out)
     return EXIT_OK
 
 

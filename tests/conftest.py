@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from posmap.matkernel import partial_transpose
 from posmap.rand import random_psd, random_unit_vector, rng_for
@@ -25,3 +26,22 @@ def product_violation(rng, d):
     v = np.kron(random_unit_vector(2, rng), random_unit_vector(d, rng))
     s = float(np.vdot(v, H @ v).real) + np.trace(H).real / (2 * d)
     return H - s * np.outer(v, v.conj())
+
+
+#: Finite doubles, with the edges a text round trip can lose: signed zeros,
+#: subnormals, the smallest normal, 1.7e308 and the largest double.
+EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1.7e308, 1.7976931348623157e308]
+finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGES + [-v for v in EDGES]),
+)
+
+
+@st.composite
+def complex_matrices(draw):
+    """Finite complex matrices of 1..4 rows and columns, edges included."""
+    rows = draw(st.integers(min_value=1, max_value=4))
+    cols = draw(st.integers(min_value=1, max_value=4))
+    parts = draw(st.lists(finite_doubles, min_size=2 * rows * cols,
+                          max_size=2 * rows * cols))
+    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(rows, cols)

@@ -2,12 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from posmap import cli
 from posmap.choi import ChoiMatrix, assemble_blocks
 from posmap.cli import build_classification, main
-from posmap.cpdecomp import STATE_TOL, STATE_TRACE_TOL, WITNESS_TOL
+from posmap.cpdecomp import STATE_TOL, STATE_TRACE_TOL, WITNESS_TOL, decompose
 from posmap.exceptions import ParseError
 from posmap.io import (
     jsonable,
@@ -21,16 +21,7 @@ from posmap.matkernel import partial_transpose
 from posmap.positivity import POSITIVITY_TOL, block_positive_choi
 from posmap.rand import random_psd, random_unit_vector, rng_for
 from posmap.tang import TangParams, build_pipeline, tang_choi
-from conftest import product_violation
-
-
-#: Finite doubles, with the edges a text round trip can lose: signed zeros,
-#: subnormals, the smallest normal and the largest double.
-EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
-finite_doubles = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from(EDGES + [-v for v in EDGES]),
-)
+from conftest import complex_matrices, product_violation
 
 
 def _reject_constant(name):
@@ -54,15 +45,6 @@ def assert_ppt_witness(H, witness):
     assert witness["value"] == pytest.approx(value, abs=1e-12)
 
 
-@st.composite
-def complex_matrices(draw):
-    rows = draw(st.integers(min_value=1, max_value=4))
-    cols = draw(st.integers(min_value=1, max_value=4))
-    parts = draw(st.lists(finite_doubles, min_size=2 * rows * cols,
-                          max_size=2 * rows * cols))
-    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(rows, cols)
-
-
 class TestMatrixSchema:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -84,10 +66,16 @@ class TestMatrixSchema:
         assert obj == {"rows": 1, "cols": 1, "data": [[1.0, 2.0]]}
 
     def test_rejects_malformed(self):
-        with pytest.raises(ParseError):
-            matrix_from_obj({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
-        with pytest.raises(ParseError):
-            matrix_from_obj([1, 2, 3])
+        for obj in (
+            {"rows": 2, "cols": 2, "data": [[1.0, 0.0]]},
+            [1, 2, 3],
+            # Sizes are JSON integers >= 0: never truncated, never read off a bool.
+            {"rows": 2.7, "cols": 1, "data": [[1.0, 0.0], [2.0, 0.0]]},
+            {"rows": True, "cols": 1, "data": [[1.0, 0.0]]},
+            {"rows": 10**20, "cols": 0, "data": []},
+        ):
+            with pytest.raises(ParseError):
+                matrix_from_obj(obj)
 
     def test_jsonable_handles_reports(self, rng):
         from posmap.positivity import coupling_bound_check
@@ -387,6 +375,26 @@ class TestDecomposeCommand:
         assert "not a nondecomposability proof" in obj["note"]
 
 
+class TestReportFile:
+    """Reports are one line of compact JSON and carry the split bit for bit."""
+
+    @pytest.mark.parametrize("command", ["classify", "decompose"])
+    def test_one_line_with_exact_certificate(self, command, tmp_path, rng):
+        H = decomposable_map(rng, 3)
+        src = tmp_path / "h.json"
+        save_matrix(src, H)
+        out = tmp_path / "report.json"
+        assert main([command, str(src), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        obj = strict_json(text)
+        cert = (obj["decomposition"] if command == "classify" else obj)["certificate"]
+        expected = decompose(ChoiMatrix.from_array(H)).certificate
+        for name in ("H1", "H2"):
+            assert np.array_equal(matrix_from_obj(cert[name]).view(np.uint64),
+                                  getattr(expected, name).view(np.uint64))
+
+
 class TestParser:
     def test_built_at_most_once_and_seed_read_per_call(self, tmp_path,
                                                        monkeypatch):
@@ -486,6 +494,25 @@ class TestNonFiniteInput:
         H[1, 1] = bad
         src = tmp_path / "bad.json"
         save_matrix(src, H)
+        assert main([command, str(src)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+#: Malformed files whose errors ``load_matrix`` must turn into ``ParseError``.
+MALFORMED_FILES = {
+    "not_utf8": b"\xff\xfe\x00\x00",
+    "too_deep": b"[" * 100000 + b"]" * 100000,
+    "negative_sizes": b'{"rows": -1, "cols": -1, "data": [[1.0, 0.0]]}',
+    "huge_integer": b'{"rows": 1, "cols": 1, "data": [[' + b"1" * 5000 + b', 0]]}',
+}
+
+
+class TestMalformedFile:
+    @pytest.mark.parametrize("command", ["classify", "decompose", "canonical"])
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_FILES))
+    def test_exit_3_with_error_line(self, command, kind, tmp_path, capsys):
+        src = tmp_path / "bad.json"
+        src.write_bytes(MALFORMED_FILES[kind])
         assert main([command, str(src)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 

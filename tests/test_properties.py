@@ -9,20 +9,24 @@ its two images must therefore agree, and every decomposability verdict must
 carry evidence that re-checks from scratch.  Multiplying H by a positive
 scale preserves all of these cones too, so it must not change the
 decomposability verdict either.
+
+Matrices also travel as JSON: one written by the package's writer and read
+back with ``load_matrix`` must come back bit for bit.
 """
 
 from functools import cache
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from posmap.choi import ChoiMatrix
 from posmap.cpdecomp import decompose, validate_certificate, witness_search
+from posmap.io import load_matrix, matrix_to_obj, write_json
 from posmap.matkernel import partial_transpose, psd_check
 from posmap.positivity import CERTIFIED, VIOLATION_FOUND, block_positive_choi
 from posmap.rand import random_psd, random_unitary
 from posmap.tang import TangParams, build_pipeline
-from conftest import product_violation
+from conftest import complex_matrices, product_violation
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -129,3 +133,20 @@ def scaling_input(family, seed, d):
 def test_decomposability_verdict_invariant_under_scaling(family, seed, d, exponent):
     H, d = scaling_input(family, seed, d)
     assert verdict(10.0**exponent * H, d) == verdict(H, d)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(M=complex_matrices())
+def test_wire_round_trip_bit_faithful(M, tmp_path):
+    obj = matrix_to_obj(M)
+    oracle = [[float(v.real), float(v.imag)] for v in M.reshape(-1)]
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(obj["data"]) == repr(oracle)
+    path = tmp_path / "m.json"
+    write_json(obj, path)
+    back = load_matrix(path)
+    assert back.shape == M.shape
+    assert np.array_equal(back.view(np.float64), M.view(np.float64))
+    assert np.array_equal(np.signbit(back.view(np.float64)),
+                          np.signbit(M.view(np.float64)))
