@@ -12,14 +12,16 @@ search that found neither is not a nondecomposability proof.
 (``decompose``) runs first.  A split proves positivity, since a decomposable
 map is positive: every unit product vector ``v`` has ``<v, H v> >=
 lower_bound = min_eig_H1 + min_eig_H2_pt - residual``, read off the
-certificate.  When that bound is at least ``-POSITIVITY_TOL``, ``positive``
-reads ``{"status": "proved", "lower_bound": ..., "evidence": "split",
-"witness": null}``, which holds up to the rounding in those three fields; it
-has no ``margin``, and the positivity engine does not run, so ``timings``
-has no ``positivity`` entry.  Otherwise (no split, or a split whose bound is
-below ``-POSITIVITY_TOL``) the engine runs and ``positive`` carries its
-``status`` (``certified`` or ``violation_found``), ``margin`` and
-``witness``.  The CP and coCP checks and the face-form stages follow.
+certificate.  A split is accepted only when that bound is at least
+``-PSD_TOL`` (see :mod:`posmap.cpdecomp`), the tolerance that decides the
+engine's margin and the CP and coCP flags too, so ``decomposable: yes``
+always comes with ``positive`` reading ``{"status": "proved",
+"lower_bound": ..., "evidence": "split", "witness": null}``, which holds up
+to the rounding in those three fields.  It has no ``margin``, and the
+positivity engine does not run, so ``timings`` has no ``positivity`` entry.
+Without a split the engine runs and ``positive`` carries its ``status``
+(``certified`` or ``violation_found``), ``margin`` and ``witness``.  The CP
+and coCP checks and the face-form stages follow.
 Without a split, the unrestricted witness search runs last.  Its witness
 (``rho`` and ``value``) gives ``decomposable: no-witness``; without one,
 ``decomposable`` reads ``unknown`` and ``witness`` holds ``found: false``,
@@ -51,12 +53,10 @@ import numpy as np
 from .acceptance import run_battery
 from .choi import STRUCT_TOL, UNITAL_TOL, ChoiMatrix, extract_blocks, unital_face_defects
 from .cpdecomp import (
-    FEAS_TOL,
     PLATEAU_TOL,
     STATE_TOL,
     STATE_TRACE_TOL,
     WITNESS_TOL,
-    DecompositionCertificate,
     decompose,
     kadison_constraints,
     witness_search,
@@ -67,12 +67,18 @@ from .exceptions import (
     ParseError,
     PosmapError,
 )
-from .extremal import EQUALITY_TOL, canonicalize, check_row_dependence, equality_case_detect
+from .extremal import (
+    DEPENDENCE_TOL,
+    EQUALITY_TOL,
+    canonicalize,
+    check_row_dependence,
+    equality_case_detect,
+)
 from .io import jsonable, load_matrix, matrix_digest, matrix_to_obj, write_json
 from .matkernel import PSD_TOL, partial_transpose, psd_check
 from .positivity import (
-    POSITIVITY_TOL,
     PROVED,
+    STRICT_TOL,
     block_positive_choi,
     coupling_bound_check,
     face_structure_report,
@@ -85,17 +91,20 @@ EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 EXIT_SOLVER = 4
 
-#: The constants that decide ``classify``'s flags; ``plateau_relative`` is
-#: scaled by ``max(1, ||H||_F)``, ``feas`` and ``witness`` by
-#: ``min(1, ||H||_F)``, and the others are absolute.  ``positivity`` decides
-#: both the engine's margin and a split's ``lower_bound`` (``proved``).
+#: The constants that decide the booleans of a ``classify`` report.  ``psd``
+#: decides every nonnegativity verdict: the engine's margin, the CP and coCP
+#: flags, the face-structure relations and, times ``min(1, ||H||_F)``, the
+#: acceptance of a split, whose ``lower_bound`` is then at least ``-psd``.
+#: ``witness`` is scaled by ``min(1, ||H||_F)`` too, ``plateau_relative`` by
+#: ``max(1, ||H||_F)``, and the others are absolute.  ``strict`` decides
+#: ``coupling_bound.strict`` and ``dependence`` ``row_dependence.dependent``.
 TOLERANCES = {
-    "positivity": POSITIVITY_TOL,
     "psd": PSD_TOL,
     "struct": STRUCT_TOL,
     "unital": UNITAL_TOL,
     "equality": EQUALITY_TOL,
-    "feas": FEAS_TOL,
+    "strict": STRICT_TOL,
+    "dependence": DEPENDENCE_TOL,
     "witness": WITNESS_TOL,
     "plateau_relative": PLATEAU_TOL,
     "state_trace": STATE_TRACE_TOL,
@@ -109,17 +118,6 @@ def _emit(obj: dict, out: str | None) -> None:
     A named step of its own, so that ``perfbench`` can time it as ``cli.emit``.
     """
     write_json(obj, out)
-
-
-def _split_lower_bound(cert: DecompositionCertificate) -> float:
-    """A lower bound on ``<v, H v>`` over unit product vectors ``v``, from a split.
-
-    With ``X = H1 + H2 - H`` and ``v = lam (x) eta``,
-    ``<v, H1 v> >= min_eig_H1``, ``<v, H2 v> = <w, PT(H2) w> >= min_eig_H2_pt``
-    for the unit ``w = conj(lam) (x) eta``, and ``|<v, X v>| <= ||X||_2 <=
-    ||X||_F = residual``.  Exact up to the rounding in those three fields.
-    """
-    return float(cert.min_eig_H1 + cert.min_eig_H2_pt - cert.residual)
 
 
 def build_classification(
@@ -138,10 +136,9 @@ def build_classification(
     t0 = time.perf_counter()
     dec = decompose(choi, max_iters=max_iters)
     timings["decompose"] = time.perf_counter() - t0
-    bound = _split_lower_bound(dec.certificate) if dec.decomposed else -np.inf
-    if bound >= -POSITIVITY_TOL:
-        positive = {"status": PROVED, "lower_bound": bound, "evidence": "split",
-                    "witness": None}
+    if dec.decomposed:
+        positive = {"status": PROVED, "lower_bound": dec.certificate.lower_bound,
+                    "evidence": "split", "witness": None}
     else:
         t0 = time.perf_counter()
         pos = block_positive_choi(choi, budget=budget, seed=seed)

@@ -30,10 +30,17 @@ extrapolated point, so they mean what they mean without acceleration.
 ``iterations`` counts evaluations of ``G``, each one pair of cone
 projections, and ``max_iters`` caps them.
 
-The split and witness tolerances are ``FEAS_TOL`` and ``WITNESS_TOL`` times
-``min(1, ||H||_F)``: residuals and witness values scale with ``H``, and
-absolute values would let a small enough map split trivially.  A run stops
-with ``"split"`` (``||X||_F`` at most a tenth of the split tolerance),
+The split tolerance ``tau`` is ``matkernel.PSD_TOL`` and the witness
+tolerance ``WITNESS_TOL``, both times ``min(1, ||H||_F)``: residuals and
+witness values scale with ``H``, and absolute values would let a small
+enough map split trivially.  A split is accepted by one test, in
+:func:`_project` and in :func:`validate_certificate` alike: its residual
+plus the cone violations ``max(0, -min_eig_H1)`` and
+``max(0, -min_eig_H2_pt)`` is at most ``tau``.  Then its ``lower_bound``
+(``min_eig_H1 + min_eig_H2_pt - residual``, a lower bound on ``<v, H v>``
+over unit product vectors) is at least ``-PSD_TOL``, so an accepted split
+proves positivity at the tolerance that decides every other nonnegativity
+verdict.  A run stops with ``"split"`` (``||X||_F`` at most ``tau / 10``),
 ``"witness"`` (``Tr(H rho)`` is below minus the witness tolerance and ``rho``
 passes the from-scratch state checks), ``"plateau"`` (on a plain step, whose
 input is the previous output of ``G``, ``X`` moved at most
@@ -42,12 +49,10 @@ Every run, face-restricted or not, state-checks only a candidate whose value
 is below minus the witness tolerance, so a check that passes stops the run.
 A run returns one :class:`DecomposeResult`, which holds the split or the
 witness it found.  Every verdict carries re-checkable evidence, and a failed
-search is reported as "not found", never as a proof.  The split tolerance
-also bounds a certificate's cone violations; the Kadison-Schwarz margins,
-which scale with ``||H||^2``, are held to the absolute ``FEAS_TOL``.
-``choi.STRUCT_TOL`` decides face form and the vanishing rows of
-:func:`cp_check` and :func:`ccp_check`, and ``matkernel.PSD_TOL`` their PSD
-tests.
+search is reported as "not found", never as a proof.  The Kadison-Schwarz
+margins, which scale with ``||H||^2``, are held to the absolute
+``PSD_TOL``.  ``choi.STRUCT_TOL`` decides face form and the vanishing rows
+of :func:`cp_check` and :func:`ccp_check`, and ``PSD_TOL`` their PSD tests.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from .choi import (
 from .exceptions import InvalidCertificateError
 from .matkernel import (
     EIG_CLAMP_TOL,
+    PSD_TOL,
     RANK_TOL,
     as_matrix,
     frobenius,
@@ -78,7 +84,6 @@ from .matkernel import (
     require_hermitian,
 )
 
-FEAS_TOL = 1e-7
 WITNESS_TOL = 1e-6
 
 #: A state passes :func:`_is_ppt_state` with trace within ``STATE_TRACE_TOL``
@@ -92,7 +97,7 @@ STATE_TOL = 1e-8
 def _scaled_tolerances(H) -> tuple[float, float]:
     """The split and witness tolerances for ``H`` (see the module docstring)."""
     scale = min(1.0, frobenius(H))
-    return FEAS_TOL * scale, WITNESS_TOL * scale
+    return PSD_TOL * scale, WITNESS_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +270,18 @@ class DecompositionCertificate:
     min_eig_H1: float
     min_eig_H2_pt: float
 
+    @property
+    def lower_bound(self) -> float:
+        """A lower bound on ``<v, H v>`` over unit product vectors ``v``.
+
+        With ``X = H1 + H2 - H`` and ``v = lam (x) eta``,
+        ``<v, H1 v> >= min_eig_H1``, ``<v, H2 v> = <w, PT(H2) w> >=
+        min_eig_H2_pt`` for the unit ``w = conj(lam) (x) eta``, and
+        ``|<v, X v>| <= ||X||_2 <= ||X||_F = residual``.  Exact up to the
+        rounding in those three fields.
+        """
+        return float(self.min_eig_H1 + self.min_eig_H2_pt - self.residual)
+
 
 @dataclass(frozen=True)
 class WitnessCertificate:
@@ -279,10 +296,11 @@ class DecomposeResult:
     """Outcome of one projection run: a split, a witness, or neither.
 
     ``witness`` is set when the run stopped on ``"witness"``, and
-    ``certificate`` otherwise when its last output is within the split
-    tolerance; at most one of them is.  ``residual`` is ``||X||_F`` of the
-    last output (the certificate's own residual after a split),
-    ``iterations`` counts Dykstra cycles and ``stop`` is why the run ended.
+    ``certificate`` otherwise when its last output passes the split test
+    (see the module docstring); at most one of them is.  ``residual`` is
+    ``||X||_F`` of the last output (the certificate's own residual after a
+    split), ``iterations`` counts Dykstra cycles and ``stop`` is why the run
+    ended.
     """
 
     certificate: DecompositionCertificate | None
@@ -319,6 +337,15 @@ def _certificate_numbers(choi: ChoiMatrix, H1, H2) -> tuple[float, float, float]
     return residual, m1, float(np.linalg.eigvalsh(pt)[0])
 
 
+def _split_excess(residual: float, m1: float, m2: float) -> float:
+    """A split's residual plus both cone violations (:func:`_certificate_numbers`).
+
+    The split is accepted when this is at most the split tolerance.  A NaN
+    stays NaN, so it is rejected.
+    """
+    return residual + max(-m1, 0.0) + max(-m2, 0.0)
+
+
 def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
     """Anderson-accelerated Dykstra projection of ``-H`` onto ``C1 ∩ C2``.
 
@@ -329,7 +356,7 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
     """
     H = choi.H
     negH = -H
-    feas_tol, witness_tol = _scaled_tolerances(H)
+    split_tol, witness_tol = _scaled_tolerances(H)
     d = choi.dim
     size = 2 * d
     # Flat positions of S x S, and M.take(swap) == partial_transpose(M, d).
@@ -355,7 +382,7 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
         g[1] = C.take(swap)
         return g
 
-    stop_tol = feas_tol / 10.0
+    stop_tol = split_tol / 10.0
     plateau_tol = PLATEAU_TOL * max(1.0, frobenius(H))
     # The state u = (P1, P2); its real view is the vector that is mixed.
     u = np.zeros((2, size, size), dtype=np.complex128)
@@ -418,10 +445,14 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
             gamma = np.linalg.solve(gram[:held, :held], dF[:held] @ f)
             u = g - (gamma @ dG[:held]).view(np.complex128).reshape(g.shape)
     residual = frobenius(X)
-    if witness is None and residual <= feas_tol:
+    # ||X||_F is the split's residual, so a larger one fails the test below
+    # without the two eigensolves.
+    if witness is None and residual <= split_tol:
         H1, H2 = -P1, -P2
-        cert = DecompositionCertificate(H1, H2, *_certificate_numbers(choi, H1, H2))
-        residual = cert.residual
+        numbers = _certificate_numbers(choi, H1, H2)
+        if _split_excess(*numbers) <= split_tol:
+            cert = DecompositionCertificate(H1, H2, *numbers)
+            residual = cert.residual
     return DecomposeResult(cert, witness, residual, iterations, stop)
 
 
@@ -443,20 +474,19 @@ def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
 def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> None:
     """Independently re-validate a decomposition certificate.
 
-    Raises :class:`InvalidCertificateError` if the residual or either cone
-    membership fails at ``FEAS_TOL`` times ``min(1, ||H||_F)``.
+    Raises :class:`InvalidCertificateError` unless the residual plus both
+    cone violations is at most ``PSD_TOL`` times ``min(1, ||H||_F)``: the
+    test by which :func:`decompose` accepts a split.
     """
-    problems = []
-    feas_tol = _scaled_tolerances(choi.H)[0]
+    split_tol = _scaled_tolerances(choi.H)[0]
     res, m1, m2 = _certificate_numbers(choi, as_matrix(cert.H1), as_matrix(cert.H2))
-    if res > feas_tol:
-        problems.append(f"residual {res:.3e} > {feas_tol:.1e}")
-    if m1 < -feas_tol:
-        problems.append(f"H1 min eigenvalue {m1:.3e}")
-    if m2 < -feas_tol:
-        problems.append(f"H2 partial-transpose min eigenvalue {m2:.3e}")
-    if problems:
-        raise InvalidCertificateError("; ".join(problems))
+    excess = _split_excess(res, m1, m2)
+    if not excess <= split_tol:
+        raise InvalidCertificateError(
+            f"residual {res:.3e} plus cone violations (H1 min eigenvalue "
+            f"{m1:.3e}, H2 partial-transpose min eigenvalue {m2:.3e}) is "
+            f"{excess:.3e} > {split_tol:.1e}"
+        )
 
 
 def witness_search(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
@@ -512,8 +542,8 @@ class KadisonReport:
     entry_margins: dict[tuple[int, int], float]
 
     def all_pass(self) -> bool:
-        """Every margin is at least ``-FEAS_TOL``, the certificate's error."""
-        return all(v >= -FEAS_TOL for v in self.entry_margins.values())
+        """Every margin is at least ``-PSD_TOL``, the certificate's error."""
+        return all(v >= -PSD_TOL for v in self.entry_margins.values())
 
 
 def _positional_blocks(M: np.ndarray, d: int):

@@ -4,16 +4,16 @@ A matrix travels as ``{"rows": R, "cols": C, "data": [[re, im], ...]}`` with
 the entries flattened in row-major order; ``rows`` and ``cols`` are JSON
 integers of at least 0.  Floats are emitted with Python's shortest
 round-trip repr, so a save/load cycle is bit-faithful.  Entries must be
-finite: the ``NaN`` and ``Infinity`` tokens that ``json`` accepts are
-rejected with :class:`ParseError`, as is every other malformed file (not
-UTF-8, nested too deeply, an integer literal too long for ``int``, or a
-matrix object of the wrong shape).
+finite JSON numbers: the ``NaN`` and ``Infinity`` tokens that ``json``
+accepts, strings and booleans are rejected with :class:`ParseError`, as is
+every other malformed file (not UTF-8, nested too deeply, an integer literal
+too long for ``int``, or a matrix object of the wrong shape).
 
 Every JSON file and stream that ``posmap`` writes (matrices from
 :func:`save_matrix` and ``posmap tang``, and the reports of ``classify``,
 ``decompose`` and ``canonical``) goes through :func:`write_json`: one line
 of compact JSON, encoded by ``json``'s C encoder, which runs only when no
-``indent`` is set.
+``indent`` is set, and it writes strict JSON only.
 """
 
 from __future__ import annotations
@@ -29,8 +29,15 @@ from .exceptions import ParseError
 
 
 def write_json(obj, path) -> None:
-    """Write ``obj`` as one line of compact JSON to ``path``, or stdout if None."""
-    text = json.dumps(obj) + "\n"
+    """Write ``obj`` as one line of compact JSON to ``path``, or stdout if None.
+
+    A non-finite float has no strict JSON token: it raises
+    :class:`ParseError` before anything is written.
+    """
+    try:
+        text = json.dumps(obj, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ParseError(f"cannot write strict JSON: {exc}") from exc
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -68,6 +75,14 @@ def matrix_from_obj(obj) -> np.ndarray:
             f"data must hold rows*cols = {rows * cols} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
+    try:
+        kinds = {type(x) for pair in data for x in pair}
+    except TypeError as exc:  # an entry that is not a list
+        raise ParseError(f"entries must be [re, im] pairs: {exc}") from exc
+    # numpy would read numeric strings and booleans as numbers.
+    if not kinds <= {int, float}:
+        names = sorted(k.__name__ for k in kinds - {int, float})
+        raise ParseError(f"entries must be JSON numbers, got {', '.join(names)}")
     try:
         pairs = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:

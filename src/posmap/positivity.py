@@ -32,10 +32,12 @@ positive (``cli.build_classification``).  Block-positivity of
 every admissible combination ``p P + s S + conj(s) S* + q Q``
 (``p, q >= 0``, ``|s|^2 <= p q``) being PSD.
 
-Tolerances are constants: ``POSITIVITY_TOL`` decides every margin here (the
-search, the structural relations, the coupling bound and the scalar
-conditions), ``STRICT_TOL`` a strict coupling bound and ``FACE_TOL`` face
-membership.  Diagonal blocks are PSD-checked at ``matkernel.PSD_TOL``.
+Tolerances are constants.  ``matkernel.PSD_TOL`` decides every
+nonnegativity verdict here, as it does the CP and coCP flags and the
+acceptance of a split: the search's margin, the structural relations, the
+PSD checks of diagonal blocks, the coupling bound and the scalar
+conditions.  ``STRICT_TOL`` decides a strict coupling bound and
+``FACE_TOL`` face membership.
 """
 
 from __future__ import annotations
@@ -72,9 +74,6 @@ from .rand import rng_for
 CERTIFIED = "certified"
 PROVED = "proved"
 VIOLATION_FOUND = "violation_found"
-
-#: Margins at or above ``-POSITIVITY_TOL`` count as nonnegative.
-POSITIVITY_TOL = 1e-9
 
 #: Margins above this threshold count as strict ("proper") inequalities.
 STRICT_TOL = 1e-7
@@ -207,7 +206,7 @@ def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerd
     step, which never raises ``lambda_min`` and stops once no start improves
     (at most ``REFINE_STEPS`` steps).  ``margin`` is the smallest
     ``lambda_min(phi(xi xi*))`` found there or at the poles, and values
-    below ``-POSITIVITY_TOL`` are violations, returned with a product vector
+    below ``-PSD_TOL`` are violations, returned with a product vector
     witness.  ``P``, ``S`` and ``Q`` of different shapes raise
     :class:`DimensionMismatchError`.
     """
@@ -227,7 +226,7 @@ def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerd
     found, xi, eta = _bloch_min(Pm, Sm, Qm, budget, seed)
     # The poles are points of the sphere too; a face-form map's zero sits at one.
     margin = min(found, *poles)
-    if margin >= -POSITIVITY_TOL:
+    if margin >= -PSD_TOL:
         return BlockPosVerdict(CERTIFIED, margin, None, poles)
     lam = (complex(np.conj(xi[0])), complex(np.conj(xi[1])))
     return BlockPosVerdict(VIOLATION_FOUND, margin, BlockPosWitness(eta, lam), poles)
@@ -292,25 +291,25 @@ def face_structure_report(
 
     Reported (never raised): ``a >= 0``; ``B`` and ``U`` PSD; ``C = 0`` when
     ``a = 0``; ``C* C <= a B`` when ``a > 0``; ``x = 0``; and
-    block-positivity of ``[[B, T], [T*, U]]``.  ``POSITIVITY_TOL`` decides
+    block-positivity of ``[[B, T], [T*, U]]``.  ``PSD_TOL`` decides
     every relation; ``budget`` and ``seed`` go to :func:`block_positive_2x2`
     for the last one.
     """
     rel: dict[str, RelationCheck] = {}
     a = blocks.a
-    rel["a_nonnegative"] = RelationCheck(a >= -POSITIVITY_TOL, float(a))
+    rel["a_nonnegative"] = RelationCheck(a >= -PSD_TOL, float(a))
     verdict = block_positive_2x2(blocks.B, blocks.T, blocks.U, budget=budget, seed=seed)
     rel["B_psd"], rel["U_psd"] = (RelationCheck(m >= -PSD_TOL, m) for m in verdict.poles)
     c_norm = float(np.linalg.norm(blocks.C))
-    if a <= POSITIVITY_TOL:
-        rel["C_zero_when_a_zero"] = RelationCheck(c_norm <= POSITIVITY_TOL, -c_norm)
+    if a <= PSD_TOL:
+        rel["C_zero_when_a_zero"] = RelationCheck(c_norm <= PSD_TOL, -c_norm)
         rel["C_dominated"] = RelationCheck(True, None, "vacuous at a = 0")
     else:
         rel["C_zero_when_a_zero"] = RelationCheck(True, -c_norm, "vacuous at a > 0")
         gap = a * blocks.B - np.outer(blocks.C.conj(), blocks.C)
         m = lowest_eigenvalue(gap)
-        rel["C_dominated"] = RelationCheck(m >= -POSITIVITY_TOL, m)
-    rel["x_zero"] = RelationCheck(abs(blocks.x) <= POSITIVITY_TOL, -abs(blocks.x))
+        rel["C_dominated"] = RelationCheck(m >= -PSD_TOL, m)
+    rel["x_zero"] = RelationCheck(abs(blocks.x) <= PSD_TOL, -abs(blocks.x))
     rel["BT_block_positive"] = RelationCheck(
         verdict.status != VIOLATION_FOUND, verdict.margin, verdict.status
     )
@@ -364,15 +363,15 @@ def coupling_bound_check(blocks: ChoiBlocks) -> CouplingBound:
     """Check ``|Y| + |Z| <= a^{1/2} U^{1/2}``, necessary for positivity.
 
     ``margin`` is the smallest eigenvalue of the difference and holds at
-    :data:`POSITIVITY_TOL`; ``strict`` requires it to clear
+    :data:`PSD_TOL`; ``strict`` requires it to clear
     :data:`STRICT_TOL`.
     """
-    if blocks.a < -POSITIVITY_TOL:
+    if blocks.a < -PSD_TOL:
         raise BadScalarsError(f"a must be nonnegative, got {blocks.a}")
     root = np.sqrt(max(blocks.a, 0.0)) * psd_sqrt(blocks.U)
     gap = root - row_abs(blocks.Y) - row_abs(blocks.Z)
     margin = lowest_eigenvalue(gap)
-    return CouplingBound(margin >= -POSITIVITY_TOL, margin, margin > STRICT_TOL)
+    return CouplingBound(margin >= -PSD_TOL, margin, margin > STRICT_TOL)
 
 
 @dataclass(frozen=True)
@@ -397,16 +396,16 @@ class ScalarConditions:
 def scalar_choi_conditions(
     a: float, b: float, u: float, c: complex, y: complex, z: complex, t: complex,
 ) -> ScalarConditions:
-    """Evaluate the scalar necessary conditions with margins at ``POSITIVITY_TOL``."""
-    if a < -POSITIVITY_TOL or b < -POSITIVITY_TOL or u < -POSITIVITY_TOL:
+    """Evaluate the scalar necessary conditions with margins at ``PSD_TOL``."""
+    if a < -PSD_TOL or b < -PSD_TOL or u < -PSD_TOL:
         raise BadScalarsError(f"a, b, u must be nonnegative, got {(a, b, u)}")
     m1 = a * b - abs(c) ** 2
     m2 = b * u - abs(t) ** 2
     m3 = np.sqrt(max(a, 0.0) * max(u, 0.0)) - abs(y) - abs(z)
     return ScalarConditions(
-        ConditionCheck(m1 >= -POSITIVITY_TOL, float(m1)),
-        ConditionCheck(m2 >= -POSITIVITY_TOL, float(m2)),
-        ConditionCheck(m3 >= -POSITIVITY_TOL, float(m3)),
+        ConditionCheck(m1 >= -PSD_TOL, float(m1)),
+        ConditionCheck(m2 >= -PSD_TOL, float(m2)),
+        ConditionCheck(m3 >= -PSD_TOL, float(m3)),
     )
 
 

@@ -17,8 +17,8 @@ from posmap.io import (
     matrix_to_obj,
     save_matrix,
 )
-from posmap.matkernel import partial_transpose
-from posmap.positivity import POSITIVITY_TOL, block_positive_choi
+from posmap.matkernel import PSD_TOL, partial_transpose
+from posmap.positivity import block_positive_choi
 from posmap.rand import random_psd, random_unit_vector, rng_for
 from posmap.tang import TangParams, build_pipeline, tang_choi
 from conftest import complex_matrices, product_violation
@@ -73,9 +73,21 @@ class TestMatrixSchema:
             {"rows": 2.7, "cols": 1, "data": [[1.0, 0.0], [2.0, 0.0]]},
             {"rows": True, "cols": 1, "data": [[1.0, 0.0]]},
             {"rows": 10**20, "cols": 0, "data": []},
+            # Entries are JSON numbers: numpy would read these as numbers.
+            {"rows": 1, "cols": 1, "data": [["1.5", "2"]]},
+            {"rows": 1, "cols": 1, "data": [[True, False]]},
+            {"rows": 1, "cols": 1, "data": [[1.5, True]]},
         ):
             with pytest.raises(ParseError):
                 matrix_from_obj(obj)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite(self, bad, tmp_path):
+        # Strict JSON has no token for them, and load_matrix would reject them.
+        path = tmp_path / "m.json"
+        with pytest.raises(ParseError):
+            save_matrix(path, np.array([[1.0, bad]]))
+        assert not path.exists()
 
     def test_jsonable_handles_reports(self, rng):
         from posmap.positivity import coupling_bound_check
@@ -194,12 +206,12 @@ class TestClassifyCommand:
         report = build_classification(tang_choi(TangParams(0.9, 0.12)),
                                       max_iters=50)
         assert report["tolerances"] == {
-            "positivity": positivity.POSITIVITY_TOL,
             "psd": matkernel.PSD_TOL,
             "struct": choi.STRUCT_TOL,
             "unital": choi.UNITAL_TOL,
             "equality": extremal.EQUALITY_TOL,
-            "feas": cpdecomp.FEAS_TOL,
+            "strict": positivity.STRICT_TOL,
+            "dependence": extremal.DEPENDENCE_TOL,
             "witness": cpdecomp.WITNESS_TOL,
             "plateau_relative": cpdecomp.PLATEAU_TOL,
             "state_trace": cpdecomp.STATE_TRACE_TOL,
@@ -305,7 +317,7 @@ class TestSplitFirstPositivity:
         bound = cert["min_eig_H1"] + cert["min_eig_H2_pt"] - cert["residual"]
         assert positive == {"status": "proved", "lower_bound": bound,
                             "evidence": "split", "witness": None}
-        assert bound >= -POSITIVITY_TOL
+        assert bound >= -PSD_TOL
         assert "positivity" not in report["timings"]
         values = [
             np.vdot(v, H @ v).real
@@ -314,22 +326,18 @@ class TestSplitFirstPositivity:
         ]
         assert bound <= min(values) + 1e-12
 
-    def test_split_with_negative_bound_runs_engine(self, engine_calls):
+    def test_shift_below_margin_is_not_split(self, engine_calls):
         # Shifted just below the engine's margin, the map has a product value
-        # of at most -3e-9, so no split can bound it above -POSITIVITY_TOL;
-        # this instance still splits within the split tolerance.
+        # of at most -3e-9, so no accepted split can exist: its lower bound
+        # would be at least -PSD_TOL.  A split tolerance looser than PSD_TOL
+        # once accepted a split here, beside an engine violation.
         H0 = decomposable_map(np.random.default_rng(1), 3)
         margin = block_positive_choi(ChoiMatrix.from_array(H0)).margin
         H = H0 - (margin + 3e-9) * np.eye(6)
         report = build_classification(ChoiMatrix.from_array(H))
-        assert report["flags"]["decomposable"] == "yes"
-        cert = report["decomposition"]["certificate"]
-        bound = cert["min_eig_H1"] + cert["min_eig_H2_pt"] - cert["residual"]
-        assert bound < -POSITIVITY_TOL
         assert len(engine_calls) == 1
-        assert report["flags"]["positive"]["status"] != "proved"
-        assert "margin" in report["flags"]["positive"]
-        assert "positivity" in report["timings"]
+        assert report["flags"]["positive"]["status"] == "violation_found"
+        assert report["flags"]["decomposable"] != "yes"
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_product_violation_never_proved(self, d, rng, engine_calls):
@@ -493,7 +501,9 @@ class TestNonFiniteInput:
         H = build_pipeline(TangParams(0.5, 1 / 24)).Hfinal.H.copy()
         H[1, 1] = bad
         src = tmp_path / "bad.json"
-        save_matrix(src, H)
+        # save_matrix refuses to write NaN and Infinity tokens; json.dumps
+        # writes them by default.
+        src.write_text(json.dumps(matrix_to_obj(H)))
         assert main([command, str(src)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -504,6 +514,10 @@ MALFORMED_FILES = {
     "too_deep": b"[" * 100000 + b"]" * 100000,
     "negative_sizes": b'{"rows": -1, "cols": -1, "data": [[1.0, 0.0]]}',
     "huge_integer": b'{"rows": 1, "cols": 1, "data": [[' + b"1" * 5000 + b', 0]]}',
+    # The 4x4 identity with its first entry a string, which numpy would read.
+    "string_entry": json.dumps({"rows": 4, "cols": 4, "data": [
+        ["1", 0] if k == 0 else [float(k % 5 == 0), 0.0] for k in range(16)
+    ]}).encode(),
 }
 
 

@@ -235,9 +235,29 @@ class TestDecompose:
         with pytest.raises(InvalidCertificateError):
             validate_certificate(H, bad)
 
+    @pytest.mark.parametrize("a, accepted", [(0.4e-9, True), (0.6e-9, False)])
+    def test_residual_and_cone_violation_share_one_tolerance(self, rng, a, accepted):
+        # H1 = H - a u u* for a null vector u of the unit-norm PSD H: residual
+        # a and min_eig_H1 -a, each within PSD_TOL on its own, and together
+        # 2a, a lower bound of -2a on <v, H v> over product vectors.
+        H = random_psd(6, rng, rank=5)
+        H /= np.linalg.norm(H)
+        u = np.linalg.eigh(H)[1][:, 0]
+        cert = DecompositionCertificate(
+            H1=H - a * np.outer(u, u.conj()), H2=np.zeros_like(H),
+            residual=a, min_eig_H1=-a, min_eig_H2_pt=0.0,
+        )
+        assert cert.lower_bound == -2 * a
+        if accepted:
+            validate_certificate(ChoiMatrix.from_array(H), cert)
+        else:
+            with pytest.raises(InvalidCertificateError):
+                validate_certificate(ChoiMatrix.from_array(H), cert)
+
     def test_zero_split_of_small_map_rejected(self, tang_raw):
-        # Its residual is ||H||_F < FEAS_TOL; the tolerance scales with H.
-        H = ChoiMatrix.from_array(1e-9 * tang_raw.H)
+        # Its residual ||H||_F = 6.1e-10 is below PSD_TOL; the split
+        # tolerance scales with H.
+        H = ChoiMatrix.from_array(1e-10 * tang_raw.H)
         zero = np.zeros_like(H.H)
         trivial = DecompositionCertificate(
             H1=zero, H2=zero, residual=frobenius(H.H), min_eig_H1=0.0, min_eig_H2_pt=0.0

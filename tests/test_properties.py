@@ -10,6 +10,13 @@ carry evidence that re-checks from scratch.  Multiplying H by a positive
 scale preserves all of these cones too, so it must not change the
 decomposability verdict either.
 
+``classify``'s flags must agree with each other, because one tolerance
+decides every nonnegativity verdict: a CP or coCP map is decomposable, a
+decomposable map is proved positive, and a positivity violation rules a
+split out.  The inputs that test this sit at the boundaries, where a
+looser split tolerance once let ``decomposable: yes`` stand beside
+``positive: violation_found``.
+
 Matrices also travel as JSON: one written by the package's writer and read
 back with ``load_matrix`` must come back bit for bit.
 """
@@ -20,10 +27,21 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from posmap.choi import ChoiMatrix
-from posmap.cpdecomp import decompose, validate_certificate, witness_search
-from posmap.io import load_matrix, matrix_to_obj, write_json
-from posmap.matkernel import partial_transpose, psd_check
-from posmap.positivity import CERTIFIED, VIOLATION_FOUND, block_positive_choi
+from posmap.cli import build_classification
+from posmap.cpdecomp import (
+    DecompositionCertificate,
+    decompose,
+    validate_certificate,
+    witness_search,
+)
+from posmap.io import load_matrix, matrix_from_obj, matrix_to_obj, write_json
+from posmap.matkernel import PSD_TOL, partial_transpose, psd_check
+from posmap.positivity import (
+    CERTIFIED,
+    PROVED,
+    VIOLATION_FOUND,
+    block_positive_choi,
+)
 from posmap.rand import random_psd, random_unitary
 from posmap.tang import TangParams, build_pipeline
 from conftest import complex_matrices, product_violation
@@ -133,6 +151,57 @@ def scaling_input(family, seed, d):
 def test_decomposability_verdict_invariant_under_scaling(family, seed, d, exponent):
     H, d = scaling_input(family, seed, d)
     assert verdict(10.0**exponent * H, d) == verdict(H, d)
+
+
+def boundary_map(family, rng, d, shift):
+    """A unit-norm map of one family moved ``shift`` past its cone's boundary.
+
+    ``H - (low + shift) I``, where ``low`` is ``lambda_min(H)`` for a PSD
+    map, ``lambda_min(PT(H))`` for a PT-PSD map (``PT(I) = I``) and the
+    positivity engine's margin for ``A + PT(B)``.
+    """
+    if family == "psd":
+        H = random_psd(2 * d, rng)
+    elif family == "pt-psd":
+        H = partial_transpose(random_psd(2 * d, rng), d)
+    else:
+        H = random_psd(2 * d, rng) + partial_transpose(random_psd(2 * d, rng), d)
+    H = H / np.linalg.norm(H)
+    if family == "psd":
+        low = np.linalg.eigvalsh(H)[0]
+    elif family == "pt-psd":
+        low = np.linalg.eigvalsh(partial_transpose(H, d))[0]
+    else:
+        low = block_positive_choi(ChoiMatrix.from_array(H)).margin
+    return H - (low + shift) * np.eye(2 * d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["psd", "pt-psd", "A + PT(B)"]),
+    seed=seeds,
+    d=dims,
+    shift=st.sampled_from([-5e-10, 0.0, 5e-10, 9e-10, 3e-9, 3e-8]),
+)
+def test_classify_flags_consistent(family, seed, d, shift):
+    H = boundary_map(family, np.random.default_rng(seed), d, shift)
+    choi = ChoiMatrix.from_array(H)
+    report = build_classification(choi)
+    flags = report["flags"]
+    status = flags["positive"]["status"]
+    if flags["cp"] or flags["ccp"]:
+        assert flags["decomposable"] == "yes"
+    if flags["decomposable"] == "yes":
+        assert status == PROVED
+        cert = report["decomposition"]["certificate"]
+        assert flags["positive"]["lower_bound"] >= -PSD_TOL
+        # The report's split, read back from its wire form, passes the same
+        # test that accepted it.
+        parts = [matrix_from_obj(cert[k]) for k in ("H1", "H2")]
+        numbers = [cert[k] for k in ("residual", "min_eig_H1", "min_eig_H2_pt")]
+        validate_certificate(choi, DecompositionCertificate(*parts, *numbers))
+    if status == VIOLATION_FOUND:
+        assert flags["decomposable"] != "yes"
 
 
 @settings(max_examples=60, deadline=None,
