@@ -34,10 +34,13 @@ JSON followed by a newline; ``python -m json.tool FILE`` prints it indented.
 Exit codes: 0 success, 1 battery criterion failed, 2 bad parameters,
 3 I/O or parse error (any malformed input file, NaN or infinite entries
 included), 4 solver failure after the input loaded (``classify`` and
-``decompose``: an eigensolver that did not converge, or a certificate that
-failed its re-check).  The stochastic subcommands, ``classify`` and
+``decompose``: an eigensolver that did not converge, or another error of
+the solvers).  The stochastic subcommands, ``classify`` and
 ``verify``, derive every stream from one seed (``--seed``, or the
-``POSMAP_SEED`` environment variable as set when :func:`main` runs).
+``POSMAP_SEED`` environment variable as set when :func:`main` runs; unset or
+empty means 0).  A ``POSMAP_SEED`` that is not an integer exits 2 with an
+``error:`` line, as ``--seed`` with such a value does; it is read only when
+``--seed`` is absent.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ from .cpdecomp import (
     STATE_TOL,
     STATE_TRACE_TOL,
     WITNESS_TOL,
+    _kadison_margins,
     decompose,
-    kadison_constraints,
     witness_search,
 )
 from .exceptions import (
@@ -197,7 +200,8 @@ def build_classification(
             "certificate": jsonable(dec.certificate),
             "iterations": dec.iterations,
             "stop": dec.stop,
-            "kadison": jsonable(kadison_constraints(choi, dec.certificate)),
+            # decompose accepted the split by the test kadison_constraints repeats.
+            "kadison": jsonable(_kadison_margins(choi, dec.certificate)),
         }
     else:
         t0 = time.perf_counter()
@@ -274,7 +278,7 @@ def _cmd_decompose(args) -> int:
     try:
         result = decompose(choi, max_iters=args.max_iters)
         if result.decomposed:
-            kadison = kadison_constraints(choi, result.certificate)
+            kadison = _kadison_margins(choi, result.certificate)
     except (PosmapError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -316,11 +320,17 @@ def _cmd_verify(args) -> int:
 
 
 def _default_seed() -> int:
+    """``POSMAP_SEED`` as an integer, 0 when it is unset or empty.
+
+    Any other value that is not an integer raises :class:`BadParamsError`.
+    """
     env = os.environ.get("POSMAP_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
+    if not env:
         return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise BadParamsError(f"POSMAP_SEED must be an integer, got {env!r}") from None
 
 
 def _int_at_least(low: int, text: str) -> int:
@@ -399,7 +409,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if vars(args).get("seed", 0) is None:
-        args.seed = _default_seed()
+        try:
+            args.seed = _default_seed()
+        except BadParamsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_PARAMS
     return args.func(args)
 
 

@@ -28,7 +28,12 @@ memory is cleared and the run goes on from the output of ``G`` already
 computed, so a rejection costs no extra projection.  Verdicts are read only from outputs of ``G``, never from an
 extrapolated point, so they mean what they mean without acceleration.
 ``iterations`` counts evaluations of ``G``, each one pair of cone
-projections, and ``max_iters`` caps them.
+projections, and ``max_iters`` caps them.  A cone projection factors the
+symmetrized iterate ``(A + A*)/2`` by LAPACK directly, with the arithmetic
+of :func:`matkernel.psd_project` but without its Hermiticity check, which
+would add two Frobenius norms to every cycle.  The symmetrization stays:
+the mixed corrections are Hermitian only up to rounding, and factoring them
+as they are changes the iterates.
 
 The split tolerance ``tau`` is ``matkernel.PSD_TOL`` and the witness
 tolerance ``WITNESS_TOL``, both times ``min(1, ||H||_F)``: residuals and
@@ -57,6 +62,7 @@ of :func:`cp_check` and :func:`ccp_check`, and ``PSD_TOL`` their PSD tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -346,6 +352,34 @@ def _split_excess(residual: float, m1: float, m2: float) -> float:
     return residual + max(-m1, 0.0) + max(-m2, 0.0)
 
 
+@functools.cache
+def _index_maps(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions ``inner`` of the indices other than ``d`` in a
+    ``2d x 2d`` matrix, and ``swap`` with ``M.take(swap) ==
+    partial_transpose(M, d)``; read-only, built once per ``d``."""
+    size = 2 * d
+    keep = np.delete(np.arange(size), d)
+    inner = (keep[:, None] * size + keep).ravel()
+    swap = np.arange(size * size).reshape(2, d, 2, d).transpose(2, 1, 0, 3)
+    swap = swap.reshape(size, size)
+    inner.setflags(write=False)
+    swap.setflags(write=False)
+    return inner, swap
+
+
+def _psd_part(A: np.ndarray) -> np.ndarray:
+    """The cone step's projection: :func:`matkernel.psd_project` of ``A``
+    without its Hermiticity check, on the same symmetrized copy."""
+    vals, V = np.linalg.eigh((A + A.conj().T) / 2.0)
+    P = (V * np.clip(vals, 0.0, None)) @ V.conj().T
+    return (P + P.conj().T) / 2.0
+
+
+def _norm(A: np.ndarray) -> float:
+    """``||A||_F`` of a complex array by one ``vdot``."""
+    return math.sqrt(np.vdot(A, A).real)
+
+
 def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
     """Anderson-accelerated Dykstra projection of ``-H`` onto ``C1 ∩ C2``.
 
@@ -359,19 +393,15 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
     split_tol, witness_tol = _scaled_tolerances(H)
     d = choi.dim
     size = 2 * d
-    # Flat positions of S x S, and M.take(swap) == partial_transpose(M, d).
-    keep = np.delete(np.arange(size), d)
-    inner = (keep[:, None] * size + keep).ravel()
-    swap = np.arange(size * size).reshape(2, d, 2, d).transpose(2, 1, 0, 3)
-    swap = swap.reshape(size, size)
+    inner, swap = _index_maps(d)
 
     def cone_step(A):
         # The projection onto C1 and its Dykstra correction.
         if face:
             Y = A.copy()
-            Y.ravel()[inner] = psd_project(A.take(inner).reshape(size - 1, -1)).ravel()
+            Y.ravel()[inner] = _psd_part(A.take(inner).reshape(size - 1, -1)).ravel()
         else:
-            Y = psd_project(A)
+            Y = _psd_part(A)
         return Y, A - Y
 
     def dykstra(P2):
@@ -403,7 +433,7 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
         g = dykstra(u[1])
         P1, P2 = g
         X = negH - P1 - P2
-        if frobenius(X) <= stop_tol:
+        if _norm(X) <= stop_tol:
             stop = "split"
             break
         trace = X.trace().real
@@ -414,7 +444,7 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
                 witness = WitnessCertificate(rho, value)
                 stop = "witness"
                 break
-        if plain and frobenius(X - X_in) <= plateau_tol:
+        if plain and _norm(X - X_in) <= plateau_tol:
             stop = "plateau"
             break
         gv = g.reshape(-1).view(np.float64)
@@ -569,6 +599,15 @@ def kadison_constraints(choi: ChoiMatrix, cert: DecompositionCertificate) -> Kad
     set to zero.
     """
     validate_certificate(choi, cert)
+    return _kadison_margins(choi, cert)
+
+
+def _kadison_margins(choi: ChoiMatrix, cert: DecompositionCertificate) -> KadisonReport:
+    """The report of :func:`kadison_constraints` without re-validating ``cert``.
+
+    For a certificate that :func:`decompose` has just accepted by the test
+    :func:`validate_certificate` would repeat.
+    """
     d = choi.dim
     H = _positional_blocks(choi.H, d)
     H1 = _positional_blocks(as_matrix(cert.H1), d)

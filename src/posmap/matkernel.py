@@ -8,6 +8,13 @@ exactly Hermitian copy.  LAPACK's Hermitian eigensolver
 (:func:`numpy.linalg.eigh`) is backward stable, so its result is not
 re-checked; a LAPACK failure surfaces as :class:`NoConvergenceError`.
 
+Hot loops call LAPACK directly on matrices Hermitian by construction, and a
+failure there surfaces as :class:`numpy.linalg.LinAlgError`: the positivity
+engine (``positivity._bloch_min``), the projection's cone steps
+(``cpdecomp._project``, on the symmetrized iterate), and the state and
+certificate checks (``cpdecomp._is_ppt_state``,
+``cpdecomp._certificate_numbers``).
+
 Tolerances are constants: ``HERM_TOL_SCALE`` sets the default Hermiticity
 limit of :func:`require_hermitian`, ``EIG_CLAMP_TOL`` the negative eigenvalues
 :func:`psd_sqrt` clamps, ``PSD_TOL`` the PSD verdict of :func:`psd_check` and

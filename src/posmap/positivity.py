@@ -10,9 +10,19 @@ with Bloch vector ``r`` on the unit sphere S^2 is
 
 where ``r = (2 Re xi1 conj(xi2), 2 Im xi1 conj(xi2), |xi1|^2 - |xi2|^2)``.
 One engine answers every positivity question in this module: it takes
-``lambda_min(M(r))`` over a fixed point set on S^2 plus seeded random points
-with one batched eigensolve, then refines the lowest few by alternating
-minimization of ``<eta, M(r) eta>`` over ``r`` and the unit ``eta``.  With
+``lambda_min(M(r))`` over a fixed point set on S^2 plus seeded random points,
+then refines the lowest few by alternating minimization of
+``<eta, M(r) eta>`` over ``r`` and the unit ``eta``.  The scan runs in two
+batched eigensolves.  The first takes a coarse subset: every
+``COARSE_STRIDE``-th fixed point and all seeded ones.  By Weyl's inequality
+``r -> lambda_min(M(r))`` is Lipschitz on R^3 with
+``L = (sum_k ||A_k||_2^2)^(1/2)``, so the second takes only the fixed points
+whose bound ``lambda(nearest coarse point) - L * distance``, less a rounding
+slack of ``PRUNE_SLACK`` times the largest coarse eigenvalue plus ``L``, does
+not exceed the ``REFINE_STARTS``-th lowest coarse value.  A skipped point
+therefore lies strictly above the values the refinement starts from, and the
+starts (ordered by value, then by point index) are those a scan of every
+point would pick.  With
 ``eta`` fixed the form is ``a + r.b`` with ``b_k = <eta, A_k eta>``, which is
 smallest on S^2 at ``r = -b/|b|``; with ``r`` fixed it is smallest at the
 unit eigenvector of ``lambda_min(M(r))``.  A step never raises
@@ -90,6 +100,16 @@ BLOCH_POINTS = 512
 REFINE_STARTS = 8
 REFINE_STEPS = 60
 
+#: Every ``COARSE_STRIDE``-th fixed point is scanned in the first batch; the
+#: rest only where the Lipschitz bound of :func:`_bloch_min` cannot rule
+#: them out.
+COARSE_STRIDE = 8
+
+#: Rounding allowance of that bound, relative to the largest coarse
+#: eigenvalue and the Lipschitz constant: far above the few units in the last
+#: place by which formed matrices and computed eigenvalues can err.
+PRUNE_SLACK = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # the positivity engine: lambda_min of phi(xi xi*) over the Bloch sphere
@@ -105,25 +125,52 @@ def _fibonacci_sphere(m: int) -> np.ndarray:
     return np.stack([rho * np.cos(phase), rho * np.sin(phase), z], axis=1)
 
 
+def _coarse_cover(points: np.ndarray, stride: int):
+    """The coarse points (every ``stride``-th), the fine points (the others),
+    and each fine point's nearest coarse point, all as indices into the unit
+    vectors ``points``, with each fine point's distance to that neighbour."""
+    index = np.arange(len(points))
+    coarse, fine = index[index % stride == 0], index[index % stride != 0]
+    # On the unit sphere the nearest point has the largest inner product.
+    nearest = coarse[np.argmax(points[fine] @ points[coarse].T, axis=1)]
+    return coarse, fine, nearest, np.linalg.norm(points[fine] - points[nearest], axis=1)
+
+
 _SPHERE_POINTS = _fibonacci_sphere(BLOCH_POINTS)
-_SPHERE_POINTS.setflags(write=False)
+_COARSE, _FINE, _NEAREST, _NEAREST_DIST = _coarse_cover(_SPHERE_POINTS, COARSE_STRIDE)
+for _fixed in (_SPHERE_POINTS, _COARSE, _FINE, _NEAREST, _NEAREST_DIST):
+    _fixed.setflags(write=False)
 
 
 def _bloch_matrices(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Stack of ``M(r) = A0 + sum_k r_k A_k`` for the rows of ``r``."""
-    return A[0] + np.einsum("mk,kij->mij", r, A[1:])
+    r = r[:, :, None, None]
+    return A[0] + (r[:, 0] * A[1] + r[:, 1] * A[2] + r[:, 2] * A[3])
 
 
 def _bloch_min(P, S, Q, budget: int, seed: int):
     """Smallest ``lambda_min(phi(xi xi*))`` found over unit ``xi`` in C^2.
 
-    Scans the fixed point set and ``budget`` points drawn from ``seed``,
-    then refines the ``REFINE_STARTS`` lowest together.  Each step moves
-    every start from ``r`` to ``-b/|b|``, with ``b_k = <eta, A_k eta>`` at
-    its unit eigenvector ``eta``, and keeps the move where ``lambda_min``
-    fell.  That minimizes ``<eta, M(r) eta>`` over S^2, so ``lambda_min`` at
-    the new point is at most its value at ``r``.  The refinement stops when
-    no start improves, or after ``REFINE_STEPS`` steps.
+    Scans the fixed point set and ``budget`` points drawn from ``seed`` in
+    two batches, then refines the ``REFINE_STARTS`` lowest together.  The
+    first batch is the coarse points, every ``COARSE_STRIDE``-th fixed point
+    and all seeded ones.  By Weyl's inequality ``r -> lambda_min(M(r))`` is
+    Lipschitz with ``L = (sum_k ||A_k||_2^2)^(1/2)`` in the Euclidean
+    distance of R^3, so a fine point at distance ``delta`` from its nearest
+    coarse point ``c`` has a value of at least ``lambda(c) - L delta``.  The
+    second batch holds the fine points where that bound, less the slack
+    ``PRUNE_SLACK * (max |coarse eigenvalue| + L)``, is at most the
+    ``REFINE_STARTS``-th lowest coarse value.  A skipped point lies strictly
+    above that value, so strictly above the ``REFINE_STARTS``-th lowest of
+    the full scan: the starts, the lowest values ordered by value and then by
+    point index, are those a scan of every point would pick.
+
+    Each step moves every start from ``r`` to ``-b/|b|``, with
+    ``b_k = <eta, A_k eta>`` at its unit eigenvector ``eta``, and keeps the
+    move where ``lambda_min`` fell.  That minimizes ``<eta, M(r) eta>`` over
+    S^2, so ``lambda_min`` at the new point is at most its value at ``r``.
+    The refinement stops when no start improves, or after ``REFINE_STEPS``
+    steps.
 
     Returns ``(value, xi, eta)`` with ``eta`` the unit eigenvector of
     ``phi(xi xi*)`` at ``value``.
@@ -134,21 +181,34 @@ def _bloch_min(P, S, Q, budget: int, seed: int):
     extra = rng.standard_normal((max(int(budget), 0), 3))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
     points = np.vstack([_SPHERE_POINTS, extra])
-    lowest = np.linalg.eigvalsh(_bloch_matrices(A, points))[:, 0]
 
-    r = points[np.argsort(lowest)[:REFINE_STARTS]]
+    first = np.concatenate([_COARSE, np.arange(BLOCH_POINTS, len(points))])
+    w = np.linalg.eigvalsh(_bloch_matrices(A, points[first]))
+    lowest = np.full(len(points), np.inf)
+    lowest[first] = w[:, 0]
+    cut = np.partition(w[:, 0], REFINE_STARTS - 1)[REFINE_STARTS - 1]
+    # ||A_k||_2 is the largest |eigenvalue| of the Hermitian A_k.
+    norms = np.abs(np.linalg.eigvalsh(A[1:])).max(axis=1)
+    lipschitz = float(np.sqrt(norms @ norms))
+    slack = PRUNE_SLACK * (float(np.abs(w).max()) + lipschitz)
+    second = _FINE[lowest[_NEAREST] - lipschitz * _NEAREST_DIST - slack <= cut]
+    lowest[second] = np.linalg.eigvalsh(_bloch_matrices(A, points[second]))[:, 0]
+
+    r = points[np.argsort(lowest, kind="stable")[:REFINE_STARTS]]
     w, V = np.linalg.eigh(_bloch_matrices(A, r))
     value, eta = w[:, 0], V[:, :, 0]
     for _ in range(REFINE_STEPS):
         b = np.einsum("mi,kij,mj->mk", eta.conj(), A[1:], eta).real
-        size = np.linalg.norm(b, axis=1, keepdims=True)
+        size = np.sqrt(np.add.reduce(b * b, axis=1, keepdims=True))
         # b = 0 leaves no direction to take (M(0) = A0 is not on S^2): stay.
         trial = np.where(size > 0.0, -b / np.where(size > 0.0, size, 1.0), r)
         w, V = np.linalg.eigh(_bloch_matrices(A, trial))
         better = w[:, 0] < value
         if not np.any(better):
             break
-        r[better], value[better], eta[better] = trial[better], w[better, 0], V[better, :, 0]
+        np.copyto(r, trial, where=better[:, None])
+        np.copyto(value, w[:, 0], where=better)
+        np.copyto(eta, V[:, :, 0], where=better[:, None])
 
     k = int(np.argmin(value))
     r1, r2, r3 = r[k]

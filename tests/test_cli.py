@@ -346,6 +346,33 @@ class TestSplitFirstPositivity:
         assert report["flags"]["positive"]["status"] == "violation_found"
 
 
+class TestCertificateNumbersOnce:
+    """``classify`` and ``decompose`` read the kadison margins of the split
+    that ``decompose`` just accepted without re-validating it."""
+
+    @pytest.mark.parametrize("command", ["classify", "decompose"])
+    def test_no_revalidation_and_same_margins(self, command, rng, tmp_path,
+                                              monkeypatch):
+        from posmap import cpdecomp
+
+        H = decomposable_map(rng, 3)
+        choi = ChoiMatrix.from_array(H)
+        expected = jsonable(cpdecomp.kadison_constraints(choi, decompose(choi).certificate))
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+
+        monkeypatch.setattr(cpdecomp, "validate_certificate", spy)
+        src, out = tmp_path / "h.json", tmp_path / "r.json"
+        save_matrix(src, H)
+        assert main([command, str(src), "--out", str(out)]) == 0
+        obj = strict_json(out.read_text(encoding="utf-8"))
+        kadison = (obj["decomposition"] if command == "classify" else obj)["kadison"]
+        assert kadison == strict_json(json.dumps(expected))
+        assert calls == []
+
+
 class TestDecomposeCommand:
     def test_decomposable_file(self, tmp_path, rng):
         H = random_psd(6, rng) + partial_transpose(random_psd(6, rng), 3)
@@ -429,6 +456,37 @@ class TestParser:
         assert len(builds) <= 1
         assert seeds == [7, 11]
         assert cli.make_parser().parse_args(["classify", "x"]).max_iters == 20000
+
+
+class TestSeedEnvironment:
+    """A ``POSMAP_SEED`` that is not an integer is a bad parameter, as a bad
+    ``--seed`` is; it is read only when ``--seed`` is absent."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path):
+        src = tmp_path / "h.json"
+        save_matrix(src, random_psd(4, rng_for(0, "cli-seed-env")))
+        return {"classify": ["classify", str(src), "--out", str(tmp_path / "r.json")],
+                "verify": ["verify", "--grid", "1"]}
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_malformed_value_exits_2(self, command, argvs, monkeypatch, capsys):
+        monkeypatch.setenv("POSMAP_SEED", "abc")
+        assert main(argvs[command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: POSMAP_SEED must be an integer, got 'abc'\n"
+        assert captured.out == ""
+
+    def test_seed_option_wins(self, argvs, monkeypatch):
+        monkeypatch.setenv("POSMAP_SEED", "abc")
+        assert main([*argvs["classify"], "--seed", "3"]) == 0
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_bad_seed_option_exits_2(self, command, argvs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argvs[command], "--seed", "abc"])
+        assert exc.value.code == 2
+        assert "error: argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 class TestDegenerateSizes:

@@ -394,12 +394,40 @@ class TestStateChecks:
         assert values[-1] == out.witness.value
 
 
+class TestConeStepKernel:
+    """The projection's cone steps factor their iterates directly."""
+
+    @pytest.mark.parametrize("face", [False, True])
+    def test_decompose_makes_no_psd_project_call(self, face, rng, monkeypatch):
+        from posmap import matkernel
+
+        calls = []
+        original = matkernel.psd_project
+
+        def counted(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(matkernel, "psd_project", counted)
+        monkeypatch.setattr(cpdecomp, "psd_project", counted)
+        H = face_form_decomposable(rng) if face else random_decomposable(rng, 3)
+        out = decompose(H)
+        assert out.decomposed
+        assert calls == []
+
+
 class TestKadison:
     def test_psd_trivial_split(self, rng):
         H = ChoiMatrix.from_array(random_psd(6, rng))
         out = decompose(H)
         report = kadison_constraints(H, out.certificate)
         assert report.all_pass()
+
+    def test_rejects_an_invalid_certificate(self, rng):
+        H = random_decomposable(rng, 2)
+        cert = decompose(H).certificate
+        with pytest.raises(InvalidCertificateError):
+            kadison_constraints(H, replace(cert, H1=cert.H1 + 1e-3 * np.eye(4)))
 
     def test_random_decomposable_margins(self, rng):
         for _ in range(5):

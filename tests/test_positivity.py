@@ -11,8 +11,13 @@ from posmap.exceptions import (
 )
 from posmap.matkernel import psd_check
 from posmap.positivity import (
+    BLOCH_POINTS,
     CERTIFIED,
+    REFINE_STARTS,
+    REFINE_STEPS,
     VIOLATION_FOUND,
+    _bloch_min,
+    _fibonacci_sphere,
     admissible_combination,
     block_positive_2x2,
     block_positive_choi,
@@ -27,7 +32,7 @@ from posmap.acceptance import _certified_triple, _violating_triple
 from posmap.extremal import random_equality_blocks
 from posmap.rand import random_psd, rng_for
 from posmap.tang import TangParams, build_pipeline
-from conftest import random_complex
+from conftest import product_violation, random_complex
 
 
 def dense_sphere_min(P, S, Q, n_samples=40000, seed=7):
@@ -541,3 +546,83 @@ class TestAlternatingRefinement:
         # Two pole checks, one initial and one final eigensolve, and one per
         # refinement step, at most REFINE_STEPS of them.
         assert np.median(counts) <= 40
+
+
+def full_scan_bloch_min(P, S, Q, budget, seed):
+    """Reference engine: every scan point factored in one batch, the starts
+    picked by a stable sort, then the same refinement as ``_bloch_min``."""
+    Sh = S.conj().T
+    A = np.stack([(P + Q) / 2, (S + Sh) / 2, 1j * (S - Sh) / 2, (P - Q) / 2])
+    rng = rng_for(seed, "bloch-sphere")
+    extra = rng.standard_normal((max(int(budget), 0), 3))
+    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+    points = np.vstack([_fibonacci_sphere(BLOCH_POINTS), extra])
+
+    def matrices(r):
+        return A[0] + np.einsum("mk,kij->mij", r, A[1:])
+
+    lowest = np.linalg.eigvalsh(matrices(points))[:, 0]
+    r = points[np.argsort(lowest, kind="stable")[:REFINE_STARTS]]
+    w, V = np.linalg.eigh(matrices(r))
+    value, eta = w[:, 0], V[:, :, 0]
+    for _ in range(REFINE_STEPS):
+        b = np.einsum("mi,kij,mj->mk", eta.conj(), A[1:], eta).real
+        size = np.linalg.norm(b, axis=1, keepdims=True)
+        trial = np.where(size > 0.0, -b / np.where(size > 0.0, size, 1.0), r)
+        w, V = np.linalg.eigh(matrices(trial))
+        better = w[:, 0] < value
+        if not np.any(better):
+            break
+        r[better], value[better], eta[better] = trial[better], w[better, 0], V[better, :, 0]
+    k = int(np.argmin(value))
+    r1, r2, r3 = r[k]
+    rho = np.array([[1 + r3, r1 + 1j * r2], [r1 - 1j * r2, 1 - r3]]) / 2
+    return float(value[k]), np.linalg.eigh(rho)[1][:, -1], eta[k].copy()
+
+
+def scan_triples():
+    """Named (P, S, Q) triples for the pruned-scan comparison."""
+    rng = rng_for(0, "pruned-scan")
+    for d in range(1, 11):
+        P, Q = random_psd(d, rng), random_psd(d, rng)
+        yield f"random d={d}", P, random_complex(rng, (d, d), scale=d / 4), Q
+    P = random_psd(3, rng)
+    yield "all ties (S = 0, P = Q)", P, np.zeros((3, 3), complex), P
+    P, S, Q = _violating_triple(4, rng)
+    for scale in (1e-11, 1e150):
+        yield f"violating triple x {scale:g}", scale * P, scale * S, scale * Q
+    yield "violating triple", P, S, Q
+    H = product_violation(rng, 3)
+    yield "product violation", H[:3, :3], H[:3, 3:], H[3:, 3:]
+    for stage in ("H0", "Hfinal"):
+        H = getattr(build_pipeline(TangParams(0.5, 1 / 24)), stage).H
+        yield f"tang {stage}", H[:4, :4], H[:4, 4:], H[4:, 4:]
+
+
+class TestPrunedScan:
+    """The two-batch scan starts the refinement where a full scan would."""
+
+    @pytest.mark.parametrize("budget", [0, 16, 64, 1000])
+    def test_same_result_as_full_scan(self, budget):
+        for k, (name, P, S, Q) in enumerate(scan_triples()):
+            P, S, Q = (np.asarray(m, dtype=complex) for m in (P, S, Q))
+            got = _bloch_min(P, S, Q, budget, k)
+            want = full_scan_bloch_min(P, S, Q, budget, k)
+            assert got[0] == want[0], name
+            assert np.array_equal(got[1], want[1]), name
+            assert np.array_equal(got[2], want[2]), name
+
+    def test_scan_skips_points_on_a_violating_triple(self, monkeypatch):
+        # Batch sizes through eigvalsh: the coarse points, the three A_k for
+        # the Lipschitz constant, and the fine points the bound keeps.
+        sizes = []
+        original = np.linalg.eigvalsh
+
+        def counted(a):
+            sizes.append(a.shape[0])
+            return original(a)
+
+        P, S, Q = _violating_triple(3, rng_for(1, "scan-count"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        _bloch_min(P, S, Q, 64, 0)
+        assert sum(sizes) < BLOCH_POINTS + 64
