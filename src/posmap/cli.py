@@ -20,8 +20,11 @@ always comes with ``positive`` reading ``{"status": "proved",
 to the rounding in those three fields.  It has no ``margin``, and the
 positivity engine does not run, so ``timings`` has no ``positivity`` entry.
 Without a split the engine runs and ``positive`` carries its ``status``
-(``certified`` or ``violation_found``), ``margin`` and ``witness``.  The CP
-and coCP checks and the face-form stages follow.
+(``certified`` or ``violation_found``), ``margin`` and ``witness``, and
+``refine``, the refinement's ``steps`` and ``stop`` (``converged`` or
+``cap``), unless a non-PSD diagonal block decided the verdict before the
+Bloch-sphere search ran.  The CP and coCP checks and the face-form stages
+follow.
 Without a split, the unrestricted witness search runs last.  Its witness
 (``rho`` and ``value``) gives ``decomposable: no-witness``; without one,
 ``decomposable`` reads ``unknown`` and ``witness`` holds ``found: false``,
@@ -30,15 +33,18 @@ the run's own ``residual``, ``iterations`` and ``stop``, and its ``budget``.
 Every report (``classify``, ``decompose``, ``canonical``) and every matrix
 (``tang``) is written, to ``--out`` or to stdout, as one line of compact
 JSON followed by a newline; ``python -m json.tool FILE`` prints it indented.
+An existing ``--out`` file is overwritten in place, not truncated first
+(see :func:`posmap.io.write_json`).
 
 Exit codes: 0 success, 1 battery criterion failed, 2 bad parameters,
 3 I/O or parse error (any malformed input file, NaN or infinite entries
-included), 4 solver failure after the input loaded (``classify`` and
-``decompose``: an eigensolver that did not converge, or another error of
-the solvers).  The stochastic subcommands, ``classify`` and
-``verify``, derive every stream from one seed (``--seed``, or the
-``POSMAP_SEED`` environment variable as set when :func:`main` runs; unset or
-empty means 0).  A ``POSMAP_SEED`` that is not an integer exits 2 with an
+included, or an output path that cannot be written, such as a missing
+directory or a directory: ``error: cannot write PATH: ...``), 4 solver
+failure after the input loaded (``classify`` and ``decompose``: an
+eigensolver that did not converge, or another error of the solvers).  The
+stochastic subcommands, ``classify`` and ``verify``, derive every stream
+from one seed (``--seed``, or the ``POSMAP_SEED`` environment variable as
+set when :func:`main` runs; unset or empty means 0).  A ``POSMAP_SEED`` that is not an integer exits 2 with an
 ``error:`` line, as ``--seed`` with such a value does; it is read only when
 ``--seed`` is absent.
 """
@@ -115,12 +121,19 @@ TOLERANCES = {
 }
 
 
-def _emit(obj: dict, out: str | None) -> None:
+def _emit(obj: dict, out: str | None) -> int:
     """Every subcommand's JSON output: to ``out``, or to stdout if None.
 
+    Returns the command's exit code: ``EXIT_OK``, or ``EXIT_IO`` with an
+    ``error: cannot write ...`` line when the file system refuses the write.
     A named step of its own, so that ``perfbench`` can time it as ``cli.emit``.
     """
-    write_json(obj, out)
+    try:
+        write_json(obj, out)
+    except OSError as exc:
+        print(f"error: cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 def build_classification(
@@ -148,6 +161,8 @@ def build_classification(
         timings["positivity"] = time.perf_counter() - t0
         positive = {"status": pos.status, "margin": pos.margin,
                     "witness": jsonable(pos.witness)}
+        if pos.refine is not None:
+            positive["refine"] = jsonable(pos.refine)
     flags: dict = {"positive": positive}
 
     t0 = time.perf_counter()
@@ -243,8 +258,7 @@ def _cmd_tang(args) -> int:
         file=sys.stderr,
     )
     matrix = pipe.H0.H if args.stage == "raw" else pipe.Hfinal.H
-    _emit(matrix_to_obj(matrix), args.out)
-    return EXIT_OK
+    return _emit(matrix_to_obj(matrix), args.out)
 
 
 def _cmd_classify(args) -> int:
@@ -265,8 +279,7 @@ def _cmd_classify(args) -> int:
         # LAPACK directly.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    _emit(report, args.out)
-    return EXIT_OK
+    return _emit(report, args.out)
 
 
 def _cmd_decompose(args) -> int:
@@ -292,8 +305,7 @@ def _cmd_decompose(args) -> int:
     else:
         obj["note"] = ("no decomposition found within the iteration budget; "
                        "this is not a nondecomposability proof")
-    _emit(obj, args.out)
-    return EXIT_OK
+    return _emit(obj, args.out)
 
 
 def _cmd_canonical(args) -> int:
@@ -304,8 +316,7 @@ def _cmd_canonical(args) -> int:
     except (ParseError, PosmapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    _emit(jsonable(canon), args.out)
-    return EXIT_OK
+    return _emit(jsonable(canon), args.out)
 
 
 def _cmd_verify(args) -> int:

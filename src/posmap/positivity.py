@@ -169,11 +169,12 @@ def _bloch_min(P, S, Q, budget: int, seed: int):
     ``b_k = <eta, A_k eta>`` at its unit eigenvector ``eta``, and keeps the
     move where ``lambda_min`` fell.  That minimizes ``<eta, M(r) eta>`` over
     S^2, so ``lambda_min`` at the new point is at most its value at ``r``.
-    The refinement stops when no start improves, or after ``REFINE_STEPS``
-    steps.
+    The refinement stops when no start improves (``"converged"``), or after
+    ``REFINE_STEPS`` steps (``"cap"``).
 
-    Returns ``(value, xi, eta)`` with ``eta`` the unit eigenvector of
-    ``phi(xi xi*)`` at ``value``.
+    Returns ``(value, xi, eta, refine)`` with ``eta`` the unit eigenvector of
+    ``phi(xi xi*)`` at ``value`` and ``refine`` the :class:`Refinement` that
+    records the steps run and why they stopped.
     """
     Sh = S.conj().T
     A = np.stack([(P + Q) / 2, (S + Sh) / 2, 1j * (S - Sh) / 2, (P - Q) / 2])
@@ -197,7 +198,8 @@ def _bloch_min(P, S, Q, budget: int, seed: int):
     r = points[np.argsort(lowest, kind="stable")[:REFINE_STARTS]]
     w, V = np.linalg.eigh(_bloch_matrices(A, r))
     value, eta = w[:, 0], V[:, :, 0]
-    for _ in range(REFINE_STEPS):
+    steps, stop = 0, "cap"
+    for steps in range(1, REFINE_STEPS + 1):
         b = np.einsum("mi,kij,mj->mk", eta.conj(), A[1:], eta).real
         size = np.sqrt(np.add.reduce(b * b, axis=1, keepdims=True))
         # b = 0 leaves no direction to take (M(0) = A0 is not on S^2): stay.
@@ -205,6 +207,7 @@ def _bloch_min(P, S, Q, budget: int, seed: int):
         w, V = np.linalg.eigh(_bloch_matrices(A, trial))
         better = w[:, 0] < value
         if not np.any(better):
+            stop = "converged"
             break
         np.copyto(r, trial, where=better[:, None])
         np.copyto(value, w[:, 0], where=better)
@@ -214,7 +217,7 @@ def _bloch_min(P, S, Q, budget: int, seed: int):
     r1, r2, r3 = r[k]
     rho = np.array([[1 + r3, r1 + 1j * r2], [r1 - 1j * r2, 1 - r3]]) / 2
     xi = np.linalg.eigh(rho)[1][:, -1]
-    return float(value[k]), xi, eta[k].copy()
+    return float(value[k]), xi, eta[k].copy(), Refinement(steps, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +239,33 @@ class BlockPosWitness:
 
 
 @dataclass(frozen=True)
+class Refinement:
+    """How the engine's alternating refinement ended.
+
+    ``steps`` counts the steps run, one batched eigensolve each; ``stop`` is
+    ``"converged"`` when the last of them improved no start, and ``"cap"``
+    when ``REFINE_STEPS`` steps ran.
+    """
+
+    steps: int
+    stop: str
+
+
+@dataclass(frozen=True)
 class BlockPosVerdict:
     """Outcome of a block-positivity search.
 
     ``poles`` is always ``(lambda_min(P), lambda_min(Q))``, the values at
-    the Bloch sphere's poles, and ``margin`` is at most both.
+    the Bloch sphere's poles, and ``margin`` is at most both.  ``refine`` is
+    the engine's :class:`Refinement`, or None when a non-PSD pole decided the
+    verdict and the engine did not run.
     """
 
     status: str
     margin: float
     witness: BlockPosWitness | None
     poles: tuple[float, float]
+    refine: Refinement | None = None
 
 
 #: ``lam`` of the product vectors at the poles ``phi(E_11)`` and ``phi(E_22)``.
@@ -264,10 +283,10 @@ def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerd
     positivity engine scans the fixed point set plus ``budget`` random
     points drawn from ``seed`` and refines the lowest by its alternating
     step, which never raises ``lambda_min`` and stops once no start improves
-    (at most ``REFINE_STEPS`` steps).  ``margin`` is the smallest
-    ``lambda_min(phi(xi xi*))`` found there or at the poles, and values
-    below ``-PSD_TOL`` are violations, returned with a product vector
-    witness.  ``P``, ``S`` and ``Q`` of different shapes raise
+    (at most ``REFINE_STEPS`` steps; ``refine`` records the steps and the
+    stop).  ``margin`` is the smallest ``lambda_min(phi(xi xi*))`` found
+    there or at the poles, and values below ``-PSD_TOL`` are violations,
+    returned with a product vector witness.  ``P``, ``S`` and ``Q`` of different shapes raise
     :class:`DimensionMismatchError`.
     """
     Pm = require_hermitian(as_matrix(P))
@@ -283,13 +302,14 @@ def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerd
         witness = BlockPosWitness(eta=checks[low].witness, lam=_POLE_LAMS[low])
         return BlockPosVerdict(VIOLATION_FOUND, poles[low], witness, poles)
 
-    found, xi, eta = _bloch_min(Pm, Sm, Qm, budget, seed)
+    found, xi, eta, refine = _bloch_min(Pm, Sm, Qm, budget, seed)
     # The poles are points of the sphere too; a face-form map's zero sits at one.
     margin = min(found, *poles)
     if margin >= -PSD_TOL:
-        return BlockPosVerdict(CERTIFIED, margin, None, poles)
+        return BlockPosVerdict(CERTIFIED, margin, None, poles, refine)
     lam = (complex(np.conj(xi[0])), complex(np.conj(xi[1])))
-    return BlockPosVerdict(VIOLATION_FOUND, margin, BlockPosWitness(eta, lam), poles)
+    witness = BlockPosWitness(eta, lam)
+    return BlockPosVerdict(VIOLATION_FOUND, margin, witness, poles, refine)
 
 
 def admissible_combination(P, S, Q, p: float, q: float, s: complex) -> np.ndarray:

@@ -45,3 +45,19 @@ def complex_matrices(draw):
     parts = draw(st.lists(finite_doubles, min_size=2 * rows * cols,
                           max_size=2 * rows * cols))
     return np.array(parts, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+
+
+def benchmark_case(workload, seed, index):
+    """Input ``index`` of a ``perfbench`` workload's pool at run seed ``seed``."""
+    import importlib
+    import sys
+    from pathlib import Path
+
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    spec = workloads.WORKLOADS[workload]
+    return spec.generate(workloads.case_rng(seed, workload), index + 1)[index]

@@ -16,12 +16,13 @@ from posmap.io import (
     matrix_from_obj,
     matrix_to_obj,
     save_matrix,
+    write_json,
 )
 from posmap.matkernel import PSD_TOL, partial_transpose
 from posmap.positivity import block_positive_choi
 from posmap.rand import random_psd, random_unit_vector, rng_for
 from posmap.tang import TangParams, build_pipeline, tang_choi
-from conftest import complex_matrices, product_violation
+from conftest import benchmark_case, complex_matrices, product_violation
 
 
 def _reject_constant(name):
@@ -428,6 +429,120 @@ class TestReportFile:
         for name in ("H1", "H2"):
             assert np.array_equal(matrix_from_obj(cert[name]).view(np.uint64),
                                   getattr(expected, name).view(np.uint64))
+
+
+class TestWriteJson:
+    """Files are overwritten in place, and hold exactly the new text."""
+
+    OBJ = {"rows": 1, "cols": 1, "data": [[0.1, -2.5e-300]], "note": "\u00e9"}
+
+    def test_bytes_are_the_compact_text(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(self.OBJ, path)
+        assert path.read_bytes() == (json.dumps(self.OBJ, allow_nan=False)
+                                     + "\n").encode("utf-8")
+
+    def test_shorter_overwrite_leaves_only_the_new_bytes(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 10000)
+        write_json({"a": 1}, path)
+        assert path.read_bytes() == b'{"a": 1}\n'
+
+    def test_overwrite_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json({"a": list(range(100))}, path)
+        path.chmod(0o640)
+        before = path.stat()
+        write_json({"a": 1}, path)
+        after = path.stat()
+        assert after.st_ino == before.st_ino
+        assert after.st_mode == before.st_mode
+        assert after.st_size == len(b'{"a": 1}\n')
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        ours, plain = tmp_path / "ours.json", tmp_path / "plain.json"
+        write_json({"a": 1}, ours)
+        plain.write_text("{}")
+        assert ours.stat().st_mode == plain.stat().st_mode
+
+    def test_symlinked_out_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old content that is longer than the new one\n")
+        link.symlink_to(target)
+        assert main(["tang", "--mu", "0.5", "--eps", "0.01", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert np.array_equal(load_matrix(target),
+                              tang_choi(TangParams(0.5, 0.01)).H)
+
+    def test_dev_null_is_accepted(self):
+        write_json(self.OBJ, "/dev/null")
+        assert main(["tang", "--mu", "0.5", "--eps", "0.01", "--out", "/dev/null"]) == 0
+
+    def test_refused_nan_leaves_old_content(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+        with pytest.raises(ParseError):
+            write_json({"value": float("nan")}, path)
+        assert path.read_text() == "old\n"
+
+
+def _command_input(command, tmp_path):
+    """Arguments that make ``command`` succeed up to writing its output."""
+    if command == "tang":
+        return ["tang", "--mu", "0.5", "--eps", "0.01"]
+    src = tmp_path / "in.json"
+    if command == "canonical":
+        from posmap.extremal import random_equality_blocks
+
+        blocks, _ = random_equality_blocks(2, rng_for(0, "cli-unwritable"))
+        save_matrix(src, assemble_blocks(blocks).H)
+        return ["canonical", str(src)]
+    save_matrix(src, decomposable_map(rng_for(0, "cli-unwritable"), 2))
+    return [command, str(src)]
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", ["tang", "classify", "decompose", "canonical"])
+    @pytest.mark.parametrize("kind", ["missing_directory", "directory"])
+    def test_exit_3_with_error_line(self, command, kind, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json" if kind == "missing_directory" else tmp_path
+        assert main(_command_input(command, tmp_path) + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        # tang prints its derived constants to stderr first.
+        assert err.splitlines()[-1].startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
+
+class TestRefinementInReport:
+    """``positive.refine`` appears whenever the positivity engine ran."""
+
+    def _positive(self, H, tmp_path, seed=0):
+        src, out = tmp_path / "h.json", tmp_path / "report.json"
+        save_matrix(src, H)
+        assert main(["classify", str(src), "--out", str(out), "--max-iters", "50",
+                     "--seed", str(seed)]) == 0
+        return strict_json(out.read_text())["flags"]["positive"]
+
+    def test_tang_reads_cap(self, tmp_path):
+        from posmap.positivity import REFINE_STEPS
+
+        H = build_pipeline(TangParams(0.5, 0.5**2 / 12)).H0.H
+        positive = self._positive(H, tmp_path)
+        assert positive["refine"] == {"steps": REFINE_STEPS, "stop": "cap"}
+
+    def test_nonpositive_triple_reads_converged(self, tmp_path):
+        case = benchmark_case("nonpositive", 5, 1)
+        positive = self._positive(case.H, tmp_path, case.seed)
+        assert positive["status"] == "violation_found"
+        assert positive["refine"]["stop"] == "converged"
+
+    def test_absent_when_a_pole_or_a_split_decides(self, tmp_path):
+        H = np.eye(6, dtype=complex)
+        H[0, 0] = -1.0
+        assert "refine" not in self._positive(H, tmp_path)
+        positive = self._positive(decomposable_map(rng_for(0, "cli-refine"), 2),
+                                  tmp_path)
+        assert positive["evidence"] == "split" and "refine" not in positive
 
 
 class TestParser:

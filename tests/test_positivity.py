@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posmap.choi import ChoiBlocks, assemble_blocks, extract_blocks, row_abs
+from posmap.choi import ChoiBlocks, ChoiMatrix, assemble_blocks, extract_blocks, row_abs
 from posmap.exceptions import (
     BadScalarsError,
     DimensionMismatchError,
@@ -16,6 +16,7 @@ from posmap.positivity import (
     REFINE_STARTS,
     REFINE_STEPS,
     VIOLATION_FOUND,
+    Refinement,
     _bloch_min,
     _fibonacci_sphere,
     admissible_combination,
@@ -32,7 +33,7 @@ from posmap.acceptance import _certified_triple, _violating_triple
 from posmap.extremal import random_equality_blocks
 from posmap.rand import random_psd, rng_for
 from posmap.tang import TangParams, build_pipeline
-from conftest import product_violation, random_complex
+from conftest import benchmark_case, product_violation, random_complex
 
 
 def dense_sphere_min(P, S, Q, n_samples=40000, seed=7):
@@ -626,3 +627,27 @@ class TestPrunedScan:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         _bloch_min(P, S, Q, 64, 0)
         assert sum(sizes) < BLOCH_POINTS + 64
+
+
+class TestRefinementReport:
+    """The verdict says how the engine's refinement ended."""
+
+    @pytest.mark.parametrize("stage", ["H0", "Hfinal"])
+    def test_tang_refinement_hits_the_cap(self, stage):
+        choi = getattr(build_pipeline(TangParams(0.5, 0.5**2 / 12)), stage)
+        v = block_positive_choi(choi, budget=64, seed=0)
+        assert v.status == CERTIFIED
+        assert v.refine == Refinement(REFINE_STEPS, "cap")
+
+    def test_nonpositive_triple_converges(self):
+        # Case 1 of the benchmark's nonpositive pool at seed 5: PSD diagonal
+        # blocks, so the engine decides.
+        case = benchmark_case("nonpositive", 5, 1)
+        v = block_positive_choi(ChoiMatrix.from_array(case.H), seed=case.seed)
+        assert v.status == VIOLATION_FOUND
+        assert v.refine.stop == "converged"
+        assert 1 <= v.refine.steps < REFINE_STEPS
+
+    def test_no_refinement_when_a_pole_decides(self):
+        v = block_positive_2x2(np.diag([1.0, -1.0]), np.zeros((2, 2)), np.eye(2))
+        assert v.status == VIOLATION_FOUND and v.refine is None
