@@ -28,12 +28,15 @@ memory is cleared and the run goes on from the output of ``G`` already
 computed, so a rejection costs no extra projection.  Verdicts are read only from outputs of ``G``, never from an
 extrapolated point, so they mean what they mean without acceleration.
 ``iterations`` counts evaluations of ``G``, each one pair of cone
-projections, and ``max_iters`` caps them.  A cone projection factors the
-symmetrized iterate ``(A + A*)/2`` by LAPACK directly, with the arithmetic
-of :func:`matkernel.psd_project` but without its Hermiticity check, which
-would add two Frobenius norms to every cycle.  The symmetrization stays:
-the mixed corrections are Hermitian only up to rounding, and factoring them
-as they are changes the iterates.
+projections, and ``max_iters`` caps them.  A cone projection is
+:func:`matkernel.psd_part`: the arithmetic of :func:`matkernel.psd_project`
+on the symmetrized iterate ``(A + A*)/2``, without its Hermiticity check,
+which would add two Frobenius norms to every cycle.  The symmetrization
+stays: the mixed corrections are Hermitian only up to rounding, and
+factoring them as they are changes the iterates.  The ``C2`` step takes the
+partial transpose by the kernel's own index permutation
+(:func:`matkernel.partial_transpose_index`), and the face restriction drops
+index ``d`` by the one cached index of :func:`_without_index`.
 
 The split tolerance ``tau`` is ``matkernel.PSD_TOL`` and the witness
 tolerance ``WITNESS_TOL``, both times ``min(1, ||H||_F)``: residuals and
@@ -81,10 +84,13 @@ from .matkernel import (
     PSD_TOL,
     RANK_TOL,
     as_matrix,
+    eigenvalues,
     frobenius,
     lowest_eigenvalue,
     partial_transpose,
+    partial_transpose_index,
     psd_check,
+    psd_part,
     psd_project,
     psd_sqrt,
     require_hermitian,
@@ -144,8 +150,19 @@ def _variant_matrix(blocks: ChoiBlocks, variant: str) -> tuple[np.ndarray, int]:
     raise ValueError(f"variant must be 'cp' or 'ccp', got {variant!r}")
 
 
-def _delete_index(M: np.ndarray, d: int) -> np.ndarray:
-    return np.delete(np.delete(M, d, axis=0), d, axis=1)
+@functools.cache
+def _inner_index(d: int) -> np.ndarray:
+    """Flat positions of the entries off row and column ``d`` of a ``2d``-square
+    matrix, row by row; read-only, built once per ``d``."""
+    keep = np.delete(np.arange(2 * d), d)
+    inner = (keep[:, None] * (2 * d) + keep).ravel()
+    inner.setflags(write=False)
+    return inner
+
+
+def _without_index(M: np.ndarray, d: int) -> np.ndarray:
+    """The ``2d``-square ``M`` with row and column ``d`` deleted."""
+    return M.take(_inner_index(d)).reshape(2 * d - 1, -1)
 
 
 def condensed_matrix(blocks: ChoiBlocks, variant: str) -> np.ndarray:
@@ -157,13 +174,13 @@ def condensed_matrix(blocks: ChoiBlocks, variant: str) -> np.ndarray:
     ``H[d, d] = 0``, so the deleted row holds only ``x`` and the coupling
     row (``Z``, or ``Y`` after the partial transpose).
     """
-    return _delete_index(*_variant_matrix(blocks, variant))
+    return _without_index(*_variant_matrix(blocks, variant))
 
 
 def _cp_like_check(blocks: ChoiBlocks, variant: str) -> CpVerdict:
     M, d = _variant_matrix(blocks, variant)
     row_norm = float(np.linalg.norm(M[d]))
-    K = _delete_index(M, d)
+    K = _without_index(M, d)
     kv = psd_check(K)
     dv = psd_check(M)
     holds = row_norm <= STRUCT_TOL and kv.is_psd
@@ -325,22 +342,25 @@ class DecomposeResult:
 
 
 def _is_ppt_state(rho: np.ndarray, d: int) -> bool:
-    """Trace one, PSD and PSD after partial transpose, checked from scratch."""
+    """Trace one, PSD and PSD after partial transpose, checked from scratch.
+
+    ``rho`` is validated once: a partial transpose only permutes entries, so
+    ``PT(rho)`` has the Hermiticity defect of ``rho``.
+    """
     if abs(np.trace(rho).real - 1.0) > STATE_TRACE_TOL:
         return False
-    if np.linalg.eigvalsh(require_hermitian(rho, tol=STATE_TOL))[0] < -STATE_TOL:
-        return False
-    pt = require_hermitian(partial_transpose(rho, d), tol=STATE_TOL)
-    return bool(np.linalg.eigvalsh(pt)[0] >= -STATE_TOL)
+    S = require_hermitian(rho, tol=STATE_TOL)
+    return bool(eigenvalues(np.stack([S, partial_transpose(S, d)])).min() >= -STATE_TOL)
 
 
 def _certificate_numbers(choi: ChoiMatrix, H1, H2) -> tuple[float, float, float]:
     """``||H1 + H2 - H||_F``, ``lambda_min(H1)`` and ``lambda_min(PT(H2))``; both
     parts must be Hermitian within ``STATE_TOL`` (else :class:`NotHermitianError`)."""
     residual = frobenius(H1 + H2 - choi.H)
-    m1 = float(np.linalg.eigvalsh(require_hermitian(H1, tol=STATE_TOL))[0])
-    pt = require_hermitian(partial_transpose(H2, choi.dim), tol=STATE_TOL)
-    return residual, m1, float(np.linalg.eigvalsh(pt)[0])
+    S1 = require_hermitian(H1, tol=STATE_TOL)
+    S2 = partial_transpose(require_hermitian(H2, tol=STATE_TOL), choi.dim)
+    m1, m2 = eigenvalues(np.stack([S1, S2]))[:, 0].tolist()
+    return residual, m1, m2
 
 
 def _split_excess(residual: float, m1: float, m2: float) -> float:
@@ -350,29 +370,6 @@ def _split_excess(residual: float, m1: float, m2: float) -> float:
     stays NaN, so it is rejected.
     """
     return residual + max(-m1, 0.0) + max(-m2, 0.0)
-
-
-@functools.cache
-def _index_maps(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions ``inner`` of the indices other than ``d`` in a
-    ``2d x 2d`` matrix, and ``swap`` with ``M.take(swap) ==
-    partial_transpose(M, d)``; read-only, built once per ``d``."""
-    size = 2 * d
-    keep = np.delete(np.arange(size), d)
-    inner = (keep[:, None] * size + keep).ravel()
-    swap = np.arange(size * size).reshape(2, d, 2, d).transpose(2, 1, 0, 3)
-    swap = swap.reshape(size, size)
-    inner.setflags(write=False)
-    swap.setflags(write=False)
-    return inner, swap
-
-
-def _psd_part(A: np.ndarray) -> np.ndarray:
-    """The cone step's projection: :func:`matkernel.psd_project` of ``A``
-    without its Hermiticity check, on the same symmetrized copy."""
-    vals, V = np.linalg.eigh((A + A.conj().T) / 2.0)
-    P = (V * np.clip(vals, 0.0, None)) @ V.conj().T
-    return (P + P.conj().T) / 2.0
 
 
 def _norm(A: np.ndarray) -> float:
@@ -393,23 +390,23 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
     split_tol, witness_tol = _scaled_tolerances(H)
     d = choi.dim
     size = 2 * d
-    inner, swap = _index_maps(d)
+    inner, pt = _inner_index(d), partial_transpose_index(d)
 
     def cone_step(A):
         # The projection onto C1 and its Dykstra correction.
         if face:
             Y = A.copy()
-            Y.ravel()[inner] = _psd_part(A.take(inner).reshape(size - 1, -1)).ravel()
+            Y.ravel()[inner] = psd_part(_without_index(A, d)).ravel()
         else:
-            Y = _psd_part(A)
+            Y = psd_part(A)
         return Y, A - Y
 
     def dykstra(P2):
         # One plain cycle G(P1, P2); it reads only P2, since X + P1 = -H - P2.
         g = np.empty((2, size, size), dtype=np.complex128)
         Y, g[0] = cone_step(negH - P2)
-        _, C = cone_step((Y + P2).take(swap))
-        g[1] = C.take(swap)
+        _, C = cone_step((Y + P2).take(pt))
+        g[1] = C.take(pt)
         return g
 
     stop_tol = split_tol / 10.0
@@ -613,11 +610,9 @@ def _kadison_margins(choi: ChoiMatrix, cert: DecompositionCertificate) -> Kadiso
     H1 = _positional_blocks(as_matrix(cert.H1), d)
     H2 = _positional_blocks(as_matrix(cert.H2), d)
     # Operator norm of phi(I), a sum of blocks of the exactly Hermitian H.
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(H[(1, 1)] + H[(2, 2)]))))
-    entry = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            L = H[(i, j)].conj().T @ H[(i, j)]
-            R = norm * (H1[(j, j)] + H2[(i, i)])
-            entry[(i, j)] = lowest_eigenvalue(R - L)
-    return KadisonReport(norm, entry)
+    norm = float(np.max(np.abs(eigenvalues(H[(1, 1)] + H[(2, 2)]))))
+    pairs = [(i, j) for i in (1, 2) for j in (1, 2)]
+    gaps = [norm * (H1[(j, j)] + H2[(i, i)]) - H[(i, j)].conj().T @ H[(i, j)]
+            for i, j in pairs]
+    margins = eigenvalues(np.stack(gaps))[:, 0].tolist()
+    return KadisonReport(norm, dict(zip(pairs, margins)))

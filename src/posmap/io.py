@@ -151,7 +151,11 @@ def matrix_digest(matrix) -> str:
 
 
 def jsonable(value) -> Any:
-    """Recursively convert report values into JSON-encodable data."""
+    """Recursively convert report values into JSON-encodable data.
+
+    Raises :class:`TypeError` naming the type of a value it cannot convert,
+    so that no report carries an object's ``repr``.
+    """
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -176,4 +180,4 @@ def jsonable(value) -> Any:
             name: jsonable(getattr(value, name))
             for name in value.__dataclass_fields__
         }
-    return str(value)
+    raise TypeError(f"cannot convert {type(value).__name__} to JSON")

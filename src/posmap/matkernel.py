@@ -2,18 +2,21 @@
 
 All routines operate on numpy ``complex128`` arrays, never mutate their
 arguments, and are sized for the matrices this package actually meets
-(dimension <= ~64).  Input is validated where it enters: every routine that
-factors a matrix passes it through :func:`require_hermitian` and factors the
-exactly Hermitian copy.  LAPACK's Hermitian eigensolver
+(dimension <= ~64).  Input is validated where it enters: every checked
+routine that factors a matrix passes it through :func:`require_hermitian`
+and factors the exactly Hermitian copy.  LAPACK's Hermitian eigensolver
 (:func:`numpy.linalg.eigh`) is backward stable, so its result is not
 re-checked; a LAPACK failure surfaces as :class:`NoConvergenceError`.
 
-Hot loops call LAPACK directly on matrices Hermitian by construction, and a
-failure there surfaces as :class:`numpy.linalg.LinAlgError`: the positivity
-engine (``positivity._bloch_min``), the projection's cone steps
-(``cpdecomp._project``, on the symmetrized iterate), and the state and
-certificate checks (``cpdecomp._is_ppt_state``,
-``cpdecomp._certificate_numbers``).
+Two readers skip the check and factor the symmetrized copy ``(M + M*)/2``,
+and a LAPACK failure in them surfaces as :class:`numpy.linalg.LinAlgError`:
+:func:`psd_part`, the projection's cone step, and :func:`eigenvalues`, the
+spectra of a stack of matrices Hermitian up to rounding (margins, and the
+state and certificate checks).  Besides the cone step, only the positivity
+engine (``positivity._bloch_min``) calls LAPACK directly in a hot loop.
+Each kernel has one implementation: :func:`partial_transpose` is a cached
+index permutation (:func:`partial_transpose_index`), and every matrix
+rebuilt from eigenpairs is one symmetrized product (:func:`_rebuild`).
 
 Tolerances are constants: ``HERM_TOL_SCALE`` sets the default Hermiticity
 limit of :func:`require_hermitian`, ``EIG_CLAMP_TOL`` the negative eigenvalues
@@ -23,6 +26,7 @@ limit of :func:`require_hermitian`, ``EIG_CLAMP_TOL`` the negative eigenvalues
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +114,12 @@ def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
 
 
+def _rebuild(W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``W V*`` symmetrized, for ``W = V f(diag(w))`` from eigenpairs ``(w, V)``."""
+    R = W @ V.conj().T
+    return (R + R.conj().T) / 2.0
+
+
 def psd_sqrt(matrix) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
@@ -119,9 +129,7 @@ def psd_sqrt(matrix) -> np.ndarray:
     vals, V = hermitian_eig(matrix)
     if vals[0] < -EIG_CLAMP_TOL:
         raise NotPSDError(f"matrix has eigenvalue {vals[0]:.3e} < -{EIG_CLAMP_TOL:.1e}")
-    clamped = np.clip(vals, 0.0, None)
-    S = (V * np.sqrt(clamped)) @ V.conj().T
-    return (S + S.conj().T) / 2.0
+    return _rebuild(V * np.sqrt(np.clip(vals, 0.0, None)), V)
 
 
 def psd_inv_sqrt(matrix) -> np.ndarray:
@@ -134,8 +142,7 @@ def psd_inv_sqrt(matrix) -> np.ndarray:
         raise SingularMatrixError(
             f"matrix has eigenvalue {vals[0]:.3e} <= rank tolerance {RANK_TOL:.1e}"
         )
-    R = (V / np.sqrt(vals)) @ V.conj().T
-    return (R + R.conj().T) / 2.0
+    return _rebuild(V / np.sqrt(vals), V)
 
 
 @dataclass(frozen=True)
@@ -167,8 +174,28 @@ def psd_check(matrix) -> PsdVerdict:
 def psd_project(matrix) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm (eigenvalue clamping at zero)."""
     vals, V = hermitian_eig(matrix)
-    P = (V * np.clip(vals, 0.0, None)) @ V.conj().T
-    return (P + P.conj().T) / 2.0
+    return _rebuild(V * np.clip(vals, 0.0, None), V)
+
+
+def psd_part(A: np.ndarray) -> np.ndarray:
+    """:func:`psd_project` of the symmetrized ``(A + A*)/2``, unchecked.
+
+    For loops whose iterates are Hermitian up to rounding by construction,
+    where the Hermiticity check would add two Frobenius norms per call.
+    """
+    vals, V = np.linalg.eigh((A + A.conj().T) / 2.0)
+    return _rebuild(V * np.clip(vals, 0.0, None), V)
+
+
+@functools.cache
+def partial_transpose_index(block_dim: int) -> np.ndarray:
+    """Flat positions ``p`` with ``M.take(p) == partial_transpose(M, block_dim)``
+    for every ``2 block_dim``-square ``M``; read-only, built once per size."""
+    d = block_dim
+    index = np.arange(4 * d * d).reshape(2, d, 2, d).transpose(2, 1, 0, 3)
+    index = index.reshape(2 * d, 2 * d)
+    index.setflags(write=False)
+    return index
 
 
 def partial_transpose(matrix, block_dim: int) -> np.ndarray:
@@ -185,17 +212,20 @@ def partial_transpose(matrix, block_dim: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix of size {H.shape[0]} is not 2 x block_dim = {2 * d}"
         )
-    out = H.copy()
-    out[:d, d:] = H[d:, :d]
-    out[d:, :d] = H[:d, d:]
-    return out
+    return H.take(partial_transpose_index(d))
+
+
+def eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``(M + M*)/2`` for each matrix ``M`` of a stack.
+
+    For matrices Hermitian up to rounding; a ``(k, n, n)`` stack gives
+    ``(k, n)`` spectra, one ``n``-square matrix one spectrum.  No Hermiticity
+    defect is computed: its norm would overflow on matrices whose entries are
+    near the square root of the largest float.
+    """
+    return np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def lowest_eigenvalue(matrix) -> float:
-    """Smallest eigenvalue of ``(M + M*)/2``, for margins Hermitian up to rounding.
-
-    No Hermiticity defect is computed: its norm would overflow on matrices
-    whose entries are near the square root of the largest float.
-    """
-    M = require_square(as_matrix(matrix))
-    return float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
+    """Smallest eigenvalue of ``(M + M*)/2``, for margins Hermitian up to rounding."""
+    return float(eigenvalues(require_square(as_matrix(matrix)))[0])

@@ -98,6 +98,12 @@ class TestMatrixSchema:
         out = jsonable(coupling_bound_check(blocks))
         json.dumps(out)  # must be encodable
 
+    @pytest.mark.parametrize("value", [object(), {"k": [1, {2, 3}]}, b"bytes"])
+    def test_jsonable_refuses_unknown_objects(self, value):
+        # No silent "<... object at 0x...>" in a report: the type is named.
+        with pytest.raises(TypeError, match=r"cannot convert (object|set|bytes)"):
+            jsonable(value)
+
 
 class TestTangCommand:
     def test_raw_output_matches_library(self, tmp_path, capsys):

@@ -18,8 +18,15 @@ from posmap.cpdecomp import (
     WITNESS_TOL,
     witness_search,
 )
-from posmap.exceptions import InvalidCertificateError
-from posmap.matkernel import PSD_TOL, frobenius, partial_transpose, psd_check
+from posmap.exceptions import InvalidCertificateError, NotHermitianError
+from posmap.matkernel import (
+    PSD_TOL,
+    frobenius,
+    lowest_eigenvalue,
+    partial_transpose,
+    psd_check,
+    require_hermitian,
+)
 from posmap.rand import random_psd
 from posmap.tang import TangParams, build_pipeline, tang_choi
 from conftest import product_violation, random_complex
@@ -414,6 +421,94 @@ class TestConeStepKernel:
         out = decompose(H)
         assert out.decomposed
         assert calls == []
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestOneKernelPerCheck:
+    """The state, certificate and Kadison checks read their eigenvalues
+    through the kernel and give what their own LAPACK calls gave."""
+
+    @staticmethod
+    def two_validations(rho, d):
+        # The state check that validated rho and PT(rho) separately.
+        if abs(np.trace(rho).real - 1.0) > cpdecomp.STATE_TRACE_TOL:
+            return False
+        tol = cpdecomp.STATE_TOL
+        if np.linalg.eigvalsh(require_hermitian(rho, tol=tol))[0] < -tol:
+            return False
+        pt = require_hermitian(partial_transpose(rho, d), tol=tol)
+        return bool(np.linalg.eigvalsh(pt)[0] >= -tol)
+
+    @staticmethod
+    def near_states(rng, d):
+        size = 2 * d
+        psd = random_psd(size, rng)
+        sigma = psd / np.trace(psd).real
+        yield sigma  # a state, PPT or not
+        # PPT: PT(sigma) has no eigenvalue below -1/2.
+        mixed = (np.eye(size) + 0.5 * sigma) / (size + 0.5)
+        yield mixed
+        yield mixed - 2e-8 * np.eye(size) / size  # trace just outside the tolerance
+        yield mixed + random_complex(rng, (size, size), 1e-12)  # defect below STATE_TOL
+        v = np.kron(np.array([1.0, 1.0]) / np.sqrt(2), np.eye(d)[0])
+        w = np.kron(np.array([1.0, -1.0]) / np.sqrt(2), np.eye(d)[1 % d])
+        yield np.outer(v + w, (v + w).conj()) / 2  # entangled for d > 1: PT not PSD
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 9])
+    def test_state_check_matches_two_validations(self, d, rng):
+        verdicts = []
+        for rho in self.near_states(rng, d):
+            got = cpdecomp._is_ppt_state(rho, d)
+            assert got == self.two_validations(rho, d)
+            verdicts.append(got)
+        assert verdicts[1] and not verdicts[2]
+
+    def test_pt_not_psd_is_rejected(self):
+        # |00> + |11>, a PSD state whose partial transpose is not PSD.
+        v = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        rho = np.outer(v, v).astype(complex)
+        assert psd_check(rho).is_psd
+        assert not psd_check(partial_transpose(rho, 2)).is_psd
+        assert cpdecomp._is_ppt_state(rho, 2) is False
+        assert self.two_validations(rho, 2) is False
+
+    def test_hermiticity_defect_above_state_tol_raises(self, rng):
+        rho = np.eye(6, dtype=complex) / 6
+        rho[0, 1] += 1e-7
+        for check in (cpdecomp._is_ppt_state, self.two_validations):
+            with pytest.raises(NotHermitianError):
+                check(rho, 3)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_certificate_numbers_and_margins_match_direct_calls(self, d, rng):
+        H = random_decomposable(rng, d)
+        cert = decompose(H).certificate
+        pt = require_hermitian(partial_transpose(cert.H2, d), tol=cpdecomp.STATE_TOL)
+        m1 = float(np.linalg.eigvalsh(require_hermitian(cert.H1, tol=cpdecomp.STATE_TOL))[0])
+        expected = (frobenius(cert.H1 + cert.H2 - H.H), m1, float(np.linalg.eigvalsh(pt)[0]))
+        assert cpdecomp._certificate_numbers(H, cert.H1, cert.H2) == expected
+
+        blocks = cpdecomp._positional_blocks
+        B, B1, B2 = blocks(H.H, d), blocks(cert.H1, d), blocks(cert.H2, d)
+        norm = float(np.max(np.abs(np.linalg.eigvalsh(B[(1, 1)] + B[(2, 2)]))))
+        margins = {
+            (i, j): lowest_eigenvalue(norm * (B1[(j, j)] + B2[(i, i)])
+                                      - B[(i, j)].conj().T @ B[(i, j)])
+            for i in (1, 2) for j in (1, 2)
+        }
+        report = cpdecomp._kadison_margins(H, cert)
+        assert report.norm_phi_identity == norm
+        assert report.entry_margins == margins
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_without_index_is_the_double_delete(self, d, rng):
+        M = random_complex(rng, (2 * d, 2 * d))
+        expected = np.delete(np.delete(M, d, axis=0), d, axis=1)
+        assert same_bits(cpdecomp._without_index(M, d), expected)
 
 
 class TestKadison:

@@ -10,11 +10,14 @@ from posmap.exceptions import (
     SingularMatrixError,
 )
 from posmap.matkernel import (
+    eigenvalues,
     frobenius,
     hermitian_eig,
+    lowest_eigenvalue,
     partial_transpose,
     psd_check,
     psd_inv_sqrt,
+    psd_part,
     psd_project,
     psd_sqrt,
 )
@@ -24,6 +27,17 @@ from conftest import random_complex
 def random_hermitian(rng, n, scale=1.0):
     G = random_complex(rng, (n, n), scale)
     return (G + G.conj().T) / 2
+
+
+def same_bits(a, b):
+    """Bitwise equality of two arrays: shape, dtype and every byte."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def near_hermitian(rng, n, defect=1e-13):
+    """A Hermitian matrix plus a non-Hermitian perturbation of size ``defect``."""
+    return random_hermitian(rng, n) + random_complex(rng, (n, n), defect)
 
 
 def map_of_identity_4x4(mu, eps):
@@ -187,3 +201,95 @@ class TestPartialTranspose:
     def test_rejects_odd_size(self):
         with pytest.raises(DimensionMismatchError):
             partial_transpose(np.eye(6), 2)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_equals_block_swap(self, d, rng):
+        def block_swap(H):
+            out = H.copy()
+            out[:d, d:] = H[d:, :d]
+            out[d:, :d] = H[:d, d:]
+            return out
+
+        for H in (random_complex(rng, (2 * d, 2 * d)),
+                  random_hermitian(rng, 2 * d),
+                  np.asfortranarray(random_complex(rng, (2 * d, 2 * d)))):
+            assert same_bits(partial_transpose(H, d), block_swap(H))
+            assert partial_transpose(H, d).flags.c_contiguous
+
+
+class TestOneRebuild:
+    """Every matrix rebuilt from eigenpairs is the same symmetrized product,
+    bit for bit, as the formula each kernel had on its own."""
+
+    @staticmethod
+    def reference(W, V):
+        R = W @ V.conj().T
+        return (R + R.conj().T) / 2.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 14])
+    def test_psd_sqrt_and_inv_sqrt(self, n, rng):
+        W = random_complex(rng, (n, n))
+        M = W @ W.conj().T + 0.1 * np.eye(n)
+        vals, V = np.linalg.eigh((M + M.conj().T) / 2.0)
+        sqrt = self.reference(V * np.sqrt(np.clip(vals, 0.0, None)), V)
+        assert same_bits(psd_sqrt(M), sqrt)
+        assert same_bits(psd_inv_sqrt(M), self.reference(V / np.sqrt(vals), V))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 14])
+    def test_psd_project(self, n, rng):
+        M = random_hermitian(rng, n)
+        vals, V = np.linalg.eigh((M + M.conj().T) / 2.0)
+        assert same_bits(psd_project(M), self.reference(V * np.clip(vals, 0.0, None), V))
+
+
+class TestPsdPart:
+    """The unchecked cone-step projection is :func:`psd_project` without its
+    Hermiticity check."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 13, 20])
+    def test_equals_psd_project_on_hermitian_input(self, n, rng):
+        for M in (random_hermitian(rng, n), near_hermitian(rng, n)):
+            assert same_bits(psd_part(M), psd_project(M))
+
+    def test_no_hermiticity_check(self, rng):
+        M = random_complex(rng, (4, 4))
+        with pytest.raises(NotHermitianError):
+            psd_project(M)
+        assert same_bits(psd_part(M), psd_project((M + M.conj().T) / 2.0))
+
+    def test_lapack_failure_is_linalg_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(np.linalg.LinAlgError):
+            psd_part(np.eye(2))
+
+
+class TestEigenvalues:
+    """The stacked reader gives each matrix the spectrum it has alone."""
+
+    @staticmethod
+    def reference_lowest(M):
+        return float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 14, 20])
+    def test_stack_matches_each_matrix(self, n, rng):
+        stack = np.stack([near_hermitian(rng, n) for _ in range(5)])
+        spectra = eigenvalues(stack)
+        assert spectra.shape == (5, n)
+        assert np.all(np.diff(spectra, axis=1) >= 0)
+        for M, spectrum in zip(stack, spectra):
+            assert same_bits(spectrum, eigenvalues(M))
+            assert same_bits(spectrum[0], lowest_eigenvalue(M))
+            assert same_bits(spectrum[0], self.reference_lowest(M))
+
+    def test_no_hermiticity_defect_is_computed(self):
+        # The defect's norm would overflow here; the reader still answers.
+        M = np.diag([1e200, -1e200]).astype(complex)
+        M[0, 1] = 1e200
+        assert lowest_eigenvalue(M) < 0
+
+    def test_rejects_non_square(self):
+        with pytest.raises(NotSquareError):
+            lowest_eigenvalue(np.ones((2, 3)))
