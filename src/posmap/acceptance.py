@@ -3,11 +3,25 @@
 Each criterion is a standalone check with pinned tolerances; the battery is
 what ``posmap verify`` runs and what the acceptance test suite asserts.
 All randomness is derived from one seed, stage by stage.
+
+Every criterion is a check wrapped by one runner, :func:`criterion`, which
+states its key, title and time limit once.  The check returns
+``(passed, detail)``, or raises ``_Fail(detail)`` to stop early with a
+failure.  The runner times the whole check and builds the
+:class:`CriterionResult`.  A criterion that runs as long as its limit or
+longer fails, with its runtime appended to the detail: 1 s for C2, 60 s for
+C4 and 30 s for C10; the others have none.  C1 keeps its own 1 ms limit on
+one construction.  A :class:`~posmap.exceptions.PosmapError` or
+``numpy.linalg.LinAlgError`` raised inside a check ends that criterion as a
+failure whose detail names the error, and the battery goes on.
+:meth:`CriterionResult.line` is the one format of a result line.
 """
 
 from __future__ import annotations
 
+import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +87,45 @@ class CriterionResult:
     detail: str
     seconds: float
 
+    def line(self) -> str:
+        """The result as ``posmap verify`` prints it."""
+        status = "PASS" if self.passed else "FAIL"
+        return f"[{self.key}] {status} {self.name}: {self.detail} ({self.seconds:.2f}s)"
 
-def _result(key, name, passed, detail, started) -> CriterionResult:
-    return CriterionResult(key, name, bool(passed), detail, time.perf_counter() - started)
+
+class _Fail(Exception):
+    """Ends a criterion's check as a failure; its one argument is the detail."""
+
+
+def criterion(
+    key: str, name: str, limit_s: float | None
+) -> Callable[[Callable[..., tuple[bool, str]]], Callable[..., CriterionResult]]:
+    """Turn a check returning ``(passed, detail)`` into criterion ``key``.
+
+    The wrapped function takes the check's arguments and returns a
+    :class:`CriterionResult` whose ``seconds`` cover the whole check.  A run
+    of ``limit_s`` seconds or more fails; ``None`` sets no limit.
+    """
+
+    def wrap(check: Callable[..., tuple[bool, str]]) -> Callable[..., CriterionResult]:
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> CriterionResult:
+            started = time.perf_counter()
+            try:
+                passed, detail = check(*args, **kwargs)
+            except _Fail as exc:
+                passed, detail = False, str(exc)
+            except (PosmapError, np.linalg.LinAlgError) as exc:
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
+            seconds = time.perf_counter() - started
+            if limit_s is not None and seconds >= limit_s:
+                passed = False
+                detail = f"{detail}; runtime {seconds:.2f}s >= {limit_s:g}s"
+            return CriterionResult(key, name, bool(passed), detail, seconds)
+
+        return run
+
+    return wrap
 
 
 def _raw_choi_table(mu: float, eps: float) -> np.ndarray:
@@ -91,9 +141,9 @@ def _raw_choi_table(mu: float, eps: float) -> np.ndarray:
     return H
 
 
-def criterion_choi_reproduction() -> CriterionResult:
+@criterion("C1", "raw Choi reproduction", None)
+def criterion_choi_reproduction() -> tuple[bool, str]:
     """C1: the raw Choi matrix reproduces its closed form, in under 1 ms."""
-    started = time.perf_counter()
     tang_choi(REFERENCE_PARAMS[0])  # warm-up outside the timed window
     worst = 0.0
     for params in REFERENCE_PARAMS:
@@ -103,30 +153,18 @@ def criterion_choi_reproduction() -> CriterionResult:
         worst = max(worst, elapsed)
         table = _raw_choi_table(params.mu, params.eps)
         if not np.array_equal(built.H, table):
-            return _result(
-                "C1", "raw Choi reproduction", False,
-                f"entrywise mismatch at mu={params.mu}, eps={params.eps}", started,
-            )
+            raise _Fail(f"entrywise mismatch at mu={params.mu}, eps={params.eps}")
         generic = choi_from_map(lambda A: phi0_apply(params, A), 3)
         if not np.array_equal(built.H, generic.H):
-            return _result(
-                "C1", "raw Choi reproduction", False,
-                "direct assembly differs from the map-action route", started,
-            )
+            raise _Fail("direct assembly differs from the map-action route")
         if elapsed >= 1e-3:
-            return _result(
-                "C1", "raw Choi reproduction", False,
-                f"construction took {elapsed * 1e3:.3f} ms >= 1 ms", started,
-            )
-    return _result(
-        "C1", "raw Choi reproduction", True,
-        f"3 parameter points exact; worst build {worst * 1e6:.0f} us", started,
-    )
+            raise _Fail(f"construction took {elapsed * 1e3:.3f} ms >= 1 ms")
+    return True, f"3 parameter points exact; worst build {worst * 1e6:.0f} us"
 
 
-def criterion_pipeline(grid_k: int) -> CriterionResult:
+@criterion("C2", "normalization pipeline", 1.0)
+def criterion_pipeline(grid_k: int) -> tuple[bool, str]:
     """C2: normalization residuals across the parameter grid, under 1 s."""
-    started = time.perf_counter()
     bounds = {
         "unitality": 1e-9,
         "W_unitarity": 1e-10,
@@ -139,56 +177,41 @@ def criterion_pipeline(grid_k: int) -> CriterionResult:
         res = build_pipeline(params).residuals()
         for k in bounds:
             worst[k] = max(worst[k], res[k])
-    elapsed = time.perf_counter() - started
     failures = [k for k in bounds if worst[k] > bounds[k]]
-    if elapsed >= 1.0:
-        failures.append(f"runtime {elapsed:.2f}s >= 1s")
-    detail = ", ".join(f"{k}={worst[k]:.2e}" for k in bounds) + f"; {elapsed:.2f}s"
-    return _result("C2", "normalization pipeline", not failures, detail, started)
+    detail = ", ".join(f"{k}={worst[k]:.2e}" for k in bounds)
+    return not failures, detail
 
 
-def criterion_positivity(grid_k: int, seed: int) -> CriterionResult:
+@criterion("C3", "positivity of the family", None)
+def criterion_positivity(grid_k: int, seed: int) -> tuple[bool, str]:
     """C3: positivity certified on the grid; neither CP nor coCP."""
-    started = time.perf_counter()
     worst_margin = np.inf
     for params in param_grid(grid_k):
         pipe = build_pipeline(params)
         blocks = extract_blocks(pipe.Hfinal)
         verdict = certify_positivity(blocks, seed=seed)
         if verdict.status != CERTIFIED:
-            return _result(
-                "C3", "positivity of the family", False,
-                f"not certified at mu={params.mu:.3f}, eps={params.eps:.4f} "
-                f"(margin {verdict.margin:.3e})", started,
-            )
+            raise _Fail(f"not certified at mu={params.mu:.3f}, eps={params.eps:.4f} "
+                        f"(margin {verdict.margin:.3e})")
         worst_margin = min(worst_margin, verdict.margin)
         if cp_check(blocks).holds or ccp_check(blocks).holds:
-            return _result(
-                "C3", "positivity of the family", False,
-                f"CP/coCP unexpectedly holds at mu={params.mu:.3f}", started,
-            )
+            raise _Fail(f"CP/coCP unexpectedly holds at mu={params.mu:.3f}")
     pipe = build_pipeline(TangParams(0.9, 0.12))
     h_min = psd_check(pipe.Hfinal.H).min_eigenvalue
     g_min = psd_check(partial_transpose(pipe.Hfinal.H, 4)).min_eigenvalue
     ok = h_min < -1e-3 and g_min < -1e-3
-    return _result(
-        "C3", "positivity of the family", ok,
-        f"certified margin >= {worst_margin:.2e}; min eig H {h_min:.4f}, "
-        f"min eig H^G {g_min:.4f}", started,
-    )
+    return ok, (f"certified margin >= {worst_margin:.2e}; min eig H {h_min:.4f}, "
+                f"min eig H^G {g_min:.4f}")
 
 
-def criterion_nondecomposability(max_iters: int) -> CriterionResult:
+@criterion("C4", "nondecomposability certificate", 60.0)
+def criterion_nondecomposability(max_iters: int) -> tuple[bool, str]:
     """C4: PPT witness and a failed split, from one run on the reference point."""
-    started = time.perf_counter()
     H0 = tang_choi(TangParams(0.9, 0.12))
     dec = decompose(H0, max_iters=max_iters)
     if not dec.found:
-        return _result(
-            "C4", "nondecomposability certificate", False,
-            f"no witness found after {dec.iterations} iterations "
-            f"(stop: {dec.stop})", started,
-        )
+        raise _Fail(f"no witness found after {dec.iterations} iterations "
+                    f"(stop: {dec.stop})")
     rho = dec.witness.rho
     value = float(np.trace(H0.H @ rho).real)
     checks = {
@@ -200,37 +223,26 @@ def criterion_nondecomposability(max_iters: int) -> CriterionResult:
     }
     # A run that stops on a witness holds no split.
     ok = all(checks.values())
-    elapsed = time.perf_counter() - started
-    if elapsed >= 60.0:
-        return _result("C4", "nondecomposability certificate", False,
-                       f"runtime {elapsed:.1f}s >= 60s", started)
-    return _result(
-        "C4", "nondecomposability certificate", ok,
-        f"witness value {value:.4e}; split residual {dec.residual:.2e} after "
-        f"{dec.iterations} iterations (stop: {dec.stop}); {elapsed:.1f}s", started,
-    )
+    return ok, (f"witness value {value:.4e}; split residual {dec.residual:.2e} after "
+                f"{dec.iterations} iterations (stop: {dec.stop})")
 
 
-def criterion_strictness(grid_k: int) -> CriterionResult:
+@criterion("C5", "strict coupling bound", None)
+def criterion_strictness(grid_k: int) -> tuple[bool, str]:
     """C5: the coupling bound is strict everywhere on the grid."""
-    started = time.perf_counter()
     worst = np.inf
     for params in param_grid(grid_k):
         blocks = extract_blocks(build_pipeline(params).Hfinal)
         bound = coupling_bound_check(blocks)
         if not bound.holds or bound.margin <= 1e-7:
-            return _result(
-                "C5", "strict coupling bound", False,
-                f"margin {bound.margin:.3e} at mu={params.mu:.3f}", started,
-            )
+            raise _Fail(f"margin {bound.margin:.3e} at mu={params.mu:.3f}")
         worst = min(worst, bound.margin)
-    return _result("C5", "strict coupling bound", True,
-                   f"smallest margin {worst:.3e}", started)
+    return True, f"smallest margin {worst:.3e}"
 
 
-def criterion_row_calculus(trials: int, seed: int) -> CriterionResult:
+@criterion("C6", "row-vector calculus", None)
+def criterion_row_calculus(trials: int, seed: int) -> tuple[bool, str]:
     """C6: the row-vector absolute-value identities over random trials."""
-    started = time.perf_counter()
     rng = rng_for(seed, "criterion-row-calculus")
     worst1 = worst2 = 0.0
     for _ in range(trials):
@@ -245,11 +257,8 @@ def criterion_row_calculus(trials: int, seed: int) -> CriterionResult:
         direct = row_abs(X) @ row_abs(X2)
         worst2 = max(worst2, frobenius(prod - direct))
     ok = worst1 <= 1e-11 and worst2 <= 1e-11
-    return _result(
-        "C6", "row-vector calculus", ok,
-        f"{trials} trials; projector identity {worst1:.2e}, product identity "
-        f"{worst2:.2e}", started,
-    )
+    return ok, (f"{trials} trials; projector identity {worst1:.2e}, product identity "
+                f"{worst2:.2e}")
 
 
 def _certified_triple(n, rng):
@@ -272,9 +281,9 @@ def _violating_triple(n, rng):
     return P, S, Q
 
 
-def criterion_blockpos_equivalence(certified: int, combos: int, seed: int) -> CriterionResult:
+@criterion("C7", "block-positivity equivalence", None)
+def criterion_blockpos_equivalence(certified: int, combos: int, seed: int) -> tuple[bool, str]:
     """C7: the scalar-combination form of block-positivity, both directions."""
-    started = time.perf_counter()
     rng = rng_for(seed, "criterion-blockpos")
     done = 0
     violations = 0
@@ -284,11 +293,8 @@ def criterion_blockpos_equivalence(certified: int, combos: int, seed: int) -> Cr
         P, S, Q = _certified_triple(n, rng)
         verdict = block_positive_2x2(P, S, Q, budget=32, seed=int(rng.integers(2**31)))
         if verdict.status != CERTIFIED:
-            return _result(
-                "C7", "block-positivity equivalence", False,
-                "constructed-safe triple was not certified "
-                f"(margin {verdict.margin:.3e})", started,
-            )
+            raise _Fail("constructed-safe triple was not certified "
+                        f"(margin {verdict.margin:.3e})")
         for _ in range(combos):
             p = float(rng.uniform(0.0, 2.0))
             q = float(rng.uniform(0.0, 2.0))
@@ -298,11 +304,8 @@ def criterion_blockpos_equivalence(certified: int, combos: int, seed: int) -> Cr
             v = psd_check(combo)
             worst = min(worst, v.min_eigenvalue)
             if not v.is_psd:
-                return _result(
-                    "C7", "block-positivity equivalence", False,
-                    f"certified triple produced a combination with min "
-                    f"eigenvalue {v.min_eigenvalue:.3e}", started,
-                )
+                raise _Fail(f"certified triple produced a combination with min "
+                            f"eigenvalue {v.min_eigenvalue:.3e}")
         done += 1
     for _ in range(15):
         n = int(rng.integers(2, 4))
@@ -315,20 +318,12 @@ def criterion_blockpos_equivalence(certified: int, combos: int, seed: int) -> Cr
         s = np.conj(lam1) * lam2
         combo = admissible_combination(P, S, Q, p, q, s)
         if psd_check(combo).is_psd:
-            return _result(
-                "C7", "block-positivity equivalence", False,
-                "violation witness failed to produce a non-PSD combination",
-                started,
-            )
+            raise _Fail("violation witness failed to produce a non-PSD combination")
         violations += 1
     if violations == 0:
-        return _result("C7", "block-positivity equivalence", False,
-                       "no violating triples were exercised", started)
-    return _result(
-        "C7", "block-positivity equivalence", True,
-        f"{certified} certified triples x {combos} combos (min eig {worst:.2e}); "
-        f"{violations} violations cross-checked", started,
-    )
+        raise _Fail("no violating triples were exercised")
+    return True, (f"{certified} certified triples x {combos} combos (min eig {worst:.2e}); "
+                  f"{violations} violations cross-checked")
 
 
 def _random_face_blocks(n, rng, kind):
@@ -360,9 +355,9 @@ def _random_face_blocks(n, rng, kind):
     return ChoiBlocks(a=a, x=0j, C=C, Y=zero, Z=row, B=B, T=mid.conj().T, U=U)
 
 
-def criterion_cp_crossvalidation(trials: int, seed: int) -> CriterionResult:
+@criterion("C8", "complete (co)positivity cross-validation", None)
+def criterion_cp_crossvalidation(trials: int, seed: int) -> tuple[bool, str]:
     """C8: structural CP/coCP tests agree with the direct spectral tests."""
-    started = time.perf_counter()
     rng = rng_for(seed, "criterion-cp-crossval")
     kinds = ["generic", "cp", "ccp"]
     for k in range(trials):
@@ -374,19 +369,13 @@ def criterion_cp_crossvalidation(trials: int, seed: int) -> CriterionResult:
         direct_cp = psd_check(H.H).is_psd
         direct_ccp = psd_check(partial_transpose(H.H, H.dim)).is_psd
         if cp.holds != direct_cp or ccp.holds != direct_ccp:
-            return _result(
-                "C8", "complete (co)positivity cross-validation", False,
-                f"disagreement on trial {k} (kind {kinds[k % 3]})", started,
-            )
-    return _result(
-        "C8", "complete (co)positivity cross-validation", True,
-        f"{trials} random face-form matrices, zero disagreements", started,
-    )
+            raise _Fail(f"disagreement on trial {k} (kind {kinds[k % 3]})")
+    return True, f"{trials} random face-form matrices, zero disagreements"
 
 
-def criterion_decomposition_roundtrip(instances: int, seed: int) -> CriterionResult:
+@criterion("C9", "decomposable round trip", None)
+def criterion_decomposition_roundtrip(instances: int, seed: int) -> tuple[bool, str]:
     """C9: random PSD + PT-PSD inputs are split back with valid constraints."""
-    started = time.perf_counter()
     rng = rng_for(seed, "criterion-decompose")
     worst_res = 0.0
     worst_margin = np.inf
@@ -397,24 +386,15 @@ def criterion_decomposition_roundtrip(instances: int, seed: int) -> CriterionRes
         H = ChoiMatrix.from_array(A + Bm)
         out = decompose(H, max_iters=20000)
         if not out.decomposed or out.residual > 1e-7:
-            return _result(
-                "C9", "decomposable round trip", False,
-                f"instance {k} (dim {2 * d}) residual {out.residual:.3e}", started,
-            )
+            raise _Fail(f"instance {k} (dim {2 * d}) residual {out.residual:.3e}")
         worst_res = max(worst_res, out.residual)
         report = kadison_constraints(H, out.certificate)
         margin = min(report.entry_margins.values())
         worst_margin = min(worst_margin, margin)
         if not report.all_pass():
-            return _result(
-                "C9", "decomposable round trip", False,
-                f"instance {k} has constraint margin {margin:.3e}", started,
-            )
-    return _result(
-        "C9", "decomposable round trip", True,
-        f"{instances} instances; residual <= {worst_res:.2e}, "
-        f"constraint margins >= {worst_margin:.2e}", started,
-    )
+            raise _Fail(f"instance {k} has constraint margin {margin:.3e}")
+    return True, (f"{instances} instances; residual <= {worst_res:.2e}, "
+                  f"constraint margins >= {worst_margin:.2e}")
 
 
 def _degenerate_fixture(n, rng, kind):
@@ -431,9 +411,9 @@ def _degenerate_fixture(n, rng, kind):
                       B=eye - gram, T=np.zeros((n, n), np.complex128), U=gram)
 
 
-def criterion_equality_suite(fixtures: int, compressions: int, seed: int) -> CriterionResult:
+@criterion("C10", "saturated-bound structure suite", 30.0)
+def criterion_equality_suite(fixtures: int, compressions: int, seed: int) -> tuple[bool, str]:
     """C10: the saturated-bound structure theory on scrambled fixtures."""
-    started = time.perf_counter()
     rng = rng_for(seed, "criterion-equality")
     for k in range(fixtures):
         n = int(rng.integers(2, 5))
@@ -441,11 +421,8 @@ def criterion_equality_suite(fixtures: int, compressions: int, seed: int) -> Cri
         scrambled, _ = scramble_blocks(blocks, rng)
         dep = check_row_dependence(scrambled)
         if not dep.dependent or dep.singular_values[1] > 1e-8:
-            return _result(
-                "C10", "saturated-bound structure suite", False,
-                f"fixture {k}: dependence failed (s2 = "
-                f"{dep.singular_values[1]:.2e})", started,
-            )
+            raise _Fail(f"fixture {k}: dependence failed (s2 = "
+                        f"{dep.singular_values[1]:.2e})")
         canon = canonicalize(scrambled)
         errs = (
             abs(abs(canon.y) - abs(truth["y"])),
@@ -454,19 +431,13 @@ def criterion_equality_suite(fixtures: int, compressions: int, seed: int) -> Cri
             abs(abs(canon.t) - abs(truth["t"])),
         )
         if max(errs) > 1e-8:
-            return _result(
-                "C10", "saturated-bound structure suite", False,
-                f"fixture {k}: canonical recovery error {max(errs):.2e}", started,
-            )
+            raise _Fail(f"fixture {k}: canonical recovery error {max(errs):.2e}")
         for _ in range(compressions):
             r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             r /= np.linalg.norm(r)
             res = compress(canon, r)
             if res.margin < -1e-9:
-                return _result(
-                    "C10", "saturated-bound structure suite", False,
-                    f"fixture {k}: compression margin {res.margin:.3e}", started,
-                )
+                raise _Fail(f"fixture {k}: compression margin {res.margin:.3e}")
     for kind in ("cp", "cocp"):
         for _ in range(5):
             n = int(rng.integers(2, 5))
@@ -474,25 +445,15 @@ def criterion_equality_suite(fixtures: int, compressions: int, seed: int) -> Cri
             fix, _ = scramble_blocks(fix, rng)
             cls = classify_degenerate(fix)
             if cls.verdict != kind:
-                return _result(
-                    "C10", "saturated-bound structure suite", False,
-                    f"degenerate fixture classified {cls.verdict!r}, "
-                    f"expected {kind!r}", started,
-                )
-    elapsed = time.perf_counter() - started
-    if elapsed >= 30.0:
-        return _result("C10", "saturated-bound structure suite", False,
-                       f"runtime {elapsed:.1f}s >= 30s", started)
-    return _result(
-        "C10", "saturated-bound structure suite", True,
-        f"{fixtures} scrambled fixtures x {compressions} compressions; "
-        f"degenerate classes confirmed; {elapsed:.1f}s", started,
-    )
+                raise _Fail(f"degenerate fixture classified {cls.verdict!r}, "
+                            f"expected {kind!r}")
+    return True, (f"{fixtures} scrambled fixtures x {compressions} compressions; "
+                  "degenerate classes confirmed")
 
 
-def criterion_coupling_entry() -> CriterionResult:
+@criterion("C11", "coupling-entry variant resolution", None)
+def criterion_coupling_entry() -> tuple[bool, str]:
     """C11: which printed closed form the computed coupling entry matches."""
-    started = time.perf_counter()
     variants = []
     worst = 0.0
     for params in REFERENCE_PARAMS:
@@ -500,11 +461,8 @@ def criterion_coupling_entry() -> CriterionResult:
         variants.append(res.variant)
         worst = max(worst, abs(res.observed - res.rho_candidate))
     consistent = len(set(variants)) == 1 and variants[0] != "neither"
-    return _result(
-        "C11", "coupling-entry variant resolution", consistent and variants[0] == "rho",
-        f"variant {variants[0]!r} at all three points (residual {worst:.2e}); "
-        "the matrix display wins over the block list", started,
-    )
+    return consistent and variants[0] == "rho", (f"variant {variants[0]!r} at all three points (residual {worst:.2e}); "
+                                                 "the matrix display wins over the block list")
 
 
 def run_battery(grid_k: int, seed: int) -> list[CriterionResult]:

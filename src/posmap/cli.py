@@ -2,7 +2,9 @@
 
 Subcommands: ``tang`` (generate family members), ``classify`` (full report
 for a Choi matrix file), ``decompose`` (one projection run), ``canonical``
-(equality-case canonical form), and ``verify`` (the built-in battery).
+(equality-case canonical form, for every n >= 1: at n = 1 the rows Y and Z
+are single entries, always dependent), and ``verify`` (the built-in
+battery, one ``[Ck] PASS|FAIL title: detail (N.NNs)`` line per criterion).
 ``decompose`` prints the run's ``iterations``, ``residual`` and ``stop``,
 and either its split ``certificate`` with the ``kadison`` margins, its PPT
 ``witness`` (``rho`` and ``value``, as in ``classify``), or a note that a
@@ -36,7 +38,9 @@ JSON followed by a newline; ``python -m json.tool FILE`` prints it indented.
 An existing ``--out`` file is overwritten in place, not truncated first
 (see :func:`posmap.io.write_json`).
 
-Exit codes: 0 success, 1 battery criterion failed, 2 bad parameters,
+Exit codes: 0 success, 1 battery criterion failed (``verify``; a criterion
+whose solver raised a posmap error or ``LinAlgError`` fails with a line
+naming the error, and the other criteria still run), 2 bad parameters,
 3 I/O or parse error (any malformed input file, NaN or infinite entries
 included, or an output path that cannot be written, such as a missing
 directory or a directory: ``error: cannot write PATH: ...``), 4 solver
@@ -323,8 +327,7 @@ def _cmd_verify(args) -> int:
     results = run_battery(grid_k=args.grid, seed=args.seed)
     failures = 0
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{res.key}] {status} {res.name}: {res.detail} ({res.seconds:.2f}s)")
+        print(res.line())
         failures += 0 if res.passed else 1
     print(f"{len(results) - failures}/{len(results)} criteria passed")
     return EXIT_OK if failures == 0 else EXIT_CRITERION

@@ -100,12 +100,14 @@ def check_row_dependence(blocks: ChoiBlocks) -> DependenceReport:
     """Rank test of the 2 x n stack of Y and Z via its singular values.
 
     Dependent iff the second singular value is at most
-    ``DEPENDENCE_TOL * (first + 1)``.
+    ``DEPENDENCE_TOL * (first + 1)``.  At n = 1 the stack has one singular
+    value: two rows of length 1 are always dependent, so the second is 0.
     """
     n = blocks.n
     stack = np.vstack([blocks.Y, blocks.Z])
     svals = np.linalg.svd(stack, compute_uv=False)
-    s1, s2 = float(svals[0]), float(svals[1])
+    s1 = float(svals[0])
+    s2 = float(svals[1]) if n > 1 else 0.0
     dependent = s2 <= DEPENDENCE_TOL * (s1 + 1.0)
     if not dependent:
         return DependenceReport(False, None, None, None, (s1, s2))
@@ -256,21 +258,22 @@ def canonicalize(blocks: ChoiBlocks) -> CanonicalForm:
     Yc = blocks.Y @ Gn
     Zc = blocks.Z @ Gn
 
+    # The maxima start at 0: at n = 1 every off-direction part is empty.
     offenders = []
-    corner = float(np.max(np.abs(Tc[: n - 1, : n - 1]))) if n > 1 else 0.0
+    corner = float(np.max(np.abs(Tc[: n - 1, : n - 1]), initial=0.0))
     if corner > STRUCT_TOL:
         offenders.append(f"T corner {corner:.3e}")
     u_mask = np.ones((n, n), dtype=bool)
     u_mask[-1, -1] = False
-    u_off = float(np.max(np.abs(Uc[u_mask])))
+    u_off = float(np.max(np.abs(Uc[u_mask]), initial=0.0))
     if u_off > STRUCT_TOL:
         offenders.append(f"U off-direction {u_off:.3e}")
-    b_dev = float(np.max(np.abs((Bc - np.eye(n))[u_mask])))
+    b_dev = float(np.max(np.abs((Bc - np.eye(n))[u_mask]), initial=0.0))
     if b_dev > STRUCT_TOL:
         offenders.append(f"B off-pattern {b_dev:.3e}")
     row_off = max(
-        float(np.max(np.abs(Yc[: n - 1]))) if n > 1 else 0.0,
-        float(np.max(np.abs(Zc[: n - 1]))) if n > 1 else 0.0,
+        float(np.max(np.abs(Yc[: n - 1]), initial=0.0)),
+        float(np.max(np.abs(Zc[: n - 1]), initial=0.0)),
     )
     if row_off > STRUCT_TOL:
         offenders.append(f"Y/Z off-direction {row_off:.3e}")

@@ -166,13 +166,14 @@ def jsonable(value) -> Any:
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
         return float(value)
+    # Before the int branch: bool is a subclass of int.
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, (np.complexfloating, complex)):
         c = complex(value)
         return [c.real, c.imag]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     if value is None or isinstance(value, str):
         return value
     if hasattr(value, "__dataclass_fields__"):

@@ -32,6 +32,7 @@ from .exceptions import BadParamsError, PosmapError
 from .matkernel import as_matrix, frobenius, psd_inv_sqrt
 from .positivity import (
     CERTIFIED,
+    RelationCheck,
     certify_positivity,
     coupling_bound_check,
     face_membership,
@@ -272,18 +273,12 @@ def param_grid(k: int) -> list[TangParams]:
 
 
 @dataclass(frozen=True)
-class TangCheck:
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class TangReport:
     """Consolidated verification of one parameter point."""
 
     params: TangParams
     pipeline: TangPipeline
-    checks: dict[str, TangCheck]
+    checks: dict[str, RelationCheck]
     y_entry: YEntryResolution
 
     @property
@@ -303,43 +298,53 @@ def verify_tang(params: TangParams, budget: int = 64, seed: int = 0) -> TangRepo
     """
     pipe = build_pipeline(params)
     blocks = extract_blocks(pipe.Hfinal)
-    checks: dict[str, TangCheck] = {}
+    checks: dict[str, RelationCheck] = {}
 
     c_norm = float(np.linalg.norm(blocks.C))
-    checks["C_zero"] = TangCheck(c_norm <= STRUCT_TOL, f"||C|| = {c_norm:.2e}")
+    checks["C_zero"] = RelationCheck(c_norm <= STRUCT_TOL, None, f"||C|| = {c_norm:.2e}")
     ortho = max(
         abs(np.vdot(blocks.Y, blocks.Z)),
         abs(np.vdot(blocks.Y, blocks.C)),
         abs(np.vdot(blocks.Z, blocks.C)),
     )
-    checks["rows_orthogonal"] = TangCheck(ortho <= STRUCT_TOL, f"max overlap {ortho:.2e}")
+    checks["rows_orthogonal"] = RelationCheck(
+        ortho <= STRUCT_TOL, None, f"max overlap {ortho:.2e}"
+    )
     for name, M in (("B_diagonal", blocks.B), ("U_diagonal", blocks.U)):
         off = float(np.max(np.abs(M - np.diag(np.diagonal(M)))))
-        checks[name] = TangCheck(off <= STRUCT_TOL, f"max off-diagonal {off:.2e}")
+        checks[name] = RelationCheck(
+            off <= STRUCT_TOL, None, f"max off-diagonal {off:.2e}"
+        )
     T = blocks.T
     support = {(0, 1), (1, 2), (2, 0)}
     worst_zero = max(
         abs(T[i, j]) for i in range(3) for j in range(3) if (i, j) not in support
     )
     smallest = min(abs(T[i, j]) for i, j in support)
-    checks["T_support"] = TangCheck(
-        worst_zero <= STRUCT_TOL and smallest > 1e-6,
+    checks["T_support"] = RelationCheck(
+        worst_zero <= STRUCT_TOL and smallest > 1e-6, None,
         f"off-support {worst_zero:.2e}, smallest slot {smallest:.2e}",
     )
     fm = face_membership(pipe.Hfinal, np.array([0.0, 1.0]), np.eye(4)[:, 0])
-    checks["face_member"] = TangCheck(fm.member, f"residual {fm.residual:.2e}")
+    checks["face_member"] = RelationCheck(fm.member, None, f"residual {fm.residual:.2e}")
     cb = coupling_bound_check(blocks)
-    checks["coupling_strict"] = TangCheck(
-        cb.holds and cb.strict, f"margin {cb.margin:.3e}"
+    checks["coupling_strict"] = RelationCheck(
+        cb.holds and cb.strict, None, f"margin {cb.margin:.3e}"
     )
     pos = certify_positivity(blocks, budget=budget, seed=seed)
-    checks["positive"] = TangCheck(pos.status == CERTIFIED, f"margin {pos.margin:.3e}")
+    checks["positive"] = RelationCheck(
+        pos.status == CERTIFIED, None, f"margin {pos.margin:.3e}"
+    )
     cp = cp_check(blocks)
-    checks["not_cp"] = TangCheck(not cp.holds, f"min eig {cp.direct_min_eig:.3e}")
+    checks["not_cp"] = RelationCheck(
+        not cp.holds, None, f"min eig {cp.direct_min_eig:.3e}"
+    )
     ccp = ccp_check(blocks)
-    checks["not_ccp"] = TangCheck(not ccp.holds, f"min eig {ccp.direct_min_eig:.3e}")
+    checks["not_ccp"] = RelationCheck(
+        not ccp.holds, None, f"min eig {ccp.direct_min_eig:.3e}"
+    )
     wit = witness_search(pipe.Hfinal)
-    checks["witnessed_nondecomposable"] = TangCheck(
-        wit.found, f"stop {wit.stop} after {wit.iterations} iterations"
+    checks["witnessed_nondecomposable"] = RelationCheck(
+        wit.found, None, f"stop {wit.stop} after {wit.iterations} iterations"
     )
     return TangReport(params, pipe, checks, resolve_y_entry(pipe))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from posmap import cli
-from posmap.choi import ChoiMatrix, assemble_blocks
+from posmap.choi import ChoiBlocks, ChoiMatrix, assemble_blocks
 from posmap.cli import build_classification, main
 from posmap.cpdecomp import STATE_TOL, STATE_TRACE_TOL, WITNESS_TOL, decompose
 from posmap.exceptions import ParseError
@@ -98,6 +98,12 @@ class TestMatrixSchema:
         out = jsonable(coupling_bound_check(blocks))
         json.dumps(out)  # must be encodable
 
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)])
+    def test_jsonable_keeps_booleans(self, value):
+        # bool is a subclass of int: a Python bool must not come out as 1 or 0.
+        assert jsonable(value) is bool(value)
+        assert json.dumps(jsonable([value])) == json.dumps([bool(value)])
+
     @pytest.mark.parametrize("value", [object(), {"k": [1, {2, 3}]}, b"bytes"])
     def test_jsonable_refuses_unknown_objects(self, value):
         # No silent "<... object at 0x...>" in a report: the type is named.
@@ -150,6 +156,20 @@ class TestClassifyCommand:
         assert report["flags"]["equality_case"] is False
         assert report["face_form"]["in_face_form"] is True
         assert "timings" in report
+
+    def test_boolean_fields_are_json_booleans(self, tmp_path):
+        src = tmp_path / "map.json"
+        save_matrix(src, build_pipeline(TangParams(0.9, 0.12)).Hfinal.H)
+        out = tmp_path / "report.json"
+        assert main(["classify", str(src), "--out", str(out), "--max-iters", "200"]) == 0
+        report = strict_json(out.read_text())
+        relations = report["face_structure"]["relations"]
+        fields = [r["passed"] for r in relations.values()]
+        fields += [report["coupling_bound"][k] for k in ("holds", "strict")]
+        fields += [report["equality_case"]["equality"], report["unital_face_form"]]
+        fields += [report["flags"][k] for k in ("cp", "ccp", "equality_case")]
+        assert len(fields) == 14
+        assert all(type(v) is bool for v in fields), fields
 
     def test_psd_input_decomposes(self, tmp_path, rng):
         src = tmp_path / "psd.json"
@@ -672,6 +692,24 @@ class TestCanonicalCommand:
         save_matrix(src, random_psd(6, rng))
         assert main(["canonical", str(src)]) == 3
 
+    @pytest.mark.parametrize("command", ["canonical", "classify"])
+    def test_single_entry_rows(self, command, tmp_path):
+        # n = 1: the unital equality-case map M_2 -> M_2 with y = 0.3, z = 0.2.
+        blocks = ChoiBlocks(a=1.0, x=0j, C=np.zeros(1), Y=np.array([0.3]),
+                            Z=np.array([0.2]), B=np.array([[0.75]]),
+                            T=np.zeros((1, 1)), U=np.array([[0.25]]))
+        src = tmp_path / "eq.json"
+        save_matrix(src, assemble_blocks(blocks).H)
+        out = tmp_path / "out.json"
+        # A short split search: the canonical form does not depend on it.
+        extra = ["--max-iters", "200"] if command == "classify" else []
+        assert main([command, str(src), "--out", str(out), *extra]) == 0
+        obj = strict_json(out.read_text())
+        if command == "classify":
+            assert obj["row_dependence"]["dependent"] is True
+            obj = obj["canonical_form"]
+        assert (obj["y"], obj["z"], obj["u"]) == ([0.3, 0.0], [0.2, 0.0], 0.25)
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("command", ["classify", "decompose", "canonical"])
@@ -750,3 +788,16 @@ class TestVerifyCommand:
         lines = [l for l in captured.out.splitlines() if l.startswith("[C")]
         assert len(lines) == 11
         assert all(" PASS " in l for l in lines)
+
+    def test_solver_error_fails_its_criterion(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert main(["verify", "--grid", "1"]) == 1
+        captured = capsys.readouterr()
+        lines = [l for l in captured.out.splitlines() if l.startswith("[C")]
+        assert len(lines) == 11
+        assert any(" FAIL " in l and l.split(": ", 1)[1].startswith(
+            "LinAlgError: Eigenvalues did not converge") for l in lines)
+        assert "Traceback" not in captured.out + captured.err

@@ -124,6 +124,35 @@ class TestRowDependence:
             assert abs(overlap - 1.0) < 1e-10
 
 
+class TestSingleEntryRows:
+    """n = 1: the rows Y and Z are single entries, so they are always dependent."""
+
+    #: The unital equality-case map with y = 0.3, z = 0.2 and u = (y + z)^2.
+    BLOCKS = unital_blocks([0.3], [0.2], [[0.75]], [[0.0]], [[0.25]])
+
+    def test_dependent_with_zero_second_singular_value(self):
+        rep = check_row_dependence(self.BLOCKS)
+        assert rep.dependent
+        assert rep.singular_values == (pytest.approx(np.hypot(0.3, 0.2)), 0.0)
+        assert abs(rep.eta0[0]) == pytest.approx(1.0)
+
+    def test_canonical_form(self):
+        out = canonicalize(self.BLOCKS)
+        assert (out.y, out.z, out.u, out.t) == (0.3, 0.2, 0.25, 0.0)
+        assert out.W_row.shape == out.V_row.shape == (0,)
+        assert frobenius(out.choi().H - assemble_blocks(self.BLOCKS).H) < 1e-15
+
+    def test_scrambled_round_trip(self, rng):
+        for _ in range(10):
+            blocks, truth = random_equality_blocks(1, rng)
+            scrambled, _ = scramble_blocks(blocks, rng)
+            out = canonicalize(scrambled)
+            assert abs(abs(out.y) - abs(truth["y"])) < 1e-8
+            assert abs(abs(out.z) - abs(truth["z"])) < 1e-8
+            assert abs(out.u - truth["u"]) < 1e-8
+            assert abs(abs(out.t) - abs(truth["t"])) < 1e-8
+
+
 class TestDegenerateClassification:
     def test_cp_case(self):
         Y = np.array([0.6, 0.0], dtype=complex)
