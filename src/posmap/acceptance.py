@@ -53,7 +53,7 @@ from .positivity import (
     certify_positivity,
     coupling_bound_check,
 )
-from .rand import random_psd, random_unitary, rng_for
+from .rand import random_psd, rng_for
 from .tang import (
     TangParams,
     build_pipeline,
@@ -63,7 +63,6 @@ from .tang import (
     tang_choi,
 )
 from .extremal import (
-    CanonicalForm,
     canonicalize,
     check_row_dependence,
     classify_degenerate,
@@ -197,8 +196,7 @@ def criterion_positivity(grid_k: int, seed: int) -> tuple[bool, str]:
         if cp_check(blocks).holds or ccp_check(blocks).holds:
             raise _Fail(f"CP/coCP unexpectedly holds at mu={params.mu:.3f}")
     pipe = build_pipeline(TangParams(0.9, 0.12))
-    h_min = psd_check(pipe.Hfinal.H).min_eigenvalue
-    g_min = psd_check(partial_transpose(pipe.Hfinal.H, 4)).min_eigenvalue
+    h_min, g_min = (v.min_eigenvalue for v in pipe.Hfinal.psd_verdicts)
     ok = h_min < -1e-3 and g_min < -1e-3
     return ok, (f"certified margin >= {worst_margin:.2e}; min eig H {h_min:.4f}, "
                 f"min eig H^G {g_min:.4f}")
@@ -366,8 +364,7 @@ def criterion_cp_crossvalidation(trials: int, seed: int) -> tuple[bool, str]:
         H = assemble_blocks(blocks)
         cp = cp_check(blocks)
         ccp = ccp_check(blocks)
-        direct_cp = psd_check(H.H).is_psd
-        direct_ccp = psd_check(partial_transpose(H.H, H.dim)).is_psd
+        direct_cp, direct_ccp = (v.is_psd for v in H.psd_verdicts)
         if cp.holds != direct_cp or ccp.holds != direct_ccp:
             raise _Fail(f"disagreement on trial {k} (kind {kinds[k % 3]})")
     return True, f"{trials} random face-form matrices, zero disagreements"

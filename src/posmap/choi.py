@@ -23,6 +23,7 @@ structural zero in the package, and ``UNITAL_TOL`` the unital face form
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +35,16 @@ from .exceptions import (
     NotHermitianError,
     NotInFaceFormError,
 )
-from .matkernel import as_matrix, frobenius, herm_tol, require_hermitian, require_square
+from .matkernel import (
+    PsdVerdict,
+    as_matrix,
+    frobenius,
+    herm_tol,
+    partial_transpose,
+    psd_check,
+    require_hermitian,
+    require_square,
+)
 
 #: Absolute tolerance for the zero pattern of the face form.
 STRUCT_TOL = 1e-9
@@ -50,6 +60,8 @@ class ChoiMatrix:
     :meth:`from_array` validates its input and stores an exactly Hermitian
     ``H``, which ``cpdecomp`` relies on: its projection and
     ``kadison_constraints`` read ``H`` as stored, without a Hermiticity check.
+    :attr:`psd_verdicts` is computed once per instance and cached, so ``H``
+    must not be mutated after it is read.
     """
 
     n: int
@@ -77,6 +89,14 @@ class ChoiMatrix:
     def dim(self) -> int:
         """Codomain dimension n + 1."""
         return self.n + 1
+
+    @functools.cached_property
+    def psd_verdicts(self) -> tuple[PsdVerdict, PsdVerdict]:
+        """``(psd_check(H), psd_check(PT(H)))``: whether the map is CP and coCP.
+
+        Cached, so the split search and the report read one pair of checks.
+        """
+        return psd_check(self.H), psd_check(partial_transpose(self.H, self.dim))
 
     def block(self, i: int, j: int) -> np.ndarray:
         """The block phi(E_ij), with i, j in {1, 2}."""

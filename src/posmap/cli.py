@@ -11,9 +11,13 @@ and either its split ``certificate`` with the ``kadison`` margins, its PPT
 search that found neither is not a nondecomposability proof.
 
 ``classify`` runs its stages in this order.  The split search
-(``decompose``) runs first.  A split proves positivity, since a decomposable
-map is positive: every unit product vector ``v`` has ``<v, H v> >=
-lower_bound = min_eig_H1 + min_eig_H2_pt - residual``, read off the
+(``decompose``) runs first.  It reads the CP and coCP verdicts (``psd_check``
+of ``H`` and of ``PT(H)``, cached on the Choi matrix) and tries the trivial
+splits ``(H, 0)`` and ``(0, H)`` before any projection; when one decides,
+``decomposition.iterations`` is 0 and ``lower_bound`` is the smallest
+eigenvalue of ``H`` or of ``PT(H)``.  A split proves positivity, since a
+decomposable map is positive: every unit product vector ``v`` has ``<v, H v>
+>= lower_bound = min_eig_H1 + min_eig_H2_pt - residual``, read off the
 certificate.  A split is accepted only when that bound is at least
 ``-PSD_TOL`` (see :mod:`posmap.cpdecomp`), the tolerance that decides the
 engine's margin and the CP and coCP flags too, so ``decomposable: yes``
@@ -25,8 +29,9 @@ Without a split the engine runs and ``positive`` carries its ``status``
 (``certified`` or ``violation_found``), ``margin`` and ``witness``, and
 ``refine``, the refinement's ``steps`` and ``stop`` (``converged`` or
 ``cap``), unless a non-PSD diagonal block decided the verdict before the
-Bloch-sphere search ran.  The CP and coCP checks and the face-form stages
-follow.
+Bloch-sphere search ran.  The CP and coCP flags and the face-form stages
+follow.  The flags read the cached verdicts, so ``timings.cp_ccp`` is a
+lookup and the two checks' cost falls in ``timings.decompose``.
 Without a split, the unrestricted witness search runs last.  Its witness
 (``rho`` and ``value``) gives ``decomposable: no-witness``; without one,
 ``decomposable`` reads ``unknown`` and ``witness`` holds ``found: false``,
@@ -88,7 +93,7 @@ from .extremal import (
     equality_case_detect,
 )
 from .io import jsonable, load_matrix, matrix_digest, matrix_to_obj, write_json
-from .matkernel import PSD_TOL, partial_transpose, psd_check
+from .matkernel import PSD_TOL
 from .positivity import (
     PROVED,
     STRICT_TOL,
@@ -96,7 +101,7 @@ from .positivity import (
     coupling_bound_check,
     face_structure_report,
 )
-from .tang import TangParams, build_pipeline, resolve_y_entry, tang_choi
+from .tang import TangParams, build_pipeline
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
@@ -170,8 +175,7 @@ def build_classification(
     flags: dict = {"positive": positive}
 
     t0 = time.perf_counter()
-    cp = psd_check(choi.H)
-    ccp = psd_check(partial_transpose(choi.H, choi.dim))
+    cp, ccp = choi.psd_verdicts
     timings["cp_ccp"] = time.perf_counter() - t0
     flags["cp"] = bool(cp.is_psd)
     flags["ccp"] = bool(ccp.is_psd)

@@ -15,7 +15,16 @@ its input, so ``H1 = -P1`` and ``H2 = -P2`` lie in the two cones and
 nonzero, ``rho = X / tr X`` is a candidate PPT state with
 ``Tr(H rho) = -||X||^2 / tr X`` at the limit.  For face-form ``H`` the cones
 only constrain the indices other than ``d = n+1``, so row and column ``d``
-of ``H1`` and of ``PT(H2)`` are exactly zero, as any split must have them.
+of a projection split's ``H1`` and ``PT(H2)`` are exactly zero, as any
+split must have them up to rounding.
+
+A CP map has the split ``(H, 0)`` and a coCP map the split ``(0, H)``, both
+with residual 0 (Størmer and Woronowicz make every positive map into M_2
+and M_3 a sum of the two kinds).  :func:`decompose` reads the two PSD
+verdicts the Choi matrix caches (``ChoiMatrix.psd_verdicts``), tries these
+trivial splits by the split test below, and runs the projection only when
+neither is accepted.  A trivial split is taken as it is: in face form its
+row ``d`` is ``H``'s own, small but not exactly zero.
 
 Dykstra's iteration converges sublinearly, so the input of each cycle is
 extrapolated by type-II Anderson acceleration (Walker & Ni 2011): the
@@ -323,7 +332,8 @@ class DecomposeResult:
     (see the module docstring); at most one of them is.  ``residual`` is
     ``||X||_F`` of the last output (the certificate's own residual after a
     split), ``iterations`` counts Dykstra cycles and ``stop`` is why the run
-    ended.
+    ended.  A trivial split of :func:`decompose` is reported as a run that
+    stopped on ``"split"`` after 0 cycles.
     """
 
     certificate: DecompositionCertificate | None
@@ -486,15 +496,35 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
 def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     """Search for a completely positive / completely copositive split of H.
 
-    Runs the accelerated projection with the face restriction when ``H`` is
-    in face form (:func:`choi.face_form_offenders` finds no offender), for
-    at most ``max_iters`` cycles, each one pair of cone projections.  The
-    one :class:`DecomposeResult` holds the split (``certificate``) or the
-    PPT witness (``witness``) that stopped the run, both read from an output
-    of the plain Dykstra cycle, never from an extrapolated point.  With
-    neither, the run failed: that is neither a decomposability nor a
-    nondecomposability proof.
+    The trivial splits come first.  When ``choi.psd_verdicts`` reads ``H``
+    PSD (the map is CP), ``(H, 0)`` is tried, and then, when it reads
+    ``PT(H)`` PSD (coCP), ``(0, H)``.  A candidate is accepted by the split
+    test of :func:`validate_certificate`, so a PSD verdict at the absolute
+    ``PSD_TOL`` does not by itself accept a split of a small map.  An
+    accepted trivial split returns with ``iterations`` 0 and stop
+    ``"split"``; its residual is 0 and its ``lower_bound`` is
+    ``lambda_min(H)`` or ``lambda_min(PT(H))``.
+
+    Otherwise the accelerated projection runs, with the face restriction
+    when ``H`` is in face form (:func:`choi.face_form_offenders` finds no
+    offender), for at most ``max_iters`` cycles, each one pair of cone
+    projections.  The one :class:`DecomposeResult` holds the split
+    (``certificate``) or the PPT witness (``witness``) that stopped the run,
+    both read from an output of the plain Dykstra cycle, never from an
+    extrapolated point.  Row and column ``d`` of a face-form projection
+    split are exactly zero; a trivial split carries ``H``'s own entries
+    there.  With neither a split nor a witness, the run failed: that is
+    neither a decomposability nor a nondecomposability proof.
     """
+    cp, ccp = choi.psd_verdicts
+    split_tol = _scaled_tolerances(choi.H)[0]
+    zero = np.zeros_like(choi.H)
+    for verdict, H1, H2 in ((cp, choi.H, zero), (ccp, zero, choi.H)):
+        if verdict.is_psd:
+            numbers = _certificate_numbers(choi, H1, H2)
+            if _split_excess(*numbers) <= split_tol:
+                cert = DecompositionCertificate(H1.copy(), H2.copy(), *numbers)
+                return DecomposeResult(cert, None, cert.residual, 0, "split")
     return _project(choi, not face_form_offenders(choi), max_iters)
 
 

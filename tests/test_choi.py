@@ -18,7 +18,7 @@ from posmap.exceptions import (
     NotHermitianError,
     NotInFaceFormError,
 )
-from posmap.matkernel import frobenius, psd_sqrt
+from posmap.matkernel import frobenius, partial_transpose, psd_check, psd_sqrt
 from posmap.rand import random_unitary
 from conftest import random_complex
 
@@ -115,6 +115,19 @@ class TestChoiConstruction:
         H[2, 2] = bad
         with pytest.raises(NonFiniteError):
             ChoiMatrix.from_array(H)
+
+
+class TestPsdVerdicts:
+    def test_the_pair_of_checks_once(self, rng):
+        G = random_complex(rng, (8, 8))
+        H = ChoiMatrix.from_array(G + G.conj().T)
+        cp, ccp = H.psd_verdicts
+        assert H.psd_verdicts[0] is cp and H.psd_verdicts[1] is ccp
+        for got, expected in zip((cp, ccp), (psd_check(H.H),
+                                             psd_check(partial_transpose(H.H, 4)))):
+            assert got.is_psd == expected.is_psd
+            assert got.min_eigenvalue == expected.min_eigenvalue
+            assert np.array_equal(got.witness, expected.witness)
 
 
 class TestApplyMap:

@@ -373,6 +373,68 @@ class TestSplitFirstPositivity:
         assert report["flags"]["positive"]["status"] == "violation_found"
 
 
+class TestTrivialSplitReports:
+    """CP and coCP maps are split as (H, 0) and (0, H) before any projection,
+    and ``classify`` PSD-checks H and PT(H) once each."""
+
+    @pytest.fixture
+    def checked_sizes(self, monkeypatch):
+        """The size of every matrix handed to ``psd_check``, in order."""
+        import sys
+        from posmap import matkernel
+
+        original = matkernel.psd_check
+        sizes = []
+
+        def counted(matrix):
+            sizes.append(len(matrix))
+            return original(matrix)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("posmap") and getattr(mod, "psd_check", None) is original:
+                monkeypatch.setattr(mod, "psd_check", counted)
+        return sizes
+
+    @pytest.mark.parametrize("kind", ["cp", "decomposable", "nonpositive", "tang"])
+    def test_one_pair_of_full_checks(self, kind, rng, checked_sizes):
+        H = {"cp": lambda: random_psd(6, rng),
+             "decomposable": lambda: decomposable_map(rng, 3),
+             "nonpositive": lambda: product_violation(rng, 3),
+             "tang": lambda: tang_choi(TangParams(0.9, 0.12)).H}[kind]()
+        report = build_classification(ChoiMatrix.from_array(H))
+        assert checked_sizes.count(len(H)) == 2
+        expected = {"cp": "yes", "decomposable": "yes"}.get(kind, "no-witness")
+        assert report["flags"]["decomposable"] == expected
+
+    @staticmethod
+    def cocp_only(rng):
+        # An entangled rank-2 state plus 0.01 I, partially transposed.
+        return partial_transpose(random_psd(6, rng, rank=2) + 0.01 * np.eye(6), 3)
+
+    def test_cocp_report(self, rng):
+        H = self.cocp_only(rng)
+        report = build_classification(ChoiMatrix.from_array(H))
+        assert report["flags"]["cp"] is False and report["flags"]["ccp"] is True
+        dec = report["decomposition"]
+        assert dec["iterations"] == 0 and dec["stop"] == "split"
+        cert = dec["certificate"]
+        assert not np.any(matrix_from_obj(cert["H1"]))
+        assert np.array_equal(matrix_from_obj(cert["H2"]), H)
+        bound = report["flags"]["positive"]["lower_bound"]
+        assert bound == cert["min_eig_H2_pt"]
+        assert bound == pytest.approx(report["ccp_min_eigenvalue"], abs=1e-14)
+        assert bound == pytest.approx(0.01, abs=1e-14)
+
+    def test_decompose_command_on_cocp_map(self, tmp_path, rng):
+        src, out = tmp_path / "h.json", tmp_path / "run.json"
+        save_matrix(src, self.cocp_only(rng))
+        assert main(["decompose", str(src), "--out", str(out)]) == 0
+        obj = strict_json(out.read_text())
+        assert obj["decomposed"] is True
+        assert obj["iterations"] == 0 and obj["stop"] == "split"
+        assert obj["residual"] == 0.0
+
+
 class TestCertificateNumbersOnce:
     """``classify`` and ``decompose`` read the kadison margins of the split
     that ``decompose`` just accepted without re-validating it."""

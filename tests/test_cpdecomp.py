@@ -273,6 +273,94 @@ class TestDecompose:
             validate_certificate(H, trivial)
 
 
+class TestTrivialSplits:
+    """A CP map splits as (H, 0) and a coCP map as (0, H), with no projection."""
+
+    @pytest.fixture
+    def no_projection(self, monkeypatch):
+        def project(*args):
+            raise AssertionError("the projection ran")
+
+        monkeypatch.setattr(cpdecomp, "_project", project)
+
+    def test_psd_input(self, rng, no_projection):
+        H = ChoiMatrix.from_array(random_psd(6, rng))
+        out = decompose(H)
+        assert out.iterations == 0 and out.stop == "split"
+        cert = out.certificate
+        assert same_bits(cert.H1, H.H)
+        assert not np.any(cert.H2)
+        assert out.residual == cert.residual == 0.0
+        assert cert.lower_bound == cert.min_eig_H1 == pytest.approx(
+            lowest_eigenvalue(H.H), abs=1e-15)
+        validate_certificate(H, cert)
+
+    def test_cocp_only_input(self, rng, no_projection):
+        H = ChoiMatrix.from_array(partial_transpose(random_psd(6, rng), 3))
+        assert not H.psd_verdicts[0].is_psd
+        out = decompose(H)
+        assert out.iterations == 0 and out.stop == "split"
+        cert = out.certificate
+        assert not np.any(cert.H1)
+        assert same_bits(cert.H2, H.H)
+        assert cert.lower_bound == cert.min_eig_H2_pt == pytest.approx(
+            lowest_eigenvalue(partial_transpose(H.H, 3)), abs=1e-15)
+        validate_certificate(H, cert)
+
+    def test_cp_split_first_when_both_hold(self, rng):
+        # A separable state's Choi matrix is PSD and PT-PSD.
+        a, b = random_psd(2, rng), random_psd(3, rng)
+        H = ChoiMatrix.from_array(np.kron(a, b))
+        assert all(v.is_psd for v in H.psd_verdicts)
+        cert = decompose(H).certificate
+        assert same_bits(cert.H1, H.H) and not np.any(cert.H2)
+
+    def test_certificate_owns_its_parts(self, rng):
+        H = ChoiMatrix.from_array(random_psd(6, rng))
+        before = H.H.copy()
+        cert = decompose(H).certificate
+        cert.H1[:] = 0.0
+        assert same_bits(H.H, before)
+
+    @pytest.mark.parametrize("a, trivial", [(0.9e-9, True), (1.1e-9, False)])
+    def test_tolerance_edge(self, rng, a, trivial):
+        # H - a u u* for a null vector u of the unit-norm PSD H has
+        # Frobenius norm above 1, so the split tolerance is PSD_TOL itself.
+        H = random_psd(6, rng, rank=5)
+        H /= np.linalg.norm(H)
+        u = np.linalg.eigh(H)[1][:, 0]
+        choi = ChoiMatrix.from_array(H - a * np.outer(u, u.conj()))
+        assert not choi.psd_verdicts[1].is_psd
+        out = decompose(choi, max_iters=50)
+        if trivial:
+            assert out.iterations == 0 and out.stop == "split"
+            assert out.certificate.lower_bound == pytest.approx(-a, abs=1e-15)
+        else:
+            assert out.iterations >= 1
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-11])
+    @pytest.mark.parametrize("kind", ["psd", "pt_psd"])
+    def test_far_scales(self, scale, kind):
+        # PT-PSD maps at 1e150 once plateaued at residual ~1e135 and read
+        # undecided: the projection's stop tests are not scale-free there.
+        for seed in range(4):
+            A = random_psd(6, np.random.default_rng(seed))
+            M = partial_transpose(A, 3) if kind == "pt_psd" else A
+            H = ChoiMatrix.from_array(M * scale)
+            out = decompose(H)
+            assert out.decomposed and out.iterations == 0, (seed, out.stop)
+            assert out.residual == 0.0
+            validate_certificate(H, out.certificate)
+
+    def test_absolute_psd_verdict_does_not_split_a_small_map(self, tang_raw):
+        # Both PSD verdicts hold at the absolute PSD_TOL on this tiny map,
+        # but the trivial splits fail the scaled split tolerance.
+        H = ChoiMatrix.from_array(1e-10 * tang_raw.H)
+        assert all(v.is_psd for v in H.psd_verdicts)
+        out = decompose(H, max_iters=3000)
+        assert not out.decomposed and out.iterations >= 1
+
+
 class TestStopReason:
     def test_decomposable_splits(self, rng):
         out = decompose(random_decomposable(rng, 3))
