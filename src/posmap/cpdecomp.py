@@ -13,10 +13,18 @@ one plain Dykstra cycle ``G`` has ``-P1`` PSD and ``PT(-P2)`` PSD, whatever
 its input, so ``H1 = -P1`` and ``H2 = -P2`` lie in the two cones and
 ``H1 + H2 - H = X``: the split residual is ``||X||_F``.  While ``X`` is
 nonzero, ``rho = X / tr X`` is a candidate PPT state with
-``Tr(H rho) = -||X||^2 / tr X`` at the limit.  For face-form ``H`` the cones
-only constrain the indices other than ``d = n+1``, so row and column ``d``
-of a projection split's ``H1`` and ``PT(H2)`` are exactly zero, as any
-split must have them up to rounding.
+``Tr(H rho) = -||X||^2 / tr X`` at the limit.
+
+The projection, the state check and the split test read their layout from
+the matrix they are handed: ``H`` is ``m x d`` bipartite with
+``m = size // d``, the partial transpose acts on the first factor, and a
+face is one dropped index, or none.  :func:`decompose` and
+:func:`witness_search` hand them the ``2 x d`` Choi layout
+(``d = n + 1``); another layout, such as a symmetric lift of the qubit
+side, calls them directly.  The face ``phi(P_e2) f1 = 0`` is index ``d``,
+that of ``e2 (x) f1``.  For face-form ``H`` the cones only constrain the
+other indices, so row and column ``d`` of a projection split's ``H1`` and
+``PT(H2)`` are exactly zero, as any split must have them up to rounding.
 
 A CP map has the split ``(H, 0)`` and a coCP map the split ``(0, H)``, both
 with residual 0 (Størmer and Woronowicz make every positive map into M_2
@@ -42,18 +50,21 @@ projections, and ``max_iters`` caps them.  A cone projection is
 on the symmetrized iterate ``(A + A*)/2``, without its Hermiticity check,
 which would add two Frobenius norms to every cycle.  The symmetrization
 stays: the mixed corrections are Hermitian only up to rounding, and
-factoring them as they are changes the iterates.  The ``C2`` step takes the
-partial transpose by the kernel's own index permutation
+factoring them as they are changes the iterates.  The ``C2`` step, the
+state check and the certificate numbers take the partial transpose by the
+kernel's index permutation for the matrix's ``(size, d)``
 (:func:`matkernel.partial_transpose_index`), and the face restriction drops
-index ``d`` by the one cached index of :func:`_without_index`.
+the face index by the one cached index of :func:`_without_index`, keyed on
+``(size, face)``.
 
 The split tolerance ``tau`` is ``matkernel.PSD_TOL`` and the witness
 tolerance ``WITNESS_TOL``, both times ``min(1, ||H||_F)``: residuals and
 witness values scale with ``H``, and absolute values would let a small
-enough map split trivially.  A split is accepted by one test, in
-:func:`_project` and in :func:`validate_certificate` alike: its residual
-plus the cone violations ``max(0, -min_eig_H1)`` and
-``max(0, -min_eig_H2_pt)`` is at most ``tau``.  Then its ``lower_bound``
+enough map split trivially.  A split is accepted by one test,
+:func:`_split_certificate`, which the trivial splits, :func:`_project` and
+:func:`validate_certificate` all call: its residual plus the cone
+violations ``max(0, -min_eig_H1)`` and ``max(0, -min_eig_H2_pt)`` is at
+most ``tau``.  Then its ``lower_bound``
 (``min_eig_H1 + min_eig_H2_pt - residual``, a lower bound on ``<v, H v>``
 over unit product vectors) is at least ``-PSD_TOL``, so an accepted split
 proves positivity at the tolerance that decides every other nonnegativity
@@ -87,7 +98,7 @@ from .choi import (
     assemble_blocks,
     face_form_offenders,
 )
-from .exceptions import InvalidCertificateError
+from .exceptions import DimensionMismatchError, InvalidCertificateError
 from .matkernel import (
     EIG_CLAMP_TOL,
     PSD_TOL,
@@ -160,18 +171,18 @@ def _variant_matrix(blocks: ChoiBlocks, variant: str) -> tuple[np.ndarray, int]:
 
 
 @functools.cache
-def _inner_index(d: int) -> np.ndarray:
-    """Flat positions of the entries off row and column ``d`` of a ``2d``-square
-    matrix, row by row; read-only, built once per ``d``."""
-    keep = np.delete(np.arange(2 * d), d)
-    inner = (keep[:, None] * (2 * d) + keep).ravel()
+def _inner_index(size: int, face: int) -> np.ndarray:
+    """Flat positions of the entries off row and column ``face`` of a
+    ``size``-square matrix, row by row; read-only, built once per pair."""
+    keep = np.delete(np.arange(size), face)
+    inner = (keep[:, None] * size + keep).ravel()
     inner.setflags(write=False)
     return inner
 
 
-def _without_index(M: np.ndarray, d: int) -> np.ndarray:
-    """The ``2d``-square ``M`` with row and column ``d`` deleted."""
-    return M.take(_inner_index(d)).reshape(2 * d - 1, -1)
+def _without_index(M: np.ndarray, face: int) -> np.ndarray:
+    """The square ``M`` with row and column ``face`` deleted."""
+    return M.take(_inner_index(len(M), face)).reshape(len(M) - 1, -1)
 
 
 def condensed_matrix(blocks: ChoiBlocks, variant: str) -> np.ndarray:
@@ -354,32 +365,40 @@ class DecomposeResult:
 def _is_ppt_state(rho: np.ndarray, d: int) -> bool:
     """Trace one, PSD and PSD after partial transpose, checked from scratch.
 
-    ``rho`` is validated once: a partial transpose only permutes entries, so
-    ``PT(rho)`` has the Hermiticity defect of ``rho``.
+    The partial transpose is on the first factor of the ``m x d`` layout that
+    ``rho``'s size gives.  ``rho`` is validated once: a partial transpose only
+    permutes entries, so ``PT(rho)`` has the Hermiticity defect of ``rho``.
     """
     if abs(np.trace(rho).real - 1.0) > STATE_TRACE_TOL:
         return False
     S = require_hermitian(rho, tol=STATE_TOL)
-    return bool(eigenvalues(np.stack([S, partial_transpose(S, d)])).min() >= -STATE_TOL)
+    pt = S.take(partial_transpose_index(len(S), d))
+    return bool(eigenvalues(np.stack([S, pt])).min() >= -STATE_TOL)
 
 
-def _certificate_numbers(choi: ChoiMatrix, H1, H2) -> tuple[float, float, float]:
-    """``||H1 + H2 - H||_F``, ``lambda_min(H1)`` and ``lambda_min(PT(H2))``; both
-    parts must be Hermitian within ``STATE_TOL`` (else :class:`NotHermitianError`)."""
-    residual = frobenius(H1 + H2 - choi.H)
-    S1 = require_hermitian(H1, tol=STATE_TOL)
-    S2 = partial_transpose(require_hermitian(H2, tol=STATE_TOL), choi.dim)
-    m1, m2 = eigenvalues(np.stack([S1, S2]))[:, 0].tolist()
-    return residual, m1, m2
+def _split_certificate(H, d: int, H1, H2) -> tuple[DecompositionCertificate | None, str]:
+    """The split test: the certificate of ``H ~ H1 + H2``, or ``None`` and why not.
 
-
-def _split_excess(residual: float, m1: float, m2: float) -> float:
-    """A split's residual plus both cone violations (:func:`_certificate_numbers`).
-
-    The split is accepted when this is at most the split tolerance.  A NaN
-    stays NaN, so it is rejected.
+    The certificate's numbers are ``||H1 + H2 - H||_F``, ``lambda_min(H1)``
+    and ``lambda_min(PT(H2))``, the partial transpose on the first factor of
+    ``H``'s ``m x d`` layout; both parts must be Hermitian within
+    ``STATE_TOL`` (else :class:`NotHermitianError`).  The split is accepted
+    when the residual plus both cone violations is at most the split
+    tolerance of ``H``.  A NaN stays NaN, so it is rejected.
     """
-    return residual + max(-m1, 0.0) + max(-m2, 0.0)
+    split_tol = _scaled_tolerances(H)[0]
+    res = frobenius(H1 + H2 - H)
+    S1 = require_hermitian(H1, tol=STATE_TOL)
+    S2 = require_hermitian(H2, tol=STATE_TOL).take(partial_transpose_index(len(H), d))
+    m1, m2 = eigenvalues(np.stack([S1, S2]))[:, 0].tolist()
+    excess = res + max(-m1, 0.0) + max(-m2, 0.0)
+    if excess <= split_tol:
+        return DecompositionCertificate(H1, H2, res, m1, m2), ""
+    return None, (
+        f"residual {res:.3e} plus cone violations (H1 min eigenvalue "
+        f"{m1:.3e}, H2 partial-transpose min eigenvalue {m2:.3e}) is "
+        f"{excess:.3e} > {split_tol:.1e}"
+    )
 
 
 def _norm(A: np.ndarray) -> float:
@@ -387,33 +406,34 @@ def _norm(A: np.ndarray) -> float:
     return math.sqrt(np.vdot(A, A).real)
 
 
-def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
+def _project(H: np.ndarray, d: int, face: int | None, max_iters: int) -> DecomposeResult:
     """Anderson-accelerated Dykstra projection of ``-H`` onto ``C1 ∩ C2``.
 
-    See the module docstring.  Each iteration evaluates the plain Dykstra
-    cycle ``G`` once, at its last output or at an extrapolation of its
-    recent outputs, and reads every stop off the new output; ``face``
-    restricts ``C1`` to the indices other than ``d``.
+    See the module docstring.  ``H`` is Hermitian on the ``m x d`` layout
+    its size gives, and ``C2`` is PSD after the partial transpose on the
+    first factor.  Each iteration evaluates the plain Dykstra cycle ``G``
+    once, at its last output or at an extrapolation of its recent outputs,
+    and reads every stop off the new output.  ``face`` is the one dropped
+    index: the cones constrain only the other indices, or all of them when
+    it is ``None``.
     """
-    H = choi.H
     negH = -H
     split_tol, witness_tol = _scaled_tolerances(H)
-    d = choi.dim
-    size = 2 * d
-    inner, pt = _inner_index(d), partial_transpose_index(d)
+    pt = partial_transpose_index(len(H), d)
+    inner = None if face is None else _inner_index(len(H), face)
 
     def cone_step(A):
         # The projection onto C1 and its Dykstra correction.
-        if face:
-            Y = A.copy()
-            Y.ravel()[inner] = psd_part(_without_index(A, d)).ravel()
-        else:
+        if inner is None:
             Y = psd_part(A)
+        else:
+            Y = A.copy()
+            Y.ravel()[inner] = psd_part(_without_index(A, face)).ravel()
         return Y, A - Y
 
     def dykstra(P2):
         # One plain cycle G(P1, P2); it reads only P2, since X + P1 = -H - P2.
-        g = np.empty((2, size, size), dtype=np.complex128)
+        g = np.empty((2, *H.shape), dtype=np.complex128)
         Y, g[0] = cone_step(negH - P2)
         _, C = cone_step((Y + P2).take(pt))
         g[1] = C.take(pt)
@@ -422,7 +442,7 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
     stop_tol = split_tol / 10.0
     plateau_tol = PLATEAU_TOL * max(1.0, frobenius(H))
     # The state u = (P1, P2); its real view is the vector that is mixed.
-    u = np.zeros((2, size, size), dtype=np.complex128)
+    u = np.zeros((2, *H.shape), dtype=np.complex128)
     P1, P2 = u
     X = X_in = negH
     plain = True
@@ -485,10 +505,8 @@ def _project(choi: ChoiMatrix, face: bool, max_iters: int) -> DecomposeResult:
     # ||X||_F is the split's residual, so a larger one fails the test below
     # without the two eigensolves.
     if witness is None and residual <= split_tol:
-        H1, H2 = -P1, -P2
-        numbers = _certificate_numbers(choi, H1, H2)
-        if _split_excess(*numbers) <= split_tol:
-            cert = DecompositionCertificate(H1, H2, *numbers)
+        cert = _split_certificate(H, d, -P1, -P2)[0]
+        if cert is not None:
             residual = cert.residual
     return DecomposeResult(cert, witness, residual, iterations, stop)
 
@@ -516,34 +534,32 @@ def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     there.  With neither a split nor a witness, the run failed: that is
     neither a decomposability nor a nondecomposability proof.
     """
+    H, d = choi.H, choi.dim
     cp, ccp = choi.psd_verdicts
-    split_tol = _scaled_tolerances(choi.H)[0]
-    zero = np.zeros_like(choi.H)
-    for verdict, H1, H2 in ((cp, choi.H, zero), (ccp, zero, choi.H)):
+    zero = np.zeros_like(H)
+    for verdict, H1, H2 in ((cp, H, zero), (ccp, zero, H)):
         if verdict.is_psd:
-            numbers = _certificate_numbers(choi, H1, H2)
-            if _split_excess(*numbers) <= split_tol:
-                cert = DecompositionCertificate(H1.copy(), H2.copy(), *numbers)
+            cert = _split_certificate(H, d, H1.copy(), H2.copy())[0]
+            if cert is not None:
                 return DecomposeResult(cert, None, cert.residual, 0, "split")
-    return _project(choi, not face_form_offenders(choi), max_iters)
+    # The face phi(P_e2) f1 = 0 is the index of e2 (x) f1.
+    return _project(H, d, None if face_form_offenders(choi) else d, max_iters)
 
 
 def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> None:
     """Independently re-validate a decomposition certificate.
 
-    Raises :class:`InvalidCertificateError` unless the residual plus both
-    cone violations is at most ``PSD_TOL`` times ``min(1, ||H||_F)``: the
-    test by which :func:`decompose` accepts a split.
+    Raises :class:`DimensionMismatchError` unless both parts have the shape
+    of ``H``, and :class:`InvalidCertificateError` unless the residual plus
+    both cone violations is at most ``PSD_TOL`` times ``min(1, ||H||_F)``:
+    the test by which :func:`decompose` accepts a split.
     """
-    split_tol = _scaled_tolerances(choi.H)[0]
-    res, m1, m2 = _certificate_numbers(choi, as_matrix(cert.H1), as_matrix(cert.H2))
-    excess = _split_excess(res, m1, m2)
-    if not excess <= split_tol:
-        raise InvalidCertificateError(
-            f"residual {res:.3e} plus cone violations (H1 min eigenvalue "
-            f"{m1:.3e}, H2 partial-transpose min eigenvalue {m2:.3e}) is "
-            f"{excess:.3e} > {split_tol:.1e}"
-        )
+    H1, H2 = as_matrix(cert.H1), as_matrix(cert.H2)
+    if not H1.shape == H2.shape == choi.H.shape:
+        raise DimensionMismatchError(f"parts {H1.shape}, {H2.shape} do not match H {choi.H.shape}")
+    accepted, reason = _split_certificate(choi.H, choi.dim, H1, H2)
+    if accepted is None:
+        raise InvalidCertificateError(reason)
 
 
 def witness_search(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
@@ -553,7 +569,7 @@ def witness_search(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     Its result may hold a split instead; ``found=False`` is not a
     decomposability proof.
     """
-    return _project(choi, False, max_iters)
+    return _project(choi.H, choi.dim, None, max_iters)
 
 
 #: :func:`ppt_project` stops after ``PPT_CYCLES`` cycles, or earlier once a

@@ -384,23 +384,22 @@ def compress(canon: CanonicalForm, rho) -> CompressResult:
 def face_intersection_check(choi: ChoiMatrix, eta0) -> bool:
     """Does the map lie in every face indexed by vectors orthogonal to eta0?
 
-    ``eta0`` lives in the lower n coordinates; the check verifies
-    ``phi(P_{e2}) w = 0`` for a basis of the orthogonal complement of the
-    embedded eta0 in C^{n+1}.
+    ``eta0`` lives in the lower n coordinates and is normalized here, so it
+    must have a finite nonzero norm (else :class:`NotUnitVectorError`); the
+    check verifies ``phi(P_{e2}) w = 0`` for a basis of the orthogonal
+    complement of the embedded eta0 in C^{n+1}.
     """
     e = np.asarray(eta0, dtype=np.complex128).ravel()
     n = choi.n
     if e.shape[0] != n:
         raise NotUnitVectorError(f"eta0 must have length {n}")
+    norm = np.linalg.norm(e)
+    if not 0.0 < norm < np.inf:
+        raise NotUnitVectorError(f"eta0 has norm {norm!r}, expected a finite nonzero one")
     embedded = np.zeros(n + 1, dtype=np.complex128)
-    embedded[1:] = e / np.linalg.norm(e)
+    embedded[1:] = e / norm
     Gfull = _householder_to_last(embedded)
-    xi = np.array([0.0, 1.0], dtype=np.complex128)
-    for k in range(n):
-        member = face_membership(choi, xi, Gfull[:, k])
-        if not member.member:
-            return False
-    return True
+    return all(face_membership(choi, [0.0, 1.0], Gfull[:, k]).member for k in range(n))
 
 
 def random_equality_blocks(n: int, rng: np.random.Generator) -> tuple[ChoiBlocks, dict]:

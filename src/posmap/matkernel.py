@@ -15,8 +15,10 @@ spectra of a stack of matrices Hermitian up to rounding (margins, and the
 state and certificate checks).  Besides the cone step, only the positivity
 engine (``positivity._bloch_min``) calls LAPACK directly in a hot loop.
 Each kernel has one implementation: :func:`partial_transpose` is a cached
-index permutation (:func:`partial_transpose_index`), and every matrix
-rebuilt from eigenpairs is one symmetrized product (:func:`_rebuild`).
+index permutation (:func:`partial_transpose_index`, which reads the
+``m x d`` layout from the matrix size and serves the ``2 x d`` Choi layout
+and any other), and every matrix rebuilt from eigenpairs is one symmetrized
+product (:func:`_rebuild`).
 
 Tolerances are constants: ``HERM_TOL_SCALE`` sets the default Hermiticity
 limit of :func:`require_hermitian`, ``EIG_CLAMP_TOL`` the negative eigenvalues
@@ -188,12 +190,18 @@ def psd_part(A: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def partial_transpose_index(block_dim: int) -> np.ndarray:
-    """Flat positions ``p`` with ``M.take(p) == partial_transpose(M, block_dim)``
-    for every ``2 block_dim``-square ``M``; read-only, built once per size."""
-    d = block_dim
-    index = np.arange(4 * d * d).reshape(2, d, 2, d).transpose(2, 1, 0, 3)
-    index = index.reshape(2 * d, 2 * d)
+def partial_transpose_index(size: int, d: int) -> np.ndarray:
+    """Flat positions ``p`` such that ``M.take(p)`` is the partial transpose of
+    every ``size``-square ``M`` on the first factor of its ``m x d`` layout.
+
+    The layout is read from the matrix size, ``m = size // d``: ``M`` is an
+    ``m x m`` array of ``d x d`` blocks, and block ``(i, k)`` moves to
+    ``(k, i)``.  ``2 x d`` is the Choi layout of :func:`partial_transpose`;
+    other layouts serve private callers.  Read-only, built once per layout.
+    """
+    m = size // d
+    index = np.arange(size * size).reshape(m, d, m, d).transpose(2, 1, 0, 3)
+    index = index.reshape(size, size)
     index.setflags(write=False)
     return index
 
@@ -212,7 +220,7 @@ def partial_transpose(matrix, block_dim: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix of size {H.shape[0]} is not 2 x block_dim = {2 * d}"
         )
-    return H.take(partial_transpose_index(d))
+    return H.take(partial_transpose_index(2 * d, d))
 
 
 def eigenvalues(stack: np.ndarray) -> np.ndarray:

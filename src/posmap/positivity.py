@@ -503,12 +503,15 @@ class FaceMembership:
 def face_membership(choi: ChoiMatrix, xi, eta) -> FaceMembership:
     """Test membership in the maximal face {phi : phi(P_xi) eta = 0}.
 
-    ``xi`` (length 2) and ``eta`` (length n+1) are expected unit;
+    ``xi`` (length 2) and ``eta`` (length n+1) are expected unit; another
+    length raises :class:`DimensionMismatchError`.
     ``residual = ||phi(P_xi) eta||_2``, and membership means
     ``residual <= FACE_TOL``.
     """
     x = np.asarray(xi, dtype=np.complex128).ravel()
     e = np.asarray(eta, dtype=np.complex128).ravel()
+    if e.shape[0] != choi.dim:
+        raise DimensionMismatchError(f"eta must have length {choi.dim}, got {e.shape[0]}")
     P = np.outer(x, x.conj())
     out = apply_map(choi, P)
     residual = float(np.linalg.norm(out @ e))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,11 @@ from posmap.cpdecomp import (
     WITNESS_TOL,
     witness_search,
 )
-from posmap.exceptions import InvalidCertificateError, NotHermitianError
+from posmap.exceptions import (
+    DimensionMismatchError,
+    InvalidCertificateError,
+    NotHermitianError,
+)
 from posmap.matkernel import (
     PSD_TOL,
     frobenius,
@@ -260,6 +265,15 @@ class TestDecompose:
         else:
             with pytest.raises(InvalidCertificateError):
                 validate_certificate(ChoiMatrix.from_array(H), cert)
+
+    @pytest.mark.parametrize("size", [1, 4, 8])
+    def test_certificate_of_another_shape_raises(self, rng, size):
+        H = random_decomposable(rng, 3)
+        part = np.eye(size, dtype=complex)
+        for H1, H2 in ((part, np.zeros_like(H.H)), (np.zeros_like(H.H), part)):
+            cert = DecompositionCertificate(H1, H2, 0.0, 0.0, 0.0)
+            with pytest.raises(DimensionMismatchError):
+                validate_certificate(H, cert)
 
     def test_zero_split_of_small_map_rejected(self, tang_raw):
         # Its residual ||H||_F = 6.1e-10 is below PSD_TOL; the split
@@ -578,7 +592,8 @@ class TestOneKernelPerCheck:
         pt = require_hermitian(partial_transpose(cert.H2, d), tol=cpdecomp.STATE_TOL)
         m1 = float(np.linalg.eigvalsh(require_hermitian(cert.H1, tol=cpdecomp.STATE_TOL))[0])
         expected = (frobenius(cert.H1 + cert.H2 - H.H), m1, float(np.linalg.eigvalsh(pt)[0]))
-        assert cpdecomp._certificate_numbers(H, cert.H1, cert.H2) == expected
+        checked = cpdecomp._split_certificate(H.H, d, cert.H1, cert.H2)[0]
+        assert (checked.residual, checked.min_eig_H1, checked.min_eig_H2_pt) == expected
 
         blocks = cpdecomp._positional_blocks
         B, B1, B2 = blocks(H.H, d), blocks(cert.H1, d), blocks(cert.H2, d)
@@ -594,9 +609,84 @@ class TestOneKernelPerCheck:
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_without_index_is_the_double_delete(self, d, rng):
-        M = random_complex(rng, (2 * d, 2 * d))
-        expected = np.delete(np.delete(M, d, axis=0), d, axis=1)
-        assert same_bits(cpdecomp._without_index(M, d), expected)
+        # Every dropped index of the m x d layouts; index d of m = 2 is the
+        # face of the Choi layout.
+        for m in (2, 3, 4):
+            M = random_complex(rng, (m * d, m * d))
+            for face in range(m * d):
+                expected = np.delete(np.delete(M, face, axis=0), face, axis=1)
+                assert same_bits(cpdecomp._without_index(M, face), expected)
+
+
+def dicke_isometry(k):
+    """The real Dicke basis of Sym^{k+1}(C^2) as the columns of an isometry
+    into (C^2)^{(k+1)}: column j is the normalized sum of the basis words
+    with j factors e2."""
+    words = np.arange(2 ** (k + 1))
+    Pi = np.zeros((words.size, k + 2))
+    Pi[words, [bin(w).count("1") for w in words]] = 1.0
+    return Pi / np.sqrt(Pi.sum(axis=0))
+
+
+def lift(H, d, k):
+    """H_k = (Pi (x) I_d)* (I_{2^k} (x) H) (Pi (x) I_d), on the (k+2) x d layout."""
+    P = np.kron(dicke_isometry(k), np.eye(d))
+    L = P.T @ np.kron(np.eye(2 ** k), H) @ P
+    return (L + L.conj().T) / 2
+
+
+class TestLayoutGenericProjection:
+    """The projection reads its m x d layout from the matrix and its face
+    from one dropped index, so the symmetric lift of the qubit side runs it
+    unchanged."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lift_restricts_to_symmetric_product_vectors(self, k, rng):
+        # <c(x) (x) y, H_k c(x) (x) y> = |x|^{2k} f(x, y), with c(x) the
+        # Dicke coordinates of x^{(k+1)}: c_j = sqrt(C(k+1, j)) x1^{k+1-j} x2^j.
+        Pi = dicke_isometry(k)
+        assert np.allclose(Pi.T @ Pi, np.eye(k + 2), rtol=0.0, atol=1e-15)
+        for d in (2, 3, 4):
+            H = product_violation(rng, d)
+            Hk = lift(H, d, k)
+            for _ in range(5):
+                x, y = random_complex(rng, 2), random_complex(rng, d)
+                c = np.array([math.comb(k + 1, j) ** 0.5 * x[0] ** (k + 1 - j) * x[1] ** j
+                              for j in range(k + 2)])
+                v, w = np.kron(c, y), np.kron(x, y)
+                f = np.vdot(w, H @ w).real
+                assert np.vdot(v, Hk @ v).real == pytest.approx(
+                    np.vdot(x, x).real ** k * f, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_lift_of_a_nonpositive_map_never_splits(self, k):
+        # A split of H_k would prove the map positive; these maps are not.
+        for s in range(10):
+            d = 2 + s % 3
+            Hk = lift(product_violation(np.random.default_rng(s), d), d, k)
+            out = cpdecomp._project(Hk / frobenius(Hk), d, None, 3000)
+            assert out.certificate is None, (s, out.stop)
+
+    def test_lifted_tang_splits_on_the_face(self):
+        # Normalized Tang (0.9, 0.12) at k = 1: a 12-square matrix on the
+        # 3 x 4 layout, whose face e2 (x) e2 (x) f1 lifts to index (k+1) d.
+        d, k = 4, 1
+        H = lift(build_pipeline(TangParams(0.9, 0.12)).Hfinal.H, d, k)
+        H /= frobenius(H)
+        assert H.shape == (12, 12)
+        face = (k + 1) * d
+        out = cpdecomp._project(H, d, face, 600)
+        assert out.decomposed and out.stop == "split"
+        assert out.iterations <= 600
+        cert = out.certificate
+        assert cpdecomp._split_certificate(H, d, cert.H1, cert.H2)[0] is not None
+        # Checked again from scratch: H1 PSD, and H2 PSD after the transpose
+        # on the symmetric factor, within the split tolerance.
+        pt = cert.H2.reshape(k + 2, d, k + 2, d).transpose(2, 1, 0, 3).reshape(H.shape)
+        m1, m2 = np.linalg.eigvalsh(cert.H1)[0], np.linalg.eigvalsh(pt)[0]
+        excess = np.linalg.norm(cert.H1 + cert.H2 - H) + max(-m1, 0.0) + max(-m2, 0.0)
+        assert excess <= PSD_TOL
+        assert not np.any(cert.H1[face]) and not np.any(pt[face])
 
 
 class TestKadison:

@@ -285,6 +285,13 @@ class TestFaceIntersection:
         eta0 = np.array([0.0, 0.0, 1.0], dtype=complex)
         assert not face_intersection_check(pipe.Hfinal, eta0)
 
+    @pytest.mark.parametrize("eta0", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_rejects_zero_or_nonfinite_eta0(self, rng, eta0):
+        # Normalizing these would divide by a zero or non-finite norm.
+        blocks, _ = random_equality_blocks(2, rng)
+        with pytest.raises(NotUnitVectorError):
+            face_intersection_check(assemble_blocks(blocks), eta0)
+
 
 class TestGenerator:
     def test_fixtures_are_certified_equality_maps(self, rng):

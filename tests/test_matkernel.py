@@ -15,6 +15,7 @@ from posmap.matkernel import (
     hermitian_eig,
     lowest_eigenvalue,
     partial_transpose,
+    partial_transpose_index,
     psd_check,
     psd_inv_sqrt,
     psd_part,
@@ -215,6 +216,18 @@ class TestPartialTranspose:
                   np.asfortranarray(random_complex(rng, (2 * d, 2 * d)))):
             assert same_bits(partial_transpose(H, d), block_swap(H))
             assert partial_transpose(H, d).flags.c_contiguous
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_index_is_the_layout_transpose(self, m, rng):
+        # The layout m x d is read from the size: block (i, k) moves to (k, i).
+        for d in (1, 2, 3, 4):
+            size = m * d
+            index = partial_transpose_index(size, d)
+            assert not index.flags.writeable
+            M = random_complex(rng, (size, size))
+            expected = M.reshape(m, d, m, d).transpose(2, 1, 0, 3).reshape(size, size)
+            assert same_bits(M.take(index), expected)
+            assert same_bits(M.take(index).take(index), M)
 
 
 class TestOneRebuild:

@@ -431,6 +431,13 @@ class TestFaceMembership:
         assert abs(w[0]) < 1e-12
         assert face_membership(choi, xi, eta).member
 
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_wrong_eta_length_raises(self, length):
+        # cp_shaped_blocks has n = 2, so eta must have length 3.
+        choi = assemble_blocks(cp_shaped_blocks())
+        with pytest.raises(DimensionMismatchError):
+            face_membership(choi, np.array([0.0, 1.0]), np.ones(length) / np.sqrt(length))
+
 
 class TestSlackTriple:
     def test_zero_couplings(self):
