@@ -18,7 +18,7 @@ transpose (a column), so e.g. ``X* X = outer(conj(X), X)``.
 The face checks every module uses are decided here: ``STRUCT_TOL`` decides
 the face-form zero pattern (:func:`face_form_offenders`) and every other
 structural zero in the package, and ``UNITAL_TOL`` the unital face form
-``a = 1, C = 0, x = 0`` (:func:`unital_face_defects`).
+``a = 1, C = 0, x = 0, B + U = I`` (:func:`unital_face_defects`).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .matkernel import (
 #: Absolute tolerance for the zero pattern of the face form.
 STRUCT_TOL = 1e-9
 
-#: Absolute tolerance for a = 1, C = 0 and x = 0 in the unital face form.
+#: Absolute tolerance for a = 1, C = 0, x = 0 and B + U = I in the unital face form.
 UNITAL_TOL = 1e-8
 
 
@@ -229,7 +229,12 @@ def extract_blocks(choi: ChoiMatrix) -> ChoiBlocks:
 
 
 def unital_face_defects(blocks: ChoiBlocks) -> list[str]:
-    """Which of a = 1, C = 0, x = 0 fail at ``UNITAL_TOL``; empty when unital."""
+    """Which of a = 1, C = 0, x = 0 and B + U = I fail at ``UNITAL_TOL``.
+
+    Empty when the blocks are in unital face form: together the four are
+    phi(I) = I for a face-form map.  ``B + U - I`` is measured in the
+    Frobenius norm.
+    """
     bad = []
     if abs(blocks.a - 1.0) > UNITAL_TOL:
         bad.append(f"a = {blocks.a!r}")
@@ -237,6 +242,9 @@ def unital_face_defects(blocks: ChoiBlocks) -> list[str]:
         bad.append(f"||C|| = {np.linalg.norm(blocks.C):.3e}")
     if abs(blocks.x) > UNITAL_TOL:
         bad.append(f"|x| = {abs(blocks.x):.3e}")
+    defect = frobenius(blocks.B + blocks.U - np.eye(blocks.n))
+    if defect > UNITAL_TOL:
+        bad.append(f"||B + U - I|| = {defect:.3e}")
     return bad
 
 

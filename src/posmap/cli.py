@@ -48,14 +48,17 @@ whose solver raised a posmap error or ``LinAlgError`` fails with a line
 naming the error, and the other criteria still run), 2 bad parameters,
 3 I/O or parse error (any malformed input file, NaN or infinite entries
 included, or an output path that cannot be written, such as a missing
-directory or a directory: ``error: cannot write PATH: ...``), 4 solver
-failure after the input loaded (``classify`` and ``decompose``: an
-eigensolver that did not converge, or another error of the solvers).  The
-stochastic subcommands, ``classify`` and ``verify``, derive every stream
-from one seed (``--seed``, or the ``POSMAP_SEED`` environment variable as
-set when :func:`main` runs; unset or empty means 0).  A ``POSMAP_SEED`` that is not an integer exits 2 with an
-``error:`` line, as ``--seed`` with such a value does; it is read only when
-``--seed`` is absent.
+directory or a directory: ``error: cannot write PATH: ...``), and for
+``canonical`` an input with no canonical form (not in face form, rows Y and
+Z independent, or a form that does not rebuild the input, see
+:func:`posmap.extremal.canonicalize`), 4 solver failure after the input
+loaded (``classify``, ``decompose`` and ``canonical``: an eigensolver or SVD
+that did not converge, or, for the first two, another error of the
+solvers).  The stochastic subcommands, ``classify`` and ``verify``, derive
+every stream from one seed (``--seed``, or the ``POSMAP_SEED`` environment
+variable as set when :func:`main` runs; unset or empty means 0).  A
+``POSMAP_SEED`` that is not an integer exits 2 with an ``error:`` line, as
+``--seed`` with such a value does; it is read only when ``--seed`` is absent.
 """
 
 from __future__ import annotations
@@ -79,12 +82,7 @@ from .cpdecomp import (
     decompose,
     witness_search,
 )
-from .exceptions import (
-    BadParamsError,
-    NotInFaceFormError,
-    ParseError,
-    PosmapError,
-)
+from .exceptions import BadParamsError, NotInFaceFormError, PosmapError
 from .extremal import (
     DEPENDENCE_TOL,
     EQUALITY_TOL,
@@ -273,7 +271,7 @@ def _cmd_classify(args) -> int:
     try:
         matrix = load_matrix(args.input)
         choi = ChoiMatrix.from_array(matrix)
-    except (ParseError, PosmapError) as exc:
+    except PosmapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     # The digest identifies the file's matrix; ``choi.H`` is its Hermitian part.
@@ -293,7 +291,7 @@ def _cmd_classify(args) -> int:
 def _cmd_decompose(args) -> int:
     try:
         choi = ChoiMatrix.from_array(load_matrix(args.input))
-    except (ParseError, PosmapError) as exc:
+    except PosmapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -319,11 +317,14 @@ def _cmd_decompose(args) -> int:
 def _cmd_canonical(args) -> int:
     try:
         choi = ChoiMatrix.from_array(load_matrix(args.input))
-        blocks = extract_blocks(choi)
-        canon = canonicalize(blocks)
-    except (ParseError, PosmapError) as exc:
+        canon = canonicalize(extract_blocks(choi))
+    except PosmapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except np.linalg.LinAlgError as exc:
+        # The dependence test of Y and Z calls LAPACK's SVD directly.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     return _emit(jsonable(canon), args.out)
 
 

@@ -45,7 +45,7 @@ class NotInFaceFormError(PosmapError):
 
 
 class NotUnitalFaceFormError(PosmapError):
-    """Blocks do not describe a unital face-form map (a = 1, C = 0, x = 0)."""
+    """Blocks do not describe a unital face-form map (a = 1, C = 0, x = 0, B + U = I)."""
 
 
 class BadParamsError(PosmapError):
@@ -65,7 +65,7 @@ class NotDependentError(PosmapError):
 
 
 class ZeroPatternViolationError(PosmapError):
-    """A canonical form's forced zeros are violated beyond tolerance.
+    """A canonical form does not rebuild its input, or misses u = (|y| + |z|)^2.
 
     ``residual`` is the largest offending magnitude.
     """

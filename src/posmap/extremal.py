@@ -10,10 +10,15 @@ brings the Choi matrix to a canonical shape determined by scalars
 yields a 2x2-codomain map whose scalar conditions bound
 ``|<rho, Y1*>| + |<rho, Z1*>|`` by ``u^{1/2}``.
 
+A canonical form is accepted only when it rebuilds its input: the Choi
+matrix assembled from ``(y, z, u, t, W, V)`` must equal the rotated input
+entrywise, which checks a = 1, C = 0, x = 0, every forced zero of Y, Z, B, T
+and U, and ``B[-1, -1] = 1 - u`` in one comparison.
+
 Tolerances are constants: ``EQUALITY_TOL`` decides the equality case, the
 canonical ``u = (|y| + |z|)^2`` and the identities of the degenerate cases,
 ``DEPENDENCE_TOL`` the dependence of ``Y`` and ``Z``, and ``choi.STRUCT_TOL``
-every forced zero.
+the rebuild of the canonical form and every other forced zero.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .choi import (
     conjugate_choi,
     extract_blocks,
     row_abs,
+    unital_face_defects,
 )
 from .cpdecomp import CpVerdict, ccp_check, cp_check
 from .exceptions import (
@@ -129,8 +135,10 @@ class DegenerateClass:
 
     ``verdict`` is "cp" when Z = 0 and ||Y|| < 1 (the map is completely
     positive with U = Y*Y, B = 1 - Y*Y and T = 0), "cocp" for the mirrored
-    case, and "not_applicable" otherwise.  ``checks`` carries the residuals
-    of the forced identities; ``cp`` is the confirming verdict.
+    case, and "not_applicable" otherwise, and always for blocks that are not
+    in unital face form (:func:`choi.unital_face_defects`).  ``checks``
+    carries the residuals of the forced identities; ``cp`` is the confirming
+    verdict.
     """
 
     verdict: str
@@ -139,6 +147,8 @@ class DegenerateClass:
 
 
 def classify_degenerate(blocks: ChoiBlocks) -> DegenerateClass:
+    if unital_face_defects(blocks):
+        return DegenerateClass("not_applicable", {}, None)
     eye = np.eye(blocks.n)
     for name, row, zero_row, check in (("cp", blocks.Y, blocks.Z, cp_check),
                                        ("cocp", blocks.Z, blocks.Y, ccp_check)):
@@ -226,16 +236,20 @@ def _householder_to_last(eta0: np.ndarray) -> np.ndarray:
 def canonicalize(blocks: ChoiBlocks) -> CanonicalForm:
     """Rotate an equality-case map to its canonical shape and read it off.
 
-    The rotation fixes f1 and sends the common direction of Y* and Z* to the
-    last basis vector; a phase is absorbed so that y (or z when y vanishes)
-    is real nonnegative.  The forced zero pattern is verified: the (n-1)
-    square corner of T must vanish, U must be supported on its last diagonal
-    entry, and B must equal the identity off that entry, all within
-    ``STRUCT_TOL``; ``u`` must equal ``(|y| + |z|)^2`` within
-    ``EQUALITY_TOL``.  Violations raise
-    :class:`ZeroPatternViolationError` (typically meaning the input was not a
-    genuine positive equality-case map); missing dependence of Y and Z raises
-    :class:`NotDependentError`.
+    The rotation G fixes f1 and sends the common direction of Y* and Z* to
+    the last basis vector; a phase is absorbed so that y (or z when y
+    vanishes) is real nonnegative.  (y, z, u, t, W, V) are read off the
+    rotated blocks.  The form is accepted only when it rebuilds the rotated
+    input: ``canon.choi().H`` must equal the Choi matrix of ``(a, x, C G,
+    Y G, Z G, G* B G, G* T G, G* U G)`` entrywise within ``STRUCT_TOL``.
+    That checks a = 1, C = 0, x = 0, Y and Z on the last direction, U on its
+    last diagonal entry, B = I off it with ``B[-1, -1] = 1 - u``, and the
+    (n-1) square corner of T zero; otherwise
+    :class:`ZeroPatternViolationError` names the worst entry and carries its
+    difference as ``residual``.  ``u`` must also equal ``(|y| + |z|)^2``
+    within ``EQUALITY_TOL``, or the same error is raised.  Either means the
+    input is not a genuine positive unital equality-case map.  Missing
+    dependence of Y and Z raises :class:`NotDependentError`.
     """
     dep = check_row_dependence(blocks)
     if not dep.dependent:
@@ -243,8 +257,7 @@ def canonicalize(blocks: ChoiBlocks) -> CanonicalForm:
             f"rows Y and Z are independent (singular values {dep.singular_values})"
         )
     n = blocks.n
-    eta0 = dep.eta0
-    Gn = _householder_to_last(eta0)
+    Gn = _householder_to_last(dep.eta0)
     # Absorb a phase so the read-off y (fallback z) is real nonnegative.
     y_raw = complex(np.dot(blocks.Y, Gn[:, -1]))
     anchor = y_raw if abs(y_raw) > 1e-12 else complex(np.dot(blocks.Z, Gn[:, -1]))
@@ -252,56 +265,40 @@ def canonicalize(blocks: ChoiBlocks) -> CanonicalForm:
         Gn = Gn.copy()
         Gn[:, -1] *= np.conj(anchor) / abs(anchor)
 
-    Bc = Gn.conj().T @ blocks.B @ Gn
-    Uc = Gn.conj().T @ blocks.U @ Gn
-    Tc = Gn.conj().T @ blocks.T @ Gn
-    Yc = blocks.Y @ Gn
-    Zc = blocks.Z @ Gn
-
-    # The maxima start at 0: at n = 1 every off-direction part is empty.
-    offenders = []
-    corner = float(np.max(np.abs(Tc[: n - 1, : n - 1]), initial=0.0))
-    if corner > STRUCT_TOL:
-        offenders.append(f"T corner {corner:.3e}")
-    u_mask = np.ones((n, n), dtype=bool)
-    u_mask[-1, -1] = False
-    u_off = float(np.max(np.abs(Uc[u_mask]), initial=0.0))
-    if u_off > STRUCT_TOL:
-        offenders.append(f"U off-direction {u_off:.3e}")
-    b_dev = float(np.max(np.abs((Bc - np.eye(n))[u_mask]), initial=0.0))
-    if b_dev > STRUCT_TOL:
-        offenders.append(f"B off-pattern {b_dev:.3e}")
-    row_off = max(
-        float(np.max(np.abs(Yc[: n - 1]), initial=0.0)),
-        float(np.max(np.abs(Zc[: n - 1]), initial=0.0)),
+    rotated = ChoiBlocks(
+        a=blocks.a, x=blocks.x, C=blocks.C @ Gn, Y=blocks.Y @ Gn, Z=blocks.Z @ Gn,
+        B=Gn.conj().T @ blocks.B @ Gn, T=Gn.conj().T @ blocks.T @ Gn,
+        U=Gn.conj().T @ blocks.U @ Gn,
     )
-    if row_off > STRUCT_TOL:
-        offenders.append(f"Y/Z off-direction {row_off:.3e}")
-    if offenders:
-        raise ZeroPatternViolationError(
-            "canonical zero pattern violated: " + ", ".join(offenders),
-            residual=max(corner, u_off, b_dev, row_off),
-        )
-    y = complex(Yc[-1])
-    z = complex(Zc[-1])
-    u = float(Uc[-1, -1].real)
-    if abs(u - (abs(y) + abs(z)) ** 2) > EQUALITY_TOL:
-        raise ZeroPatternViolationError(
-            f"u = {u:.6e} differs from (|y|+|z|)^2 = {(abs(y)+abs(z))**2:.6e}",
-            residual=abs(u - (abs(y) + abs(z)) ** 2),
-        )
     G = np.zeros((n + 1, n + 1), dtype=np.complex128)
     G[0, 0] = 1.0
     G[1:, 1:] = Gn
-    return CanonicalForm(
-        y=y,
-        z=z,
-        u=u,
-        t=complex(Tc[-1, -1]),
-        W_row=Tc[: n - 1, n - 1].conj().copy(),
-        V_row=Tc[n - 1, : n - 1].copy(),
+    T = rotated.T
+    canon = CanonicalForm(
+        y=complex(rotated.Y[-1]),
+        z=complex(rotated.Z[-1]),
+        u=float(rotated.U[-1, -1].real),
+        t=complex(T[-1, -1]),
+        W_row=T[: n - 1, n - 1].conj().copy(),
+        V_row=T[n - 1, : n - 1].copy(),
         basis_change=G,
     )
+    diff = np.abs(canon.choi().H - assemble_blocks(rotated).H)
+    row, col = np.unravel_index(np.argmax(diff), diff.shape)
+    if diff[row, col] > STRUCT_TOL:
+        raise ZeroPatternViolationError(
+            f"canonical form does not rebuild the rotated map: entry ({row},{col}) "
+            f"differs by {diff[row, col]:.3e}",
+            residual=float(diff[row, col]),
+        )
+    gap = abs(canon.u - (abs(canon.y) + abs(canon.z)) ** 2)
+    if gap > EQUALITY_TOL:
+        raise ZeroPatternViolationError(
+            f"u = {canon.u:.6e} differs from (|y|+|z|)^2 = "
+            f"{(abs(canon.y) + abs(canon.z)) ** 2:.6e}",
+            residual=gap,
+        )
+    return canon
 
 
 @dataclass(frozen=True)

@@ -404,7 +404,7 @@ def face_structure_report(
 def certify_positivity(
     blocks: ChoiBlocks, budget: int = 64, seed: int = 0
 ) -> BlockPosVerdict:
-    """Positivity test for a unital face-form map (a = 1, C = 0, x = 0).
+    """Positivity test for a unital face-form map (a = 1, C = 0, x = 0, B + U = I).
 
     Raises :class:`NotUnitalFaceFormError` for other blocks (decided by
     :func:`choi.unital_face_defects`), then runs :func:`block_positive_choi`
@@ -419,7 +419,8 @@ def certify_positivity(
     bad = unital_face_defects(blocks)
     if bad:
         raise NotUnitalFaceFormError(
-            "blocks are not in unital face form (need a = 1, C = 0, x = 0): "
+            "blocks are not in unital face form (need a = 1, C = 0, x = 0, "
+            "B + U = I): "
             + ", ".join(bad)
         )
     return block_positive_choi(assemble_blocks(blocks), budget=budget, seed=seed)

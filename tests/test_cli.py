@@ -197,6 +197,22 @@ class TestClassifyCommand:
             residual=cert["residual"], min_eig_H1=cert["min_eig_H1"],
             min_eig_H2_pt=cert["min_eig_H2_pt"]))
 
+    def test_b_plus_u_off_identity_is_not_unital(self, tmp_path):
+        # a = 1, C = 0 and x = 0, but ||B + U - I||_F = 0.4: phi(I) != I.
+        from posmap.extremal import random_equality_blocks
+
+        blocks, _ = random_equality_blocks(2, rng_for(0, "cli-not-unital"))
+        H = assemble_blocks(blocks).H
+        H[1, 1] += 0.4
+        src, out = tmp_path / "map.json", tmp_path / "report.json"
+        save_matrix(src, H)
+        assert main(["classify", str(src), "--out", str(out),
+                     "--max-iters", "50"]) == 0
+        report = strict_json(out.read_text())
+        assert report["unital_face_form"] is False
+        assert report["flags"]["equality_case"] is None
+        assert "equality_case" not in report
+
     def test_equality_fixture_gets_canonical_form(self, tmp_path):
         from posmap.extremal import random_equality_blocks
 
@@ -749,6 +765,25 @@ class TestCanonicalCommand:
         y = complex(*obj["y"])
         assert abs(abs(y) - abs(truth["y"])) < 1e-8
 
+    @pytest.mark.parametrize("case", ["a_five", "zero_map_n1"])
+    def test_no_canonical_form_exit_3(self, case, tmp_path, capsys):
+        # Both saturate the bound with dependent rows, but no canonical form
+        # rebuilds them: a = 5 in the first, a = 0 and B = 0 in the second.
+        if case == "a_five":
+            from posmap.extremal import random_equality_blocks
+
+            blocks, _ = random_equality_blocks(2, rng_for(0, "cli-canonical-gate"))
+            H = assemble_blocks(blocks).H
+            H[0, 0] = 5.0
+        else:
+            H = np.zeros((4, 4))
+        src = tmp_path / "eq.json"
+        save_matrix(src, H)
+        assert main(["canonical", str(src)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: canonical form does not rebuild")
+
     def test_non_face_form_exit_3(self, tmp_path, rng, capsys):
         src = tmp_path / "h.json"
         save_matrix(src, random_psd(6, rng))
@@ -827,16 +862,24 @@ class TestNormOverflowInput:
 
 class TestSolverFailure:
     # A failing eigh reaches the commands through the kernel, as
-    # NoConvergenceError; a failing eigvalsh through direct LAPACK calls.
-    @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
-    @pytest.mark.parametrize("command", ["classify", "decompose"])
+    # NoConvergenceError; a failing eigvalsh or svd through direct LAPACK calls.
+    @pytest.mark.parametrize("command, solver", [
+        *((c, s) for c in ("classify", "decompose") for s in ("eigh", "eigvalsh")),
+        ("canonical", "svd"),
+    ])
     def test_exit_4_with_error_line(self, command, solver, tmp_path, monkeypatch,
                                     capsys):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         src = tmp_path / "map.json"
-        save_matrix(src, tang_choi(TangParams(0.9, 0.12)).H)
+        if command == "canonical":
+            from posmap.extremal import random_equality_blocks
+
+            blocks, _ = random_equality_blocks(2, rng_for(0, "cli-solver-failure"))
+            save_matrix(src, assemble_blocks(blocks).H)
+        else:
+            save_matrix(src, tang_choi(TangParams(0.9, 0.12)).H)
         monkeypatch.setattr(np.linalg, solver, fail)
         assert main([command, str(src)]) == 4
         assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,16 @@ class TestDegenerateClassification:
         blocks, _ = random_equality_blocks(2, rng)
         assert classify_degenerate(blocks).verdict == "not_applicable"
 
+    def test_not_unital_is_not_applicable(self):
+        # The CP shape of test_cp_case with a = 5: still CP, but not unital.
+        Y = np.array([0.6, 0.0], dtype=complex)
+        gram = np.outer(Y.conj(), Y)
+        blocks = replace(unital_blocks(Y, np.zeros(2), np.eye(2) - gram,
+                                       np.zeros((2, 2)), gram), a=5.0)
+        out = classify_degenerate(blocks)
+        assert out.verdict == "not_applicable"
+        assert out.cp is None
+
 
 class TestCanonicalize:
     def test_already_canonical_read_off(self):
@@ -191,8 +203,7 @@ class TestCanonicalize:
         assert out.y.real >= 0
 
     def test_scrambled_recovery(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 5))
+        for n in 2 * list(range(1, 9)):
             blocks, truth = random_equality_blocks(n, rng)
             scrambled, _ = scramble_blocks(blocks, rng)
             out = canonicalize(scrambled)
@@ -219,6 +230,32 @@ class TestCanonicalize:
         )
         with pytest.raises(NotDependentError):
             canonicalize(blocks)
+
+    @pytest.mark.parametrize("case, worst", [
+        ("a", 4.0), ("C", 0.3), ("x", 1e-3), ("B_last", 0.4), ("zero_map_n1", 1.0),
+    ])
+    def test_rejects_a_form_that_does_not_rebuild(self, case, worst, rng):
+        # Each input saturates the bound with dependent rows, but one entry
+        # differs from the canonical shape by ``worst``.
+        blocks, _ = random_equality_blocks(3, rng)
+        if case == "a":
+            blocks = replace(blocks, a=5.0)
+        elif case == "C":
+            blocks = replace(blocks, C=np.array([0.3, 0.0, 0.0], dtype=complex))
+        elif case == "x":
+            blocks = replace(blocks, x=1e-3 + 0j)
+        elif case == "B_last":
+            B = blocks.B.copy()
+            B[-1, -1] += 0.4
+            blocks = replace(blocks, B=B)
+        else:
+            zero = np.zeros((1, 1), dtype=complex)
+            blocks = ChoiBlocks(a=0.0, x=0j, C=zero[0], Y=zero[0], Z=zero[0],
+                                B=zero, T=zero, U=zero)
+        assert equality_case_detect(blocks).equality
+        with pytest.raises(ZeroPatternViolationError, match="does not rebuild") as exc:
+            canonicalize(blocks)
+        assert exc.value.residual == pytest.approx(worst, rel=1e-12)
 
     def test_rejects_wrong_zero_pattern(self, rng):
         # Dependent rows but a full U: not a genuine equality-case map.

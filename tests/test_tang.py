@@ -191,3 +191,14 @@ class TestVerifyReport:
         failing = {k: v for k, v in report.checks.items() if not v.passed}
         assert report.all_pass, failing
         assert report.y_entry.variant == "rho"
+
+    def test_zero_pattern_check_reads_the_pipeline_residual(self, monkeypatch):
+        # One entry under the printed-zero mask above STRUCT_TOL fails the check.
+        from posmap.tang import TangPipeline
+
+        residuals = TangPipeline.residuals
+        monkeypatch.setattr(TangPipeline, "residuals",
+                            lambda self: {**residuals(self), "zero_pattern": 2e-9})
+        report = verify_tang(TangParams(0.9, 0.12), budget=32, seed=0)
+        failing = {k for k, v in report.checks.items() if not v.passed}
+        assert failing == {"zero_pattern"}
