@@ -458,8 +458,9 @@ def criterion_coupling_entry() -> tuple[bool, str]:
         variants.append(res.variant)
         worst = max(worst, abs(res.observed - res.rho_candidate))
     consistent = len(set(variants)) == 1 and variants[0] != "neither"
-    return consistent and variants[0] == "rho", (f"variant {variants[0]!r} at all three points (residual {worst:.2e}); "
-                                                 "the matrix display wins over the block list")
+    detail = (f"variant {variants[0]!r} at all three points (residual {worst:.2e}); "
+              "the matrix display wins over the block list")
+    return consistent and variants[0] == "rho", detail
 
 
 def run_battery(grid_k: int, seed: int) -> list[CriterionResult]:

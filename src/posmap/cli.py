@@ -46,16 +46,21 @@ An existing ``--out`` file is overwritten in place, not truncated first
 Exit codes: 0 success, 1 battery criterion failed (``verify``; a criterion
 whose solver raised a posmap error or ``LinAlgError`` fails with a line
 naming the error, and the other criteria still run), 2 bad parameters,
-3 I/O or parse error (any malformed input file, NaN or infinite entries
-included, or an output path that cannot be written, such as a missing
-directory or a directory: ``error: cannot write PATH: ...``), and for
-``canonical`` an input with no canonical form (not in face form, rows Y and
-Z independent, or a form that does not rebuild the input, see
-:func:`posmap.extremal.canonicalize`), 4 solver failure after the input
-loaded (``classify``, ``decompose`` and ``canonical``: an eigensolver or SVD
-that did not converge, or, for the first two, another error of the
-solvers).  The stochastic subcommands, ``classify`` and ``verify``, derive
-every stream from one seed (``--seed``, or the ``POSMAP_SEED`` environment
+3 I/O or parse error, 4 solver failure; 2, 3 and 4 come with an ``error:``
+line on stderr.  The file commands (``classify``, ``decompose`` and
+``canonical``) take one path, :func:`_on_file`, which holds their one map
+from failure to exit code.  A file that does not load as a Choi matrix
+(malformed, NaN or infinite entries included) exits 3.  A posmap error of
+the command's solver exits 4, or 3 for ``canonical``: an input with no
+canonical form (not in face form, rows Y and Z independent, or a form that
+does not rebuild the input, see :func:`posmap.extremal.canonicalize`).
+A ``LinAlgError`` (an eigensolver or SVD that did not converge) exits 4.
+An output path that cannot be written, such as a missing directory or a
+directory, exits 3 with ``error: cannot write PATH: ...``, for ``tang``
+too.
+
+The stochastic subcommands, ``classify`` and ``verify``, derive every
+stream from one seed (``--seed``, or the ``POSMAP_SEED`` environment
 variable as set when :func:`main` runs; unset or empty means 0).  A
 ``POSMAP_SEED`` that is not an integer exits 2 with an ``error:`` line, as
 ``--seed`` with such a value does; it is read only when ``--seed`` is absent.
@@ -64,6 +69,7 @@ variable as set when :func:`main` runs; unset or empty means 0).  A
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -128,6 +134,12 @@ TOLERANCES = {
 }
 
 
+def _error(message, code: int) -> int:
+    """Print ``error: message`` to stderr and return the exit code ``code``."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _emit(obj: dict, out: str | None) -> int:
     """Every subcommand's JSON output: to ``out``, or to stdout if None.
 
@@ -138,9 +150,46 @@ def _emit(obj: dict, out: str | None) -> int:
     try:
         write_json(obj, out)
     except OSError as exc:
-        print(f"error: cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _error(f"cannot write {out or 'stdout'}: {exc}", EXIT_IO)
     return EXIT_OK
+
+
+def _on_file(args, solve, unsolvable: int) -> int:
+    """The one path of the file commands: load ``args.input``, solve, write.
+
+    ``solve(args, matrix, choi)`` returns the report.  A file that does not
+    load as a Choi matrix exits ``EXIT_IO``, a posmap error of ``solve``
+    exits ``unsolvable`` and a ``LinAlgError``, raised by the solvers' direct
+    LAPACK calls, exits ``EXIT_SOLVER``; :func:`_emit` writes the report.
+    """
+    try:
+        matrix = load_matrix(args.input)
+        choi = ChoiMatrix.from_array(matrix)
+    except PosmapError as exc:
+        return _error(exc, EXIT_IO)
+    try:
+        report = solve(args, matrix, choi)
+    except PosmapError as exc:
+        return _error(exc, unsolvable)
+    except np.linalg.LinAlgError as exc:
+        return _error(exc, EXIT_SOLVER)
+    return _emit(report, args.out)
+
+
+@contextlib.contextmanager
+def _stage(timings: dict[str, float], key: str):
+    """Time the ``with`` body into ``timings[key]``, in seconds."""
+    t0 = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - t0
+
+
+def _or_error(solver, blocks) -> dict:
+    """``solver(blocks)`` as a report entry, or ``{"error": ...}`` on a posmap error."""
+    try:
+        return jsonable(solver(blocks))
+    except PosmapError as exc:
+        return {"error": str(exc)}
 
 
 def build_classification(
@@ -156,64 +205,51 @@ def build_classification(
     timings: dict[str, float] = {}
     report: dict = {"shape": {"domain": 2, "codomain": choi.dim}}
 
-    t0 = time.perf_counter()
-    dec = decompose(choi, max_iters=max_iters)
-    timings["decompose"] = time.perf_counter() - t0
+    with _stage(timings, "decompose"):
+        dec = decompose(choi, max_iters=max_iters)
     if dec.decomposed:
         positive = {"status": PROVED, "lower_bound": dec.certificate.lower_bound,
                     "evidence": "split", "witness": None}
     else:
-        t0 = time.perf_counter()
-        pos = block_positive_choi(choi, budget=budget, seed=seed)
-        timings["positivity"] = time.perf_counter() - t0
+        with _stage(timings, "positivity"):
+            pos = block_positive_choi(choi, budget=budget, seed=seed)
         positive = {"status": pos.status, "margin": pos.margin,
                     "witness": jsonable(pos.witness)}
         if pos.refine is not None:
             positive["refine"] = jsonable(pos.refine)
     flags: dict = {"positive": positive}
 
-    t0 = time.perf_counter()
-    cp, ccp = choi.psd_verdicts
-    timings["cp_ccp"] = time.perf_counter() - t0
+    with _stage(timings, "cp_ccp"):
+        cp, ccp = choi.psd_verdicts
     flags["cp"] = bool(cp.is_psd)
     flags["ccp"] = bool(ccp.is_psd)
     report["cp_min_eigenvalue"] = cp.min_eigenvalue
     report["ccp_min_eigenvalue"] = ccp.min_eigenvalue
 
-    blocks = None
     try:
         blocks = extract_blocks(choi)
     except NotInFaceFormError as exc:
         report["face_form"] = {"in_face_form": False, "reason": str(exc)}
-    if blocks is not None:
+    else:
         report["face_form"] = {"in_face_form": True}
-        t0 = time.perf_counter()
-        report["face_structure"] = jsonable(
-            face_structure_report(blocks, budget=min(budget, 16), seed=seed)
-        )
-        try:
-            report["coupling_bound"] = jsonable(coupling_bound_check(blocks))
-        except PosmapError as exc:
-            report["coupling_bound"] = {"error": str(exc)}
-        timings["face_structure"] = time.perf_counter() - t0
+        with _stage(timings, "face_structure"):
+            report["face_structure"] = jsonable(
+                face_structure_report(blocks, budget=min(budget, 16), seed=seed)
+            )
+            report["coupling_bound"] = _or_error(coupling_bound_check, blocks)
         unital = not unital_face_defects(blocks)
         report["unital_face_form"] = unital
+        flags["equality_case"] = None
         if unital:
-            t0 = time.perf_counter()
-            eq = equality_case_detect(blocks)
-            report["equality_case"] = jsonable(eq)
-            flags["equality_case"] = bool(eq.equality)
-            if eq.equality:
-                dep = check_row_dependence(blocks)
-                report["row_dependence"] = jsonable(dep)
-                if dep.dependent:
-                    try:
-                        report["canonical_form"] = jsonable(canonicalize(blocks))
-                    except PosmapError as exc:
-                        report["canonical_form"] = {"error": str(exc)}
-            timings["equality_case"] = time.perf_counter() - t0
-        else:
-            flags["equality_case"] = None
+            with _stage(timings, "equality_case"):
+                eq = equality_case_detect(blocks)
+                report["equality_case"] = jsonable(eq)
+                flags["equality_case"] = bool(eq.equality)
+                if eq.equality:
+                    dep = check_row_dependence(blocks)
+                    report["row_dependence"] = jsonable(dep)
+                    if dep.dependent:
+                        report["canonical_form"] = _or_error(canonicalize, blocks)
 
     if dec.decomposed:
         flags["decomposable"] = "yes"
@@ -225,9 +261,8 @@ def build_classification(
             "kadison": jsonable(_kadison_margins(choi, dec.certificate)),
         }
     else:
-        t0 = time.perf_counter()
-        wit = witness_search(choi, max_iters=max_iters)
-        timings["witness_search"] = time.perf_counter() - t0
+        with _stage(timings, "witness_search"):
+            wit = witness_search(choi, max_iters=max_iters)
         if wit.found:
             flags["decomposable"] = "no-witness"
             report["witness"] = jsonable(wit.witness)
@@ -255,8 +290,7 @@ def _cmd_tang(args) -> int:
     try:
         params = TangParams(args.mu, args.eps)
     except BadParamsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        return _error(exc, EXIT_BAD_PARAMS)
     pipe = build_pipeline(params)
     print(
         f"rho={pipe.rho!r} delta={pipe.delta!r} alpha={pipe.alpha!r} "
@@ -267,65 +301,30 @@ def _cmd_tang(args) -> int:
     return _emit(matrix_to_obj(matrix), args.out)
 
 
-def _cmd_classify(args) -> int:
-    try:
-        matrix = load_matrix(args.input)
-        choi = ChoiMatrix.from_array(matrix)
-    except PosmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+def _cmd_classify(args, matrix, choi) -> dict:
     # The digest identifies the file's matrix; ``choi.H`` is its Hermitian part.
-    report = {"input_digest": matrix_digest(matrix)}
-    try:
-        report.update(build_classification(
-            choi, budget=args.budget, max_iters=args.max_iters, seed=args.seed
-        ))
-    except (PosmapError, np.linalg.LinAlgError) as exc:
-        # LinAlgError too: the positivity engine and the state checks call
-        # LAPACK directly.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    return _emit(report, args.out)
+    return {"input_digest": matrix_digest(matrix), **build_classification(
+        choi, budget=args.budget, max_iters=args.max_iters, seed=args.seed
+    )}
 
 
-def _cmd_decompose(args) -> int:
-    try:
-        choi = ChoiMatrix.from_array(load_matrix(args.input))
-    except PosmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        result = decompose(choi, max_iters=args.max_iters)
-        if result.decomposed:
-            kadison = _kadison_margins(choi, result.certificate)
-    except (PosmapError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+def _cmd_decompose(args, matrix, choi) -> dict:
+    result = decompose(choi, max_iters=args.max_iters)
     obj: dict = {"decomposed": result.decomposed, "iterations": result.iterations,
                  "residual": result.residual, "stop": result.stop}
     if result.decomposed:
         obj["certificate"] = jsonable(result.certificate)
-        obj["kadison"] = jsonable(kadison)
+        obj["kadison"] = jsonable(_kadison_margins(choi, result.certificate))
     elif result.found:
         obj["witness"] = jsonable(result.witness)
     else:
         obj["note"] = ("no decomposition found within the iteration budget; "
                        "this is not a nondecomposability proof")
-    return _emit(obj, args.out)
+    return obj
 
 
-def _cmd_canonical(args) -> int:
-    try:
-        choi = ChoiMatrix.from_array(load_matrix(args.input))
-        canon = canonicalize(extract_blocks(choi))
-    except PosmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except np.linalg.LinAlgError as exc:
-        # The dependence test of Y and Z calls LAPACK's SVD directly.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    return _emit(jsonable(canon), args.out)
+def _cmd_canonical(args, matrix, choi) -> dict:
+    return jsonable(canonicalize(extract_blocks(choi)))
 
 
 def _cmd_verify(args) -> int:
@@ -397,18 +396,18 @@ def make_parser() -> argparse.ArgumentParser:
                         "witness search when no split is found")
     p.add_argument("--seed", type=int, default=None,
                    help="default: POSMAP_SEED, or 0")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=functools.partial(_on_file, solve=_cmd_classify, unsolvable=EXIT_SOLVER))
 
     p = sub.add_parser("decompose", help="search for a CP + coCP split")
     p.add_argument("input")
     p.add_argument("--max-iters", type=positive_int, default=20000)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_decompose)
+    p.set_defaults(func=functools.partial(_on_file, solve=_cmd_decompose, unsolvable=EXIT_SOLVER))
 
     p = sub.add_parser("canonical", help="canonical form of an equality-case map")
     p.add_argument("input")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_canonical)
+    p.set_defaults(func=functools.partial(_on_file, solve=_cmd_canonical, unsolvable=EXIT_IO))
 
     p = sub.add_parser("verify", help="run the built-in verification battery")
     p.add_argument("--grid", type=positive_int, default=3,
@@ -431,8 +430,7 @@ def main(argv=None) -> int:
         try:
             args.seed = _default_seed()
         except BadParamsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_PARAMS
+            return _error(exc, EXIT_BAD_PARAMS)
     return args.func(args)
 
 

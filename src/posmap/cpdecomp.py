@@ -42,8 +42,9 @@ of ``G`` by least squares on their fixed-point residuals ``G(u) - u``
 (regularized by ``ANDERSON_REG``).  An extrapolated input is kept only while
 its residual does not exceed that of the last kept input.  Otherwise the
 memory is cleared and the run goes on from the output of ``G`` already
-computed, so a rejection costs no extra projection.  Verdicts are read only from outputs of ``G``, never from an
-extrapolated point, so they mean what they mean without acceleration.
+computed, so a rejection costs no extra projection.  Verdicts are read only
+from outputs of ``G``, never from an extrapolated point, so they mean what
+they mean without acceleration.
 ``iterations`` counts evaluations of ``G``, each one pair of cone
 projections, and ``max_iters`` caps them.  A cone projection is
 :func:`matkernel.psd_part`: the arithmetic of :func:`matkernel.psd_project`

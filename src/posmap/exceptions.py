@@ -53,7 +53,7 @@ class BadParamsError(PosmapError):
 
 
 class BadScalarsError(PosmapError):
-    """Scalars (p, q, s) violate p, q >= 0 or |s|^2 <= p*q."""
+    """Scalars are not finite, or (p, q, s) violate p, q >= 0 or |s|^2 <= p*q."""
 
 
 class SingularBlockError(PosmapError):

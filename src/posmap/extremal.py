@@ -323,7 +323,8 @@ class CompressResult:
 def compress(canon: CanonicalForm, rho) -> CompressResult:
     """Compress the canonical map with the coisometry built from rho.
 
-    ``rho`` must be a unit vector of length n.  The coisometry
+    ``rho`` must be a vector of length n with norm within 1e-9 of 1, else
+    :class:`NotUnitVectorError`; it is normalized here, so the coisometry
     ``V = [[conj(rho), 0], [0...0, 1]]`` satisfies ``V V* = I_2``; the
     compressed map has Choi scalars read from ``Y1 = [conj(y), W]`` and
     ``Z1 = [conj(z), V_row]``.  The direct blockwise compression is computed
@@ -331,10 +332,12 @@ def compress(canon: CanonicalForm, rho) -> CompressResult:
     """
     r = np.asarray(rho, dtype=np.complex128).ravel()
     n = canon.n
-    if r.shape[0] != n:
-        raise NotUnitVectorError(f"rho must have length {n}, got {r.shape[0]}")
-    if abs(np.linalg.norm(r) - 1.0) > 1e-9:
-        raise NotUnitVectorError(f"rho has norm {np.linalg.norm(r)!r}, expected 1")
+    norm = np.linalg.norm(r)
+    # Written so that a NaN norm fails too.
+    if r.shape[0] != n or not abs(norm - 1.0) <= 1e-9:
+        raise NotUnitVectorError(f"rho must be a unit vector of length {n}, "
+                                 f"got length {r.shape[0]} and norm {float(norm)!r}")
+    r = r / norm
     Y1 = np.concatenate(([np.conj(canon.y)], canon.W_row))
     Z1 = np.concatenate(([np.conj(canon.z)], canon.V_row))
     y_c = complex(np.vdot(r, Y1.conj()))
@@ -343,9 +346,6 @@ def compress(canon: CanonicalForm, rho) -> CompressResult:
     Vco = np.zeros((2, n + 1), dtype=np.complex128)
     Vco[0, :n] = r.conj()
     Vco[1, n] = 1.0
-    gram = Vco @ Vco.conj().T
-    if np.linalg.norm(gram - np.eye(2)) > 1e-9:
-        raise PosmapError("compression is not a coisometry")
     full = canon.choi()
     small = np.block(
         [

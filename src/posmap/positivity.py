@@ -317,12 +317,20 @@ def admissible_combination(P, S, Q, p: float, q: float, s: complex) -> np.ndarra
 
     Admissible means ``p, q >= 0`` and ``|s|^2 <= p q``; block-positivity of
     ``[[P, S], [S*, Q]]`` is equivalent to all such combinations being PSD.
+    Scalars that are not finite or not admissible raise
+    :class:`BadScalarsError`, and ``P``, ``S`` and ``Q`` that do not share one
+    square shape :class:`DimensionMismatchError`.
     """
+    if not np.isfinite([p, q, s]).all():
+        raise BadScalarsError(f"p, q, s must be finite, got p={p}, q={q}, s={s}")
     if p < -1e-12 or q < -1e-12:
         raise BadScalarsError(f"p, q must be nonnegative, got p={p}, q={q}")
     if abs(s) ** 2 > p * q + 1e-12 * max(1.0, abs(p * q)):
         raise BadScalarsError(f"|s|^2 = {abs(s)**2:.6e} exceeds p*q = {p * q:.6e}")
     Pm, Sm, Qm = as_matrix(P), as_matrix(S), as_matrix(Q)
+    n = Pm.shape[0]
+    if any(m.shape != (n, n) for m in (Pm, Sm, Qm)):
+        raise DimensionMismatchError("P, S, Q must share one square shape")
     return p * Pm + s * Sm + np.conj(s) * Sm.conj().T + q * Qm
 
 
@@ -477,7 +485,13 @@ class ScalarConditions:
 def scalar_choi_conditions(
     a: float, b: float, u: float, c: complex, y: complex, z: complex, t: complex,
 ) -> ScalarConditions:
-    """Evaluate the scalar necessary conditions with margins at ``PSD_TOL``."""
+    """Evaluate the scalar necessary conditions with margins at ``PSD_TOL``.
+
+    Scalars that are not finite, or a negative ``a``, ``b`` or ``u``, raise
+    :class:`BadScalarsError`.
+    """
+    if not np.isfinite([a, b, u, c, y, z, t]).all():
+        raise BadScalarsError(f"scalars must be finite, got {(a, b, u, c, y, z, t)}")
     if a < -PSD_TOL or b < -PSD_TOL or u < -PSD_TOL:
         raise BadScalarsError(f"a, b, u must be nonnegative, got {(a, b, u)}")
     m1 = a * b - abs(c) ** 2

@@ -333,6 +333,34 @@ def decomposable_map(rng, d):
     return H / np.linalg.norm(H)
 
 
+#: The stages ``classify`` times on each path, in report order.
+ALL_STAGES = ["decompose", "positivity", "cp_ccp", "face_structure", "equality_case",
+              "witness_search"]
+NO_SPLIT_STAGES = ["decompose", "positivity", "cp_ccp", "witness_search"]
+
+
+class TestTimingKeys:
+    @pytest.mark.parametrize("case, stages", [
+        ("decomposable", ["decompose", "cp_ccp"]),
+        ("nonpositive", NO_SPLIT_STAGES),
+        ("raw_tang", NO_SPLIT_STAGES),
+        ("normalized_tang", ALL_STAGES),
+        ("faceform", ALL_STAGES),
+    ])
+    def test_exact_keys_per_path(self, case, stages):
+        if case in ("decomposable", "nonpositive", "faceform"):
+            H = benchmark_case(case, 1, 0).H
+        elif case == "raw_tang":
+            H = tang_choi(TangParams(0.9, 0.12)).H
+        else:
+            H = build_pipeline(TangParams(0.9, 0.12)).Hfinal.H
+        # A short split search: none of these inputs splits after 200 iterations
+        # unless it splits at once.
+        timings = build_classification(ChoiMatrix.from_array(H), max_iters=200)["timings"]
+        assert list(timings) == stages
+        assert all(type(t) is float and t >= 0.0 for t in timings.values())
+
+
 class TestSplitFirstPositivity:
     """A validated split proves positivity; the engine runs only without one."""
 

@@ -300,6 +300,20 @@ class TestCompress:
         with pytest.raises(NotUnitVectorError):
             compress(canon, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        canon = canonical_fixture(0.3, 0.25, 0.0, [0.0], [0.0])
+        with pytest.raises(NotUnitVectorError):
+            compress(canon, np.array([bad, 0.0]))
+
+    def test_accepts_a_norm_within_its_slack(self):
+        # Norm 1 + 0.9e-9 passes the unit test, so V must count as a coisometry:
+        # the result is the one of the normalized vector.
+        canon = canonical_fixture(0.3, 0.25, 0.04j, [0.05], [0.02])
+        rho = np.array([0.6, 0.8j]) * (1 + 0.9e-9)
+        out, unit = compress(canon, rho), compress(canon, rho / np.linalg.norm(rho))
+        assert (out.y, out.z, out.margin) == (unit.y, unit.z, unit.margin)
+
 
 class TestFaceIntersection:
     def test_canonical_map_lies_in_intersection(self, rng):

@@ -239,6 +239,22 @@ class TestAdmissibleCombination:
         with pytest.raises(BadScalarsError):
             admissible_combination(np.eye(2), np.eye(2), np.eye(2), 1.0, 0.1, 1.0)
 
+    @pytest.mark.parametrize("p, q, s", [(np.nan, 1.0, 0.0), (1.0, np.inf, 0.0),
+                                         (1.0, 1.0, complex(np.nan, 0.0))])
+    def test_rejects_non_finite_scalars(self, p, q, s):
+        with pytest.raises(BadScalarsError):
+            admissible_combination(np.eye(2), np.eye(2), np.eye(2), p, q, s)
+
+    @pytest.mark.parametrize("odd", ["S", "Q"])
+    def test_rejects_mismatched_shapes(self, odd):
+        P, S, Q = np.eye(2), np.eye(2), np.eye(2)
+        if odd == "S":
+            S = np.eye(3)
+        else:
+            Q = np.eye(3)
+        with pytest.raises(DimensionMismatchError):
+            admissible_combination(P, S, Q, 1.0, 1.0, 0.0)
+
     def test_certified_triples_give_psd_combinations(self, rng):
         for _ in range(10):
             P = random_psd(2, rng) + 0.3 * np.eye(2)
@@ -401,6 +417,14 @@ class TestScalarConditions:
     def test_rejects_negative(self):
         with pytest.raises(BadScalarsError):
             scalar_choi_conditions(-1, 1, 1, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("slot", range(7))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, slot, bad):
+        scalars = [1, 1, 1, 0, 0, 0, 0]
+        scalars[slot] = bad
+        with pytest.raises(BadScalarsError):
+            scalar_choi_conditions(*scalars)
 
 
 class TestFaceMembership:
