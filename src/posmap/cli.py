@@ -46,18 +46,19 @@ An existing ``--out`` file is overwritten in place, not truncated first
 Exit codes: 0 success, 1 battery criterion failed (``verify``; a criterion
 whose solver raised a posmap error or ``LinAlgError`` fails with a line
 naming the error, and the other criteria still run), 2 bad parameters,
-3 I/O or parse error, 4 solver failure; 2, 3 and 4 come with an ``error:``
-line on stderr.  The file commands (``classify``, ``decompose`` and
-``canonical``) take one path, :func:`_on_file`, which holds their one map
-from failure to exit code.  A file that does not load as a Choi matrix
-(malformed, NaN or infinite entries included) exits 3.  A posmap error of
-the command's solver exits 4, or 3 for ``canonical``: an input with no
-canonical form (not in face form, rows Y and Z independent, or a form that
-does not rebuild the input, see :func:`posmap.extremal.canonicalize`).
-A ``LinAlgError`` (an eigensolver or SVD that did not converge) exits 4.
-An output path that cannot be written, such as a missing directory or a
-directory, exits 3 with ``error: cannot write PATH: ...``, for ``tang``
-too.
+3 the input or the output file, 4 a LAPACK failure; 2, 3 and 4 come with an
+``error:`` line on stderr.  :func:`main` holds the one map from failure to
+exit code, for every command.  A :class:`~posmap.exceptions.BadParamsError`
+exits 2.  Any other posmap error is about the input and exits 3: a file
+that does not load as a Choi matrix (malformed, NaN or infinite entries
+included), or an input with no answer, such as one with no canonical form
+(not in face form, rows Y and Z independent, or a form that does not rebuild
+the input, see :func:`posmap.extremal.canonicalize`).  So a posmap error
+raised while solving ``classify`` or ``decompose`` exits 3, as one raised by
+``canonical`` does; it used to exit 4, like a LAPACK failure.  A
+``LinAlgError`` (an eigensolver or SVD that did not converge) exits 4.  An
+output path that cannot be written, such as a missing directory or a
+directory, exits 3 with ``error: cannot write PATH: ...``, for ``tang`` too.
 
 The stochastic subcommands, ``classify`` and ``verify``, derive every
 stream from one seed (``--seed``, or the ``POSMAP_SEED`` environment
@@ -154,25 +155,14 @@ def _emit(obj: dict, out: str | None) -> int:
     return EXIT_OK
 
 
-def _on_file(args, solve, unsolvable: int) -> int:
+def _on_file(args, solve) -> int:
     """The one path of the file commands: load ``args.input``, solve, write.
 
-    ``solve(args, matrix, choi)`` returns the report.  A file that does not
-    load as a Choi matrix exits ``EXIT_IO``, a posmap error of ``solve``
-    exits ``unsolvable`` and a ``LinAlgError``, raised by the solvers' direct
-    LAPACK calls, exits ``EXIT_SOLVER``; :func:`_emit` writes the report.
+    ``solve(args, matrix, choi)`` returns the report, and :func:`_emit`
+    writes it; :func:`main` maps every failure to its exit code.
     """
-    try:
-        matrix = load_matrix(args.input)
-        choi = ChoiMatrix.from_array(matrix)
-    except PosmapError as exc:
-        return _error(exc, EXIT_IO)
-    try:
-        report = solve(args, matrix, choi)
-    except PosmapError as exc:
-        return _error(exc, unsolvable)
-    except np.linalg.LinAlgError as exc:
-        return _error(exc, EXIT_SOLVER)
+    matrix = load_matrix(args.input)
+    report = solve(args, matrix, ChoiMatrix.from_array(matrix))
     return _emit(report, args.out)
 
 
@@ -185,7 +175,11 @@ def _stage(timings: dict[str, float], key: str):
 
 
 def _or_error(solver, blocks) -> dict:
-    """``solver(blocks)`` as a report entry, or ``{"error": ...}`` on a posmap error."""
+    """``solver(blocks)`` as a report entry, or ``{"error": ...}`` on a posmap error.
+
+    Such an entry is an input-level failure: these blocks have no answer to
+    the stage's question.  A ``LinAlgError`` passes through to :func:`main`.
+    """
     try:
         return jsonable(solver(blocks))
     except PosmapError as exc:
@@ -287,11 +281,7 @@ def build_classification(
 
 
 def _cmd_tang(args) -> int:
-    try:
-        params = TangParams(args.mu, args.eps)
-    except BadParamsError as exc:
-        return _error(exc, EXIT_BAD_PARAMS)
-    pipe = build_pipeline(params)
+    pipe = build_pipeline(TangParams(args.mu, args.eps))
     print(
         f"rho={pipe.rho!r} delta={pipe.delta!r} alpha={pipe.alpha!r} "
         f"beta={pipe.beta!r} gamma={pipe.gamma!r}",
@@ -396,18 +386,18 @@ def make_parser() -> argparse.ArgumentParser:
                         "witness search when no split is found")
     p.add_argument("--seed", type=int, default=None,
                    help="default: POSMAP_SEED, or 0")
-    p.set_defaults(func=functools.partial(_on_file, solve=_cmd_classify, unsolvable=EXIT_SOLVER))
+    p.set_defaults(func=functools.partial(_on_file, solve=_cmd_classify))
 
     p = sub.add_parser("decompose", help="search for a CP + coCP split")
     p.add_argument("input")
     p.add_argument("--max-iters", type=positive_int, default=20000)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=functools.partial(_on_file, solve=_cmd_decompose, unsolvable=EXIT_SOLVER))
+    p.set_defaults(func=functools.partial(_on_file, solve=_cmd_decompose))
 
     p = sub.add_parser("canonical", help="canonical form of an equality-case map")
     p.add_argument("input")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=functools.partial(_on_file, solve=_cmd_canonical, unsolvable=EXIT_IO))
+    p.set_defaults(func=functools.partial(_on_file, solve=_cmd_canonical))
 
     p = sub.add_parser("verify", help="run the built-in verification battery")
     p.add_argument("--grid", type=positive_int, default=3,
@@ -425,13 +415,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one map from its failures to exit codes."""
     args = _parser().parse_args(argv)
-    if vars(args).get("seed", 0) is None:
-        try:
+    try:
+        if vars(args).get("seed", 0) is None:
             args.seed = _default_seed()
-        except BadParamsError as exc:
-            return _error(exc, EXIT_BAD_PARAMS)
-    return args.func(args)
+        return args.func(args)
+    except BadParamsError as exc:
+        return _error(exc, EXIT_BAD_PARAMS)
+    except PosmapError as exc:
+        return _error(exc, EXIT_IO)
+    except np.linalg.LinAlgError as exc:
+        return _error(exc, EXIT_SOLVER)
 
 
 def entry() -> None:

@@ -1,4 +1,9 @@
-"""Exception hierarchy for the posmap package."""
+"""Exception hierarchy for the posmap package.
+
+A :class:`PosmapError` is about the input: it is malformed or degenerate, or
+it has no answer to the question asked.  A LAPACK routine that fails raises
+:class:`numpy.linalg.LinAlgError`, which posmap never translates.
+"""
 
 
 class PosmapError(Exception):
@@ -26,11 +31,7 @@ class NotPSDError(PosmapError):
 
 
 class SingularMatrixError(PosmapError):
-    """A matrix required to be invertible is singular at the working tolerance."""
-
-
-class NoConvergenceError(PosmapError):
-    """An iterative routine hit its iteration cap or failed a residual check."""
+    """A matrix that must be inverted is singular at ``matkernel.RANK_TOL``."""
 
 
 class NotInFaceFormError(PosmapError):
@@ -54,10 +55,6 @@ class BadParamsError(PosmapError):
 
 class BadScalarsError(PosmapError):
     """Scalars are not finite, or (p, q, s) violate p, q >= 0 or |s|^2 <= p*q."""
-
-
-class SingularBlockError(PosmapError):
-    """A block that the operation must invert is singular."""
 
 
 class NotDependentError(PosmapError):

@@ -39,6 +39,7 @@ from .choi import (
 )
 from .cpdecomp import CpVerdict, ccp_check, cp_check
 from .exceptions import (
+    BadParamsError,
     NotDependentError,
     NotUnitVectorError,
     PosmapError,
@@ -406,8 +407,11 @@ def random_equality_blocks(n: int, rng: np.random.Generator) -> tuple[ChoiBlocks
     and draws the T data inside the phase constraints positivity imposes
     near the saturated direction (t in quadrature with the y-z alignment
     phase, V locked to W).  Candidates failing the positivity certificate
-    are rejected and resampled, at most ``SAMPLER_TRIES`` times.
+    are rejected and resampled, at most ``SAMPLER_TRIES`` times.  ``n < 1``
+    raises :class:`BadParamsError`.
     """
+    if n < 1:
+        raise BadParamsError(f"n must be at least 1, got {n}")
     for _ in range(SAMPLER_TRIES):
         ay = rng.uniform(0.15, 0.45)
         az = rng.uniform(0.15, 0.45)

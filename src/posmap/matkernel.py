@@ -4,12 +4,13 @@ All routines operate on numpy ``complex128`` arrays, never mutate their
 arguments, and are sized for the matrices this package actually meets
 (dimension <= ~64).  Input is validated where it enters: every checked
 routine that factors a matrix passes it through :func:`require_hermitian`
-and factors the exactly Hermitian copy.  LAPACK's Hermitian eigensolver
+and factors the exactly Hermitian copy; a matrix that is not square, or is
+empty, raises a posmap error.  LAPACK's Hermitian eigensolver
 (:func:`numpy.linalg.eigh`) is backward stable, so its result is not
-re-checked; a LAPACK failure surfaces as :class:`NoConvergenceError`.
+re-checked, and a LAPACK failure in any routine here surfaces, untranslated,
+as :class:`numpy.linalg.LinAlgError`.
 
-Two readers skip the check and factor the symmetrized copy ``(M + M*)/2``,
-and a LAPACK failure in them surfaces as :class:`numpy.linalg.LinAlgError`:
+Two readers skip the check and factor the symmetrized copy ``(M + M*)/2``:
 :func:`psd_part`, the projection's cone step, and :func:`eigenvalues`, the
 spectra of a stack of matrices Hermitian up to rounding (margins, and the
 state and certificate checks).  Besides the cone step, only the positivity
@@ -35,7 +36,6 @@ import numpy as np
 
 from .exceptions import (
     DimensionMismatchError,
-    NoConvergenceError,
     NotHermitianError,
     NotPSDError,
     NotSquareError,
@@ -74,8 +74,11 @@ def herm_tol(matrix: np.ndarray) -> float:
 
 
 def require_square(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` itself, if it is square and not empty."""
     if matrix.shape[0] != matrix.shape[1]:
         raise NotSquareError(f"matrix of shape {matrix.shape} is not square")
+    if matrix.shape[0] == 0:
+        raise DimensionMismatchError("matrix is empty (0 x 0)")
     return matrix
 
 
@@ -99,21 +102,9 @@ def hermitian_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
     Returns ``(w, V)`` with ``M = V diag(w) V*``, as :func:`numpy.linalg.eigh`
-    does.
-
-    Raises
-    ------
-    NotSquareError, NotHermitianError
-        If the input is not square, or not Hermitian within the default
-        tolerance.
-    NoConvergenceError
-        If LAPACK fails.
+    does, and raises what :func:`require_hermitian` and ``eigh`` raise.
     """
-    Mh = require_hermitian(matrix)
-    try:
-        return np.linalg.eigh(Mh)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
+    return np.linalg.eigh(require_hermitian(matrix))
 
 
 def _rebuild(W: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -213,12 +204,11 @@ def partial_transpose(matrix, block_dim: int) -> np.ndarray:
     blocks (1,2) and (2,1) are exchanged.  This is transposition applied to
     the outer 2x2 index and is an involution.
     """
-    H = as_matrix(matrix)
-    require_square(H)
+    H = require_square(as_matrix(matrix))
     d = int(block_dim)
-    if d <= 0 or H.shape[0] != 2 * d:
+    if d != block_dim or H.shape[0] != 2 * d:
         raise DimensionMismatchError(
-            f"matrix of size {H.shape[0]} is not 2 x block_dim = {2 * d}"
+            f"matrix of size {H.shape[0]} is not 2 x block_dim = 2 x {block_dim}"
         )
     return H.take(partial_transpose_index(2 * d, d))
 

@@ -68,7 +68,7 @@ from .exceptions import (
     BadScalarsError,
     DimensionMismatchError,
     NotUnitalFaceFormError,
-    SingularBlockError,
+    SingularMatrixError,
 )
 from .matkernel import (
     PSD_TOL,
@@ -537,13 +537,13 @@ def positivity_slack_triple(blocks: ChoiBlocks) -> tuple[np.ndarray, np.ndarray,
     """The triple ``(2B, T, U - Y*Y - Z*Z)`` that positivity forces block-positive.
 
     Requires ``B`` invertible at ``matkernel.RANK_TOL`` (raises
-    :class:`SingularBlockError` otherwise).
+    :class:`SingularMatrixError` otherwise).
     ``|Y|^2`` means the square of the row absolute value, which equals
     ``Y* Y = outer(conj(Y), Y)``.
     """
     lowest = lowest_eigenvalue(blocks.B)
     if lowest <= RANK_TOL:
-        raise SingularBlockError(
+        raise SingularMatrixError(
             f"B has eigenvalue {lowest:.3e} <= rank tolerance {RANK_TOL:.1e}"
         )
     Q = (

@@ -262,7 +262,12 @@ def resolve_y_entry(pipeline: TangPipeline) -> YEntryResolution:
 
 
 def param_grid(k: int) -> list[TangParams]:
-    """A k x k sweep of the admissible region over ``GRID_MU``, including the eps boundary."""
+    """A k x k sweep of the admissible region over ``GRID_MU``, including the eps boundary.
+
+    ``k < 1`` raises :class:`BadParamsError`.
+    """
+    if k < 1:
+        raise BadParamsError(f"grid size must be at least 1, got {k}")
     if k == 1:
         return [TangParams(0.9, 0.12)]
     grid = []

@@ -128,6 +128,17 @@ class TestRunner:
         assert not result.passed
         assert result.detail == f"{type(error).__name__}: {error}"
 
+    @pytest.mark.parametrize("check", [
+        lambda: acceptance.criterion_pipeline(grid_k=0),
+        lambda: acceptance.criterion_positivity(grid_k=0, seed=0),
+        lambda: acceptance.criterion_strictness(grid_k=0),
+    ], ids=["C2", "C3", "C5"])
+    def test_empty_grid_fails(self, check):
+        # A grid of zero points passes nothing.
+        result = check()
+        assert not result.passed
+        assert result.detail.startswith("BadParamsError: ")
+
     def test_line_format(self):
         result = acceptance.CriterionResult("C2", "normalization pipeline", True,
                                             "unitality=1.00e-16", 1.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from posmap import cli
+from posmap import cli, positivity
 from posmap.choi import ChoiBlocks, ChoiMatrix, assemble_blocks
 from posmap.cli import build_classification, main
 from posmap.cpdecomp import STATE_TOL, STATE_TRACE_TOL, WITNESS_TOL, decompose
@@ -888,18 +888,19 @@ class TestNormOverflowInput:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def fail_lapack(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 class TestSolverFailure:
-    # A failing eigh reaches the commands through the kernel, as
-    # NoConvergenceError; a failing eigvalsh or svd through direct LAPACK calls.
+    # A failing eigh, eigvalsh or svd reaches the commands as the LinAlgError
+    # numpy raises, through the kernel or through direct LAPACK calls alike.
     @pytest.mark.parametrize("command, solver", [
         *((c, s) for c in ("classify", "decompose") for s in ("eigh", "eigvalsh")),
         ("canonical", "svd"),
     ])
     def test_exit_4_with_error_line(self, command, solver, tmp_path, monkeypatch,
                                     capsys):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
         src = tmp_path / "map.json"
         if command == "canonical":
             from posmap.extremal import random_equality_blocks
@@ -908,9 +909,40 @@ class TestSolverFailure:
             save_matrix(src, assemble_blocks(blocks).H)
         else:
             save_matrix(src, tang_choi(TangParams(0.9, 0.12)).H)
-        monkeypatch.setattr(np.linalg, solver, fail)
+        monkeypatch.setattr(np.linalg, solver, fail_lapack)
         assert main([command, str(src)]) == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_tang_exit_4(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "h.json"
+        monkeypatch.setattr(np.linalg, "eigh", fail_lapack)
+        assert main(["tang", "--mu", "0.9", "--eps", "0.12", "--out", str(out)]) == 4
+        self.assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_classify_coupling_bound_exit_4(self, tmp_path, monkeypatch, capsys):
+        # Only the coupling bound's square root fails.  Its eigensolve failure
+        # is the solver's, not an input with no answer: no report entry.
+        real_sqrt = positivity.psd_sqrt
+
+        def failing_sqrt(matrix):
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigh", fail_lapack)
+                return real_sqrt(matrix)
+
+        src, out = tmp_path / "map.json", tmp_path / "report.json"
+        save_matrix(src, build_pipeline(TangParams(0.9, 0.12)).Hfinal.H)
+        monkeypatch.setattr(positivity, "psd_sqrt", failing_sqrt)
+        assert main(["classify", str(src), "--out", str(out),
+                     "--max-iters", "200"]) == 4
+        self.assert_one_error_line(capsys)
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -923,10 +955,7 @@ class TestVerifyCommand:
         assert all(" PASS " in l for l in lines)
 
     def test_solver_error_fails_its_criterion(self, monkeypatch, capsys):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_lapack)
         assert main(["verify", "--grid", "1"]) == 1
         captured = capsys.readouterr()
         lines = [l for l in captured.out.splitlines() if l.startswith("[C")]

@@ -5,6 +5,7 @@ import pytest
 
 from posmap.choi import ChoiBlocks, assemble_blocks, extract_blocks
 from posmap.exceptions import (
+    BadParamsError,
     NotDependentError,
     NotUnitVectorError,
     ZeroPatternViolationError,
@@ -351,6 +352,11 @@ class TestGenerator:
             assert equality_case_detect(blocks).equality
             assert certify_positivity(blocks, budget=24).status == CERTIFIED
             assert abs(truth["u"] - (abs(truth["y"]) + abs(truth["z"])) ** 2) < 1e-14
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, n, rng):
+        with pytest.raises(BadParamsError):
+            random_equality_blocks(n, rng)
 
     def test_scramble_preserves_spectra(self, rng):
         blocks, _ = random_equality_blocks(3, rng)

@@ -3,7 +3,6 @@ import pytest
 
 from posmap.exceptions import (
     DimensionMismatchError,
-    NoConvergenceError,
     NotHermitianError,
     NotPSDError,
     NotSquareError,
@@ -83,8 +82,20 @@ class TestHermitianEig:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(NoConvergenceError):
+        with pytest.raises(np.linalg.LinAlgError):
             routine(np.eye(3))
+
+
+class TestEmptyMatrix:
+    """A 0 x 0 matrix is degenerate input, rejected where the kernels take a
+    square matrix."""
+
+    @pytest.mark.parametrize(
+        "routine", [psd_check, psd_sqrt, psd_inv_sqrt, lowest_eigenvalue],
+        ids=lambda f: f.__name__)
+    def test_rejected(self, routine):
+        with pytest.raises(DimensionMismatchError):
+            routine(np.zeros((0, 0)))
 
 
 class TestPsdSqrt:
@@ -202,6 +213,10 @@ class TestPartialTranspose:
     def test_rejects_odd_size(self):
         with pytest.raises(DimensionMismatchError):
             partial_transpose(np.eye(6), 2)
+
+    def test_rejects_non_integer_block_dim(self):
+        with pytest.raises(DimensionMismatchError):
+            partial_transpose(np.eye(4), 2.5)
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_equals_block_swap(self, d, rng):

@@ -7,7 +7,7 @@ from posmap.exceptions import (
     DimensionMismatchError,
     NotPSDError,
     NotUnitalFaceFormError,
-    SingularBlockError,
+    SingularMatrixError,
 )
 from posmap.matkernel import psd_check
 from posmap.positivity import (
@@ -192,6 +192,11 @@ class TestBlockPositive2x2:
             block_positive_2x2(np.eye(2), np.zeros((3, 3)), np.eye(2))
         with pytest.raises(DimensionMismatchError):
             block_positive_2x2(np.eye(2), np.zeros((2, 2)), np.eye(3))
+
+    def test_empty_blocks_raise_dimension_mismatch(self):
+        E = np.zeros((0, 0))
+        with pytest.raises(DimensionMismatchError):
+            block_positive_2x2(E, E, E)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_face_form_margin_is_zero(self, rng, n):
@@ -491,7 +496,7 @@ class TestSlackTriple:
             2, np.zeros(2), np.zeros(2), np.diag([1.0, 0.0]), np.zeros((2, 2)),
             np.diag([0.0, 1.0]),
         )
-        with pytest.raises(SingularBlockError):
+        with pytest.raises(SingularMatrixError):
             positivity_slack_triple(blocks)
 
 

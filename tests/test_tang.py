@@ -33,6 +33,13 @@ class TestParams:
             TangParams(mu, eps)
 
 
+class TestParamGrid:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, k):
+        with pytest.raises(BadParamsError):
+            param_grid(k)
+
+
 class TestRawMap:
     def test_first_unit(self):
         out = phi0_apply(TangParams(0.5, 1 / 24), np.diag([1.0, 0.0]))
