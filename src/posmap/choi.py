@@ -60,8 +60,10 @@ class ChoiMatrix:
     :meth:`from_array` validates its input and stores an exactly Hermitian
     ``H``, which ``cpdecomp`` relies on: its projection and
     ``kadison_constraints`` read ``H`` as stored, without a Hermiticity check.
-    :attr:`psd_verdicts` is computed once per instance and cached, so ``H``
-    must not be mutated after it is read.
+    :attr:`psd_verdicts` and the projection runs of ``cpdecomp`` (one per face
+    and iteration cap, see ``cpdecomp.decompose``) are computed once per
+    instance and cached, so ``H`` must not be mutated after it is read, and
+    the cached results, which every caller shares, must not be mutated.
     """
 
     n: int
@@ -97,6 +99,12 @@ class ChoiMatrix:
         Cached, so the split search and the report read one pair of checks.
         """
         return psd_check(self.H), psd_check(partial_transpose(self.H, self.dim))
+
+    @functools.cached_property
+    def _projection_runs(self) -> dict:
+        """The projection runs ``cpdecomp`` made on ``H``, keyed by
+        ``(face, max_iters)``; filled by ``cpdecomp._run``."""
+        return {}
 
     def block(self, i: int, j: int) -> np.ndarray:
         """The block phi(E_ij), with i, j in {1, 2}."""

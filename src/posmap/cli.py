@@ -32,7 +32,12 @@ Without a split the engine runs and ``positive`` carries its ``status``
 Bloch-sphere search ran.  The CP and coCP flags and the face-form stages
 follow.  The flags read the cached verdicts, so ``timings.cp_ccp`` is a
 lookup and the two checks' cost falls in ``timings.decompose``.
-Without a split, the unrestricted witness search runs last.  Its witness
+Without a split, the unrestricted witness search runs last.  The
+projection runs are cached on the Choi matrix, one per face and cap: when
+the input is not in face form, the split search already made the
+unrestricted run, so the witness search returns it without projecting again
+and ``timings.witness_search`` is near 0.  A face-form input gets two runs,
+the face-restricted one, then the unrestricted one.  The run's witness
 (``rho`` and ``value``) gives ``decomposable: no-witness``; without one,
 ``decomposable`` reads ``unknown`` and ``witness`` holds ``found: false``,
 the run's own ``residual``, ``iterations`` and ``stop``, and its ``budget``.

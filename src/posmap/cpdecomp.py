@@ -77,11 +77,17 @@ input is the previous output of ``G``, ``X`` moved at most
 Every run, face-restricted or not, state-checks only a candidate whose value
 is below minus the witness tolerance, so a check that passes stops the run.
 A run returns one :class:`DecomposeResult`, which holds the split or the
-witness it found.  Every verdict carries re-checkable evidence, and a failed
-search is reported as "not found", never as a proof.  The Kadison-Schwarz
-margins, which scale with ``||H||^2``, are held to the absolute
-``PSD_TOL``.  ``choi.STRUCT_TOL`` decides face form and the vanishing rows
-of :func:`cp_check` and :func:`ccp_check`, and ``PSD_TOL`` their PSD tests.
+witness it found.  :func:`decompose` and :func:`witness_search` run the
+projection through :func:`_run`, which caches each run on the
+:class:`ChoiMatrix`, one per face and cap.  So on an input that is not in
+face form and does not split, the witness search returns the run the split
+search made, without projecting again.  A cached result is shared by its
+callers and must not be mutated.  Every verdict carries re-checkable
+evidence, and a failed search is reported as "not found", never as a
+proof.  The Kadison-Schwarz margins, which scale with ``||H||^2``, are
+held to the absolute ``PSD_TOL``.  ``choi.STRUCT_TOL`` decides face form and
+the vanishing rows of :func:`cp_check` and :func:`ccp_check`, and
+``PSD_TOL`` their PSD tests.
 """
 
 from __future__ import annotations
@@ -512,6 +518,21 @@ def _project(H: np.ndarray, d: int, face: int | None, max_iters: int) -> Decompo
     return DecomposeResult(cert, witness, residual, iterations, stop)
 
 
+def _run(choi: ChoiMatrix, face: int | None, max_iters: int) -> DecomposeResult:
+    """``_project(choi.H, choi.dim, face, max_iters)``, run once per Choi matrix.
+
+    The projection is deterministic, so its result is cached on ``choi``
+    (``ChoiMatrix._projection_runs``), keyed by ``(face, max_iters)``: a
+    second call with the same face and cap returns the same object.  That
+    result is shared by every caller and must not be mutated.
+    """
+    runs = choi._projection_runs
+    key = (face, max_iters)
+    if key not in runs:
+        runs[key] = _project(choi.H, choi.dim, face, max_iters)
+    return runs[key]
+
+
 def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     """Search for a completely positive / completely copositive split of H.
 
@@ -533,7 +554,10 @@ def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     extrapolated point.  Row and column ``d`` of a face-form projection
     split are exactly zero; a trivial split carries ``H``'s own entries
     there.  With neither a split nor a witness, the run failed: that is
-    neither a decomposability nor a nondecomposability proof.
+    neither a decomposability nor a nondecomposability proof.  The run is
+    cached on ``choi`` by face and ``max_iters`` (see :func:`_run`), so a
+    repeated call, or :func:`witness_search` after an unrestricted run with
+    the same cap, returns the same result, which must not be mutated.
     """
     H, d = choi.H, choi.dim
     cp, ccp = choi.psd_verdicts
@@ -544,7 +568,7 @@ def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
             if cert is not None:
                 return DecomposeResult(cert, None, cert.residual, 0, "split")
     # The face phi(P_e2) f1 = 0 is the index of e2 (x) f1.
-    return _project(H, d, None if face_form_offenders(choi) else d, max_iters)
+    return _run(choi, None if face_form_offenders(choi) else d, max_iters)
 
 
 def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> None:
@@ -567,10 +591,13 @@ def witness_search(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     """Look for a PPT state ``rho`` with ``Tr(H rho) < -WITNESS_TOL * min(1, ||H||_F)``.
 
     The same projection as :func:`decompose`, without the face restriction.
-    Its result may hold a split instead; ``found=False`` is not a
-    decomposability proof.
+    It shares :func:`decompose`'s cache of runs on ``choi``, keyed by face and
+    ``max_iters``: after :func:`decompose` ran unrestricted (``H`` not in face
+    form) with the same cap, it returns that run's result without projecting
+    again.  The result is shared and must not be mutated.  It may hold a
+    split instead; ``found=False`` is not a decomposability proof.
     """
-    return _project(choi.H, choi.dim, None, max_iters)
+    return _run(choi, None, max_iters)
 
 
 #: :func:`ppt_project` stops after ``PPT_CYCLES`` cycles, or earlier once a

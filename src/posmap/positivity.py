@@ -178,6 +178,7 @@ def _bloch_min(P, S, Q, budget: int, seed: int):
     """
     Sh = S.conj().T
     A = np.stack([(P + Q) / 2, (S + Sh) / 2, 1j * (S - Sh) / 2, (P - Q) / 2])
+    Ak = A[1:]
     rng = rng_for(seed, "bloch-sphere")
     extra = rng.standard_normal((max(int(budget), 0), 3))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
@@ -189,7 +190,7 @@ def _bloch_min(P, S, Q, budget: int, seed: int):
     lowest[first] = w[:, 0]
     cut = np.partition(w[:, 0], REFINE_STARTS - 1)[REFINE_STARTS - 1]
     # ||A_k||_2 is the largest |eigenvalue| of the Hermitian A_k.
-    norms = np.abs(np.linalg.eigvalsh(A[1:])).max(axis=1)
+    norms = np.abs(np.linalg.eigvalsh(Ak)).max(axis=1)
     lipschitz = float(np.sqrt(norms @ norms))
     slack = PRUNE_SLACK * (float(np.abs(w).max()) + lipschitz)
     second = _FINE[lowest[_NEAREST] - lipschitz * _NEAREST_DIST - slack <= cut]
@@ -200,18 +201,26 @@ def _bloch_min(P, S, Q, budget: int, seed: int):
     value, eta = w[:, 0], V[:, :, 0]
     steps, stop = 0, "cap"
     for steps in range(1, REFINE_STEPS + 1):
-        b = np.einsum("mi,kij,mj->mk", eta.conj(), A[1:], eta).real
+        b = np.einsum("mi,kij,mj->mk", eta.conj(), Ak, eta).real
         size = np.sqrt(np.add.reduce(b * b, axis=1, keepdims=True))
-        # b = 0 leaves no direction to take (M(0) = A0 is not on S^2): stay.
-        trial = np.where(size > 0.0, -b / np.where(size > 0.0, size, 1.0), r)
+        if size.min() > 0.0:
+            trial = b / -size  # bitwise -b / size
+        else:
+            # b = 0 leaves no direction to take (M(0) = A0 is not on S^2): stay.
+            trial = np.where(size > 0.0, -b / np.where(size > 0.0, size, 1.0), r)
         w, V = np.linalg.eigh(_bloch_matrices(A, trial))
-        better = w[:, 0] < value
-        if not np.any(better):
+        low = w[:, 0]
+        better = low < value
+        if not better.any():
             stop = "converged"
             break
-        np.copyto(r, trial, where=better[:, None])
-        np.copyto(value, w[:, 0], where=better)
-        np.copyto(eta, V[:, :, 0], where=better[:, None])
+        if better.all():
+            # Every start moves: take the step's arrays as they are.
+            r, value, eta = trial, low, V[:, :, 0]
+        else:
+            np.copyto(r, trial, where=better[:, None])
+            np.copyto(value, low, where=better)
+            np.copyto(eta, V[:, :, 0], where=better[:, None])
 
     k = int(np.argmin(value))
     r1, r2, r3 = r[k]

@@ -1,13 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from posmap import cli, positivity
+from posmap import cli, cpdecomp, positivity
 from posmap.choi import ChoiBlocks, ChoiMatrix, assemble_blocks
 from posmap.cli import build_classification, main
-from posmap.cpdecomp import STATE_TOL, STATE_TRACE_TOL, WITNESS_TOL, decompose
+from posmap.cpdecomp import (
+    STATE_TOL,
+    STATE_TRACE_TOL,
+    WITNESS_TOL,
+    decompose,
+    witness_search,
+)
 from posmap.exceptions import ParseError
 from posmap.io import (
     jsonable,
@@ -945,7 +955,69 @@ class TestSolverFailure:
         assert not out.exists()
 
 
+class TestOneProjectionRun:
+    """``classify`` projects a Choi matrix once per face and cap."""
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        """``(face, max_iters)`` of every projection run, in order."""
+        runs = []
+        project = cpdecomp._project
+
+        def spy(H, d, face, max_iters):
+            runs.append((face, max_iters))
+            return project(H, d, face, max_iters)
+
+        monkeypatch.setattr(cpdecomp, "_project", spy)
+        return runs
+
+    @staticmethod
+    def nonpositive_choi():
+        # Not in face form and no split: decompose and witness_search both run.
+        return ChoiMatrix.from_array(benchmark_case("nonpositive", 5, 1).H)
+
+    def test_nonpositive_classify_projects_once(self, projections):
+        report = build_classification(self.nonpositive_choi())
+        assert report["flags"]["decomposable"] == "no-witness"
+        assert projections == [(None, 20000)]
+
+    def test_face_form_classify_projects_twice(self, projections):
+        # Normalized Tang is in face form: the face run, then the unrestricted one.
+        H = build_pipeline(TangParams(0.9, 0.12)).Hfinal.H
+        choi = ChoiMatrix.from_array(H)
+        build_classification(choi)
+        assert projections == [(choi.dim, 20000), (None, 20000)]
+
+    def test_another_cap_runs_again(self, projections):
+        choi = self.nonpositive_choi()
+        dec = decompose(choi)
+        assert witness_search(choi) is dec
+        assert witness_search(choi, max_iters=50) is not dec
+        assert projections == [(None, 20000), (None, 50)]
+
+    def test_reused_witness_matches_a_fresh_run(self):
+        choi = self.nonpositive_choi()
+        decompose(choi)
+        reused = witness_search(choi)
+        fresh = cpdecomp._project(choi.H, choi.dim, None, 20000)
+        assert reused.found and fresh.found
+        assert np.array_equal(reused.witness.rho, fresh.witness.rho)
+        assert reused.witness.value == fresh.witness.value
+        assert (reused.residual, reused.iterations, reused.stop) == (
+            fresh.residual, fresh.iterations, fresh.stop)
+
+
 class TestVerifyCommand:
+    def test_module_entry_point(self):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "posmap", "verify", "--grid", "1"],
+            cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "11/11 criteria passed" in proc.stdout
+
     def test_smoke_battery_passes(self, capsys):
         code = main(["verify", "--grid", "1"])
         captured = capsys.readouterr()

@@ -495,7 +495,8 @@ class TestStateChecks:
 
     def test_raw_tang_checks_only_stopping_candidates(self, tang_raw,
                                                       checked_states):
-        out = witness_search(tang_raw)
+        # A fresh Choi matrix: the shared fixture may hold a cached run.
+        out = witness_search(ChoiMatrix.from_array(tang_raw.H))
         assert out.found and out.stop == "witness" and out.iterations == 51
         assert out.witness.value == pytest.approx(-7.46e-4, abs=5e-7)
         values = [float(np.vdot(tang_raw.H, rho).real) for rho in checked_states]

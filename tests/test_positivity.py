@@ -665,6 +665,64 @@ class TestPrunedScan:
         assert sum(sizes) < BLOCH_POINTS + 64
 
 
+def masked_refinement_bloch_min(P, S, Q, budget, seed):
+    """Reference engine with the refinement loop as first written: every step
+    guards ``b = 0`` and keeps the improved starts by masked copies."""
+    Sh = S.conj().T
+    A = np.stack([(P + Q) / 2, (S + Sh) / 2, 1j * (S - Sh) / 2, (P - Q) / 2])
+    rng = rng_for(seed, "bloch-sphere")
+    extra = rng.standard_normal((max(int(budget), 0), 3))
+    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+    points = np.vstack([_fibonacci_sphere(BLOCH_POINTS), extra])
+
+    def matrices(r):
+        return A[0] + (r[:, 0, None, None] * A[1] + r[:, 1, None, None] * A[2]
+                       + r[:, 2, None, None] * A[3])
+
+    lowest = np.linalg.eigvalsh(matrices(points))[:, 0]
+    r = points[np.argsort(lowest, kind="stable")[:REFINE_STARTS]]
+    w, V = np.linalg.eigh(matrices(r))
+    value, eta = w[:, 0], V[:, :, 0]
+    steps, stop = 0, "cap"
+    for steps in range(1, REFINE_STEPS + 1):
+        b = np.einsum("mi,kij,mj->mk", eta.conj(), A[1:], eta).real
+        size = np.sqrt(np.add.reduce(b * b, axis=1, keepdims=True))
+        trial = np.where(size > 0.0, -b / np.where(size > 0.0, size, 1.0), r)
+        w, V = np.linalg.eigh(matrices(trial))
+        better = w[:, 0] < value
+        if not np.any(better):
+            stop = "converged"
+            break
+        np.copyto(r, trial, where=better[:, None])
+        np.copyto(value, w[:, 0], where=better)
+        np.copyto(eta, V[:, :, 0], where=better[:, None])
+    k = int(np.argmin(value))
+    r1, r2, r3 = r[k]
+    rho = np.array([[1 + r3, r1 + 1j * r2], [r1 - 1j * r2, 1 - r3]]) / 2
+    return (float(value[k]), np.linalg.eigh(rho)[1][:, -1], eta[k].copy(),
+            Refinement(steps, stop))
+
+
+class TestRefinementLoop:
+    """The refinement takes whole arrays when it can, with the same arithmetic."""
+
+    @pytest.mark.parametrize("budget", [0, 64])
+    def test_same_result_as_masked_loop(self, budget):
+        triples = list(scan_triples())
+        case = benchmark_case("nonpositive", 5, 1)
+        d = len(case.H) // 2
+        triples.append(("nonpositive case", case.H[:d, :d], case.H[:d, d:],
+                        case.H[d:, d:]))
+        for k, (name, P, S, Q) in enumerate(triples):
+            P, S, Q = (np.asarray(m, dtype=complex) for m in (P, S, Q))
+            got = _bloch_min(P, S, Q, budget, k)
+            want = masked_refinement_bloch_min(P, S, Q, budget, k)
+            assert got[0] == want[0], name
+            assert np.array_equal(got[1], want[1]), name
+            assert np.array_equal(got[2], want[2]), name
+            assert got[3] == want[3], name
+
+
 class TestRefinementReport:
     """The verdict says how the engine's refinement ended."""
 
