@@ -203,11 +203,8 @@ def _bloch_min(P, S, Q, budget: int, seed: int):
     for steps in range(1, REFINE_STEPS + 1):
         b = np.einsum("mi,kij,mj->mk", eta.conj(), Ak, eta).real
         size = np.sqrt(np.add.reduce(b * b, axis=1, keepdims=True))
-        if size.min() > 0.0:
-            trial = b / -size  # bitwise -b / size
-        else:
-            # b = 0 leaves no direction to take (M(0) = A0 is not on S^2): stay.
-            trial = np.where(size > 0.0, -b / np.where(size > 0.0, size, 1.0), r)
+        # b = 0 leaves no direction to take (M(0) = A0 is not on S^2): stay.
+        trial = np.divide(b, -size, out=r.copy(), where=size > 0.0)
         w, V = np.linalg.eigh(_bloch_matrices(A, trial))
         low = w[:, 0]
         better = low < value

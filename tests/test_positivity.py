@@ -587,7 +587,8 @@ class TestAlternatingRefinement:
 
 def full_scan_bloch_min(P, S, Q, budget, seed):
     """Reference engine: every scan point factored in one batch, the starts
-    picked by a stable sort, then the same refinement as ``_bloch_min``."""
+    picked by a stable sort, then the same refinement as ``_bloch_min``, with
+    the ``b = 0`` guard and the improved starts kept by boolean indexing."""
     Sh = S.conj().T
     A = np.stack([(P + Q) / 2, (S + Sh) / 2, 1j * (S - Sh) / 2, (P - Q) / 2])
     rng = rng_for(seed, "bloch-sphere")
@@ -602,19 +603,22 @@ def full_scan_bloch_min(P, S, Q, budget, seed):
     r = points[np.argsort(lowest, kind="stable")[:REFINE_STARTS]]
     w, V = np.linalg.eigh(matrices(r))
     value, eta = w[:, 0], V[:, :, 0]
-    for _ in range(REFINE_STEPS):
+    steps, stop = 0, "cap"
+    for steps in range(1, REFINE_STEPS + 1):
         b = np.einsum("mi,kij,mj->mk", eta.conj(), A[1:], eta).real
         size = np.linalg.norm(b, axis=1, keepdims=True)
         trial = np.where(size > 0.0, -b / np.where(size > 0.0, size, 1.0), r)
         w, V = np.linalg.eigh(matrices(trial))
         better = w[:, 0] < value
         if not np.any(better):
+            stop = "converged"
             break
         r[better], value[better], eta[better] = trial[better], w[better, 0], V[better, :, 0]
     k = int(np.argmin(value))
     r1, r2, r3 = r[k]
     rho = np.array([[1 + r3, r1 + 1j * r2], [r1 - 1j * r2, 1 - r3]]) / 2
-    return float(value[k]), np.linalg.eigh(rho)[1][:, -1], eta[k].copy()
+    return (float(value[k]), np.linalg.eigh(rho)[1][:, -1], eta[k].copy(),
+            Refinement(steps, stop))
 
 
 def scan_triples():
@@ -634,6 +638,9 @@ def scan_triples():
     for stage in ("H0", "Hfinal"):
         H = getattr(build_pipeline(TangParams(0.5, 1 / 24)), stage).H
         yield f"tang {stage}", H[:4, :4], H[:4, 4:], H[4:, 4:]
+    H = benchmark_case("nonpositive", 5, 1).H
+    d = len(H) // 2
+    yield "nonpositive case", H[:d, :d], H[:d, d:], H[d:, d:]
 
 
 class TestPrunedScan:
@@ -648,6 +655,7 @@ class TestPrunedScan:
             assert got[0] == want[0], name
             assert np.array_equal(got[1], want[1]), name
             assert np.array_equal(got[2], want[2]), name
+            assert got[3] == want[3], name
 
     def test_scan_skips_points_on_a_violating_triple(self, monkeypatch):
         # Batch sizes through eigvalsh: the coarse points, the three A_k for
@@ -663,64 +671,6 @@ class TestPrunedScan:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         _bloch_min(P, S, Q, 64, 0)
         assert sum(sizes) < BLOCH_POINTS + 64
-
-
-def masked_refinement_bloch_min(P, S, Q, budget, seed):
-    """Reference engine with the refinement loop as first written: every step
-    guards ``b = 0`` and keeps the improved starts by masked copies."""
-    Sh = S.conj().T
-    A = np.stack([(P + Q) / 2, (S + Sh) / 2, 1j * (S - Sh) / 2, (P - Q) / 2])
-    rng = rng_for(seed, "bloch-sphere")
-    extra = rng.standard_normal((max(int(budget), 0), 3))
-    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-    points = np.vstack([_fibonacci_sphere(BLOCH_POINTS), extra])
-
-    def matrices(r):
-        return A[0] + (r[:, 0, None, None] * A[1] + r[:, 1, None, None] * A[2]
-                       + r[:, 2, None, None] * A[3])
-
-    lowest = np.linalg.eigvalsh(matrices(points))[:, 0]
-    r = points[np.argsort(lowest, kind="stable")[:REFINE_STARTS]]
-    w, V = np.linalg.eigh(matrices(r))
-    value, eta = w[:, 0], V[:, :, 0]
-    steps, stop = 0, "cap"
-    for steps in range(1, REFINE_STEPS + 1):
-        b = np.einsum("mi,kij,mj->mk", eta.conj(), A[1:], eta).real
-        size = np.sqrt(np.add.reduce(b * b, axis=1, keepdims=True))
-        trial = np.where(size > 0.0, -b / np.where(size > 0.0, size, 1.0), r)
-        w, V = np.linalg.eigh(matrices(trial))
-        better = w[:, 0] < value
-        if not np.any(better):
-            stop = "converged"
-            break
-        np.copyto(r, trial, where=better[:, None])
-        np.copyto(value, w[:, 0], where=better)
-        np.copyto(eta, V[:, :, 0], where=better[:, None])
-    k = int(np.argmin(value))
-    r1, r2, r3 = r[k]
-    rho = np.array([[1 + r3, r1 + 1j * r2], [r1 - 1j * r2, 1 - r3]]) / 2
-    return (float(value[k]), np.linalg.eigh(rho)[1][:, -1], eta[k].copy(),
-            Refinement(steps, stop))
-
-
-class TestRefinementLoop:
-    """The refinement takes whole arrays when it can, with the same arithmetic."""
-
-    @pytest.mark.parametrize("budget", [0, 64])
-    def test_same_result_as_masked_loop(self, budget):
-        triples = list(scan_triples())
-        case = benchmark_case("nonpositive", 5, 1)
-        d = len(case.H) // 2
-        triples.append(("nonpositive case", case.H[:d, :d], case.H[:d, d:],
-                        case.H[d:, d:]))
-        for k, (name, P, S, Q) in enumerate(triples):
-            P, S, Q = (np.asarray(m, dtype=complex) for m in (P, S, Q))
-            got = _bloch_min(P, S, Q, budget, k)
-            want = masked_refinement_bloch_min(P, S, Q, budget, k)
-            assert got[0] == want[0], name
-            assert np.array_equal(got[1], want[1]), name
-            assert np.array_equal(got[2], want[2]), name
-            assert got[3] == want[3], name
 
 
 class TestRefinementReport:

@@ -1,14 +1,14 @@
 """Run the benchmark on two checkouts as alternating pairs and compare them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds S [S ...]
-        [--seconds T] --out FILE
+        --out FILE
 
 Each seed is one pair: ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` runs in the root of PARENT and of CHANGE, one after the other,
 with ``perfbench/out`` removed before every run.  The parent runs first on
-the 1st, 3rd, ... seed and second on the others.  ``--seconds`` defaults to
-``run_seconds`` of PARENT's ``BENCHMARK.json``, which also names the
-end-to-end metrics, which way is better and their bounds.
+the 1st, 3rd, ... seed and second on the others.  T is ``run_seconds`` of
+PARENT's ``BENCHMARK.json``, which also names the end-to-end metrics, which
+way is better and their bounds.
 
 FILE gets the ``BENCH_*.json`` layout: under ``workloads.W.end_to_end``, the
 seeds, which side ran first, every run's ``failed`` count and, per metric,
@@ -140,12 +140,11 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     runs, first = run_pairs(args.parent.resolve(), args.change.resolve(),
                             args.workload, args.seeds, seconds)
     doc = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
