@@ -16,9 +16,9 @@ numpy arrays in the row orientation; ``X*`` always means the conjugate
 transpose (a column), so e.g. ``X* X = outer(conj(X), X)``.
 
 The face checks every module uses are decided here: ``STRUCT_TOL`` decides
-the face-form zero pattern (:func:`face_form_offenders`) and every other
-structural zero in the package, and ``UNITAL_TOL`` the unital face form
-``a = 1, C = 0, x = 0, B + U = I`` (:func:`unital_face_defects`).
+the face-form zero pattern (:attr:`ChoiMatrix.face_form_offenders`) and
+every other structural zero in the package, and ``UNITAL_TOL`` the unital
+face form ``a = 1, C = 0, x = 0, B + U = I`` (:func:`unital_face_defects`).
 """
 
 from __future__ import annotations
@@ -60,10 +60,11 @@ class ChoiMatrix:
     :meth:`from_array` validates its input and stores an exactly Hermitian
     ``H``, which ``cpdecomp`` relies on: its projection and
     ``kadison_constraints`` read ``H`` as stored, without a Hermiticity check.
-    :attr:`psd_verdicts` and the projection runs of ``cpdecomp`` (one per face
-    and iteration cap, see ``cpdecomp.decompose``) are computed once per
-    instance and cached, so ``H`` must not be mutated after it is read, and
-    the cached results, which every caller shares, must not be mutated.
+    :attr:`psd_verdicts`, :attr:`face_form_offenders` and the projection runs
+    of ``cpdecomp`` (one per face and iteration cap, see
+    ``cpdecomp.decompose``) are computed once per instance and cached, so
+    ``H`` must not be mutated after it is read, and the cached results,
+    which every caller shares, must not be mutated.
     """
 
     n: int
@@ -99,6 +100,29 @@ class ChoiMatrix:
         Cached, so the split search and the report read one pair of checks.
         """
         return psd_check(self.H), psd_check(partial_transpose(self.H, self.dim))
+
+    @functools.cached_property
+    def face_form_offenders(self) -> tuple[tuple[int, int, float], ...]:
+        """Entries ``(row, col, modulus)`` of the face-form zero pattern above
+        ``STRUCT_TOL``; empty means ``H`` is in face form.
+
+        The pattern is the first row and column of the second diagonal block,
+        listed as ``(d, d + k)`` and then ``(d + k, d)`` for k = 0, 1, ...
+        (the corner once), and last the scalar ``x = H[0, d]``.  Cached, so
+        the split search and :func:`extract_blocks` read one list.
+        """
+        d = self.dim
+        Q = self.block(2, 2)
+        found = []
+        for k in range(d):
+            if abs(Q[0, k]) > STRUCT_TOL:
+                found.append((d, d + k, abs(Q[0, k])))
+            if k > 0 and abs(Q[k, 0]) > STRUCT_TOL:
+                found.append((d + k, d, abs(Q[k, 0])))
+        x = complex(self.H[0, d])
+        if abs(x) > STRUCT_TOL:
+            found.append((0, d, abs(x)))
+        return tuple(found)
 
     @functools.cached_property
     def _projection_runs(self) -> dict:
@@ -187,26 +211,6 @@ def apply_map(choi: ChoiMatrix, A) -> np.ndarray:
     return out
 
 
-def face_form_offenders(choi: ChoiMatrix) -> list[tuple[int, int, float]]:
-    """Entries ``(row, col, modulus)`` of the face-form zero pattern above ``STRUCT_TOL``.
-
-    The pattern is the first row and column of the second diagonal block and
-    the scalar ``x = H[0, d]``; an empty list means ``H`` is in face form.
-    """
-    d = choi.dim
-    Q = choi.block(2, 2)
-    offenders = []
-    for k in range(d):
-        if abs(Q[0, k]) > STRUCT_TOL:
-            offenders.append((d, d + k, abs(Q[0, k])))
-        if k > 0 and abs(Q[k, 0]) > STRUCT_TOL:
-            offenders.append((d + k, d, abs(Q[k, 0])))
-    x = complex(choi.H[0, d])
-    if abs(x) > STRUCT_TOL:
-        offenders.append((0, d, abs(x)))
-    return offenders
-
-
 def extract_blocks(choi: ChoiMatrix) -> ChoiBlocks:
     """Split a face-form Choi matrix into its named pieces.
 
@@ -214,7 +218,7 @@ def extract_blocks(choi: ChoiMatrix) -> ChoiBlocks:
     ``x`` must vanish, both within ``STRUCT_TOL``; violations raise
     :class:`NotInFaceFormError` listing the offending entries.
     """
-    offenders = face_form_offenders(choi)
+    offenders = choi.face_form_offenders
     if offenders:
         raise NotInFaceFormError(
             "Choi matrix violates the face-form zero pattern at "

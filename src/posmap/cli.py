@@ -27,10 +27,11 @@ to the rounding in those three fields.  It has no ``margin``, and the
 positivity engine does not run, so ``timings`` has no ``positivity`` entry.
 Without a split the engine runs and ``positive`` carries its ``status``
 (``certified`` or ``violation_found``), ``margin`` and ``witness``, and
-``refine``, the refinement's ``steps`` and ``stop`` (``converged`` or
-``cap``), unless a non-PSD diagonal block decided the verdict before the
-Bloch-sphere search ran.  The CP and coCP flags and the face-form stages
-follow.  The flags read the cached verdicts, so ``timings.cp_ccp`` is a
+``refine``, unless a non-PSD diagonal block decided the verdict before the
+Bloch-sphere search ran: the ``steps`` of its safeguarded Newton refinement
+and their ``stop``, ``converged`` once no start improves or ``cap`` after
+``positivity.REFINE_STEPS`` steps.  The CP and coCP flags and the face-form
+stages follow.  The flags read the cached verdicts, so ``timings.cp_ccp`` is a
 lookup and the two checks' cost falls in ``timings.decompose``.
 Without a split, the unrestricted witness search runs last.  The
 projection runs are cached on the Choi matrix, one per face and cap: when

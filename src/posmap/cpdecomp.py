@@ -103,7 +103,6 @@ from .choi import (
     ChoiBlocks,
     ChoiMatrix,
     assemble_blocks,
-    face_form_offenders,
 )
 from .exceptions import DimensionMismatchError, InvalidCertificateError
 from .matkernel import (
@@ -546,15 +545,15 @@ def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
     ``lambda_min(H)`` or ``lambda_min(PT(H))``.
 
     Otherwise the accelerated projection runs, with the face restriction
-    when ``H`` is in face form (:func:`choi.face_form_offenders` finds no
-    offender), for at most ``max_iters`` cycles, each one pair of cone
-    projections.  The one :class:`DecomposeResult` holds the split
-    (``certificate``) or the PPT witness (``witness``) that stopped the run,
-    both read from an output of the plain Dykstra cycle, never from an
-    extrapolated point.  Row and column ``d`` of a face-form projection
-    split are exactly zero; a trivial split carries ``H``'s own entries
-    there.  With neither a split nor a witness, the run failed: that is
-    neither a decomposability nor a nondecomposability proof.  The run is
+    when ``H`` is in face form (``choi.face_form_offenders`` is empty), for
+    at most ``max_iters`` cycles, each one pair of cone projections.  The
+    one :class:`DecomposeResult` holds the split (``certificate``) or the
+    PPT witness (``witness``) that stopped the run, both read from an output
+    of the plain Dykstra cycle, never from an extrapolated point.  Row and
+    column ``d`` of a face-form projection split are exactly zero; a trivial
+    split carries ``H``'s own entries there.  With neither a split nor a
+    witness, the run failed: that is neither a decomposability nor a
+    nondecomposability proof.  The run is
     cached on ``choi`` by face and ``max_iters`` (see :func:`_run`), so a
     repeated call, or :func:`witness_search` after an unrestricted run with
     the same cap, returns the same result, which must not be mutated.
@@ -568,7 +567,7 @@ def decompose(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
             if cert is not None:
                 return DecomposeResult(cert, None, cert.residual, 0, "split")
     # The face phi(P_e2) f1 = 0 is the index of e2 (x) f1.
-    return _run(choi, None if face_form_offenders(choi) else d, max_iters)
+    return _run(choi, None if choi.face_form_offenders else d, max_iters)
 
 
 def validate_certificate(choi: ChoiMatrix, cert: DecompositionCertificate) -> None:

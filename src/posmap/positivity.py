@@ -11,24 +11,33 @@ with Bloch vector ``r`` on the unit sphere S^2 is
 where ``r = (2 Re xi1 conj(xi2), 2 Im xi1 conj(xi2), |xi1|^2 - |xi2|^2)``.
 One engine answers every positivity question in this module: it takes
 ``lambda_min(M(r))`` over a fixed point set on S^2 plus seeded random points,
-then refines the lowest few by alternating minimization of
-``<eta, M(r) eta>`` over ``r`` and the unit ``eta``.  The scan runs in two
-batched eigensolves.  The first takes a coarse subset: every
+then refines the lowest few by safeguarded Newton steps on S^2.  The scan
+runs in two batched eigensolves.  The first takes a coarse subset: every
 ``COARSE_STRIDE``-th fixed point and all seeded ones.  By Weyl's inequality
-``r -> lambda_min(M(r))`` is Lipschitz on R^3 with
-``L = (sum_k ||A_k||_2^2)^(1/2)``, so the second takes only the fixed points
-whose bound ``lambda(nearest coarse point) - L * distance``, less a rounding
-slack of ``PRUNE_SLACK`` times the largest coarse eigenvalue plus ``L``, does
-not exceed the ``REFINE_STARTS``-th lowest coarse value.  A skipped point
-therefore lies strictly above the values the refinement starts from, and the
-starts (ordered by value, then by point index) are those a scan of every
-point would pick.  With
-``eta`` fixed the form is ``a + r.b`` with ``b_k = <eta, A_k eta>``, which is
-smallest on S^2 at ``r = -b/|b|``; with ``r`` fixed it is smallest at the
-unit eigenvector of ``lambda_min(M(r))``.  A step never raises
-``lambda_min``, since ``lambda_min(M(-b/|b|)) <= a - |b| <= a + r.b``.  Its
-cost depends on the block size only through the eigensolves, so blocks of
-any size, 1x1 included, are searched alike.
+a fine point ``c + delta`` has ``lambda_min(M(c + delta)) >= lambda(c) +
+sum_k min(delta_k lo_k, delta_k hi_k)``, with ``lo_k`` and ``hi_k`` the
+extreme eigenvalues of ``A_k``, for each coarse point ``c``; this is never
+looser than the Lipschitz bound ``lambda(c) - L |delta|``, ``L = (sum_k
+||A_k||_2^2)^(1/2)``.  The second batch takes only the fixed points whose
+best such bound over their ``COARSE_NEIGHBOURS`` nearest coarse points, less
+a rounding slack of ``ROUND_SLACK``, does not exceed the
+``REFINE_STARTS``-th lowest coarse value.  A skipped point therefore lies
+strictly above the values the refinement starts from, and the starts
+(ordered by value, then by point index) are those a scan of every point
+would pick.
+
+``lambda_min(M(r))`` is smooth where its eigenvalue is simple, and the
+eigenpairs that give its value also give its gradient ``b_k = <v0, A_k
+v0>`` and Hessian (Overton & Womersley 1995), so each refinement step is a
+Newton step on S^2 (Absil, Mahony & Sepulchre 2008), taken only where
+``lambda_min`` falls by more than rounding.  Where it does not fall, or
+where the eigenvalue gap or the tangent Hessian is degenerate, a start takes
+the alternating step instead: with ``eta`` the unit eigenvector fixed, the
+form ``a + r.b`` is smallest on S^2 at ``r = -b/|b|``, and
+``lambda_min(M(-b/|b|)) <= a - |b| <= a + r.b``, so that step never raises
+``lambda_min`` either.  A step's cost depends on the block size only
+through the eigensolves, so blocks of any size, 1x1 included, are searched
+alike.
 
 ``margin`` is the smallest ``lambda_min(phi(xi xi*))`` the search found,
 the two poles ``phi(E_11)`` and ``phi(E_22)`` included.  A
@@ -52,6 +61,7 @@ conditions.  ``STRICT_TOL`` decides a strict coupling bound and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,20 +105,27 @@ FACE_TOL = 1e-8
 #: sets cost more than they find at block sizes near 10.
 BLOCH_POINTS = 512
 
-#: Lowest scanned points refined by the alternating step, and a cap on the
+#: Lowest scanned points refined together, and a cap on the refinement
 #: steps; the refinement stops earlier once no start improves.
 REFINE_STARTS = 8
 REFINE_STEPS = 60
 
 #: Every ``COARSE_STRIDE``-th fixed point is scanned in the first batch; the
-#: rest only where the Lipschitz bound of :func:`_bloch_min` cannot rule
-#: them out.
+#: rest only where the Weyl bound of :func:`_scan`, taken from each one's
+#: ``COARSE_NEIGHBOURS`` nearest coarse points, cannot rule them out.
 COARSE_STRIDE = 8
+COARSE_NEIGHBOURS = 4
 
-#: Rounding allowance of that bound, relative to the largest coarse
-#: eigenvalue and the Lipschitz constant: far above the few units in the last
-#: place by which formed matrices and computed eigenvalues can err.
-PRUNE_SLACK = 1e-12
+#: Rounding allowance, relative to the size of the matrices at hand, of that
+#: bound, and of the eigenvalue gap and tangent Hessian a Newton step divides
+#: by: far above the few units in the last place by which formed matrices and
+#: computed eigenvalues can err.
+ROUND_SLACK = 1e-12
+
+#: A refinement step counts as a fall only where ``lambda_min`` falls by more
+#: than this times the spectral radius of ``M(r)``: a few units in the last
+#: place, the error of a computed eigenvalue of a formed ``M(r)``.
+FALL_TOL = 16 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -125,60 +142,66 @@ def _fibonacci_sphere(m: int) -> np.ndarray:
     return np.stack([rho * np.cos(phase), rho * np.sin(phase), z], axis=1)
 
 
-def _coarse_cover(points: np.ndarray, stride: int):
-    """The coarse points (every ``stride``-th), the fine points (the others),
-    and each fine point's nearest coarse point, all as indices into the unit
-    vectors ``points``, with each fine point's distance to that neighbour."""
+def _coarse_cover(points: np.ndarray, stride: int, neighbours: int):
+    """The coarse points (every ``stride``-th) and the fine points (the
+    others), as indices into the unit vectors ``points``; each fine point's
+    ``neighbours`` nearest coarse points, shaped ``(neighbours, fine)``; and
+    the positive and negative parts ``delta+`` and ``delta-`` of the
+    displacements ``fine - coarse`` from them, shaped ``(neighbours, fine,
+    3)``.  Neighbours come first, so the bound's maximum over them is taken
+    along the outer axis."""
     index = np.arange(len(points))
     coarse, fine = index[index % stride == 0], index[index % stride != 0]
-    # On the unit sphere the nearest point has the largest inner product.
-    nearest = coarse[np.argmax(points[fine] @ points[coarse].T, axis=1)]
-    return coarse, fine, nearest, np.linalg.norm(points[fine] - points[nearest], axis=1)
+    # On the unit sphere the nearest points have the largest inner products.
+    order = np.argsort(-(points[coarse] @ points[fine].T), axis=0, kind="stable")
+    near = coarse[order[:neighbours]]
+    delta = points[fine] - points[near]
+    return coarse, fine, near, np.maximum(delta, 0.0), np.maximum(-delta, 0.0)
 
 
 _SPHERE_POINTS = _fibonacci_sphere(BLOCH_POINTS)
-_COARSE, _FINE, _NEAREST, _NEAREST_DIST = _coarse_cover(_SPHERE_POINTS, COARSE_STRIDE)
-for _fixed in (_SPHERE_POINTS, _COARSE, _FINE, _NEAREST, _NEAREST_DIST):
+_COARSE, _FINE, _NEAR, _DELTA_UP, _DELTA_DOWN = _coarse_cover(
+    _SPHERE_POINTS, COARSE_STRIDE, COARSE_NEIGHBOURS
+)
+for _fixed in (_SPHERE_POINTS, _COARSE, _FINE, _NEAR, _DELTA_UP, _DELTA_DOWN):
     _fixed.setflags(write=False)
+
+
+def _bloch_terms(P, S, Q) -> np.ndarray:
+    """The stack ``(A0, A1, A2, A3)`` with ``M(r) = A0 + sum_k r_k A_k``."""
+    Sh = S.conj().T
+    return np.stack([(P + Q) / 2, (S + Sh) / 2, 1j * (S - Sh) / 2, (P - Q) / 2])
 
 
 def _bloch_matrices(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Stack of ``M(r) = A0 + sum_k r_k A_k`` for the rows of ``r``."""
-    r = r[:, :, None, None]
-    return A[0] + (r[:, 0] * A[1] + r[:, 1] * A[2] + r[:, 2] * A[3])
+    n = A.shape[1]
+    return A[0] + (r @ A[1:].reshape(3, n * n)).reshape(len(r), n, n)
 
 
-def _bloch_min(P, S, Q, budget: int, seed: int):
-    """Smallest ``lambda_min(phi(xi xi*))`` found over unit ``xi`` in C^2.
+def _scan(A: np.ndarray, budget: int, seed: int) -> np.ndarray:
+    """The ``REFINE_STARTS`` scanned points of lowest ``lambda_min(M(r))``.
 
     Scans the fixed point set and ``budget`` points drawn from ``seed`` in
-    two batches, then refines the ``REFINE_STARTS`` lowest together.  The
-    first batch is the coarse points, every ``COARSE_STRIDE``-th fixed point
-    and all seeded ones.  By Weyl's inequality ``r -> lambda_min(M(r))`` is
-    Lipschitz with ``L = (sum_k ||A_k||_2^2)^(1/2)`` in the Euclidean
-    distance of R^3, so a fine point at distance ``delta`` from its nearest
-    coarse point ``c`` has a value of at least ``lambda(c) - L delta``.  The
-    second batch holds the fine points where that bound, less the slack
-    ``PRUNE_SLACK * (max |coarse eigenvalue| + L)``, is at most the
-    ``REFINE_STARTS``-th lowest coarse value.  A skipped point lies strictly
-    above that value, so strictly above the ``REFINE_STARTS``-th lowest of
-    the full scan: the starts, the lowest values ordered by value and then by
-    point index, are those a scan of every point would pick.
+    two batches.  The first is the coarse points, every ``COARSE_STRIDE``-th
+    fixed point, and all seeded ones.  By Weyl's inequality a fine point at
+    displacement ``delta`` from a coarse point ``c`` has
 
-    Each step moves every start from ``r`` to ``-b/|b|``, with
-    ``b_k = <eta, A_k eta>`` at its unit eigenvector ``eta``, and keeps the
-    move where ``lambda_min`` fell.  That minimizes ``<eta, M(r) eta>`` over
-    S^2, so ``lambda_min`` at the new point is at most its value at ``r``.
-    The refinement stops when no start improves (``"converged"``), or after
-    ``REFINE_STEPS`` steps (``"cap"``).
+        lambda_min(M(c + delta)) >= lambda_min(M(c))
+                                    + sum_k min(delta_k lo_k, delta_k hi_k),
 
-    Returns ``(value, xi, eta, refine)`` with ``eta`` the unit eigenvector of
-    ``phi(xi xi*)`` at ``value`` and ``refine`` the :class:`Refinement` that
-    records the steps run and why they stopped.
+    with ``lo_k`` and ``hi_k`` the extreme eigenvalues of ``A_k``.  This is
+    never looser than the Lipschitz bound ``lambda(c) - L |delta|``, ``L =
+    (sum_k ||A_k||_2^2)^(1/2)``, and costs two matrix-vector products with
+    the fixed ``delta+`` and ``delta-``.  The second batch holds the fine
+    points where the best of these bounds over the ``COARSE_NEIGHBOURS``
+    nearest coarse points, less the slack ``ROUND_SLACK * (max |coarse
+    eigenvalue| + sum_k ||A_k||_2)``, is at most the ``REFINE_STARTS``-th
+    lowest coarse value.  A skipped point lies strictly above that value, so
+    strictly above the ``REFINE_STARTS``-th lowest of the full scan: the
+    starts, the lowest values ordered by value and then by point index, are
+    those a scan of every point would pick.
     """
-    Sh = S.conj().T
-    A = np.stack([(P + Q) / 2, (S + Sh) / 2, 1j * (S - Sh) / 2, (P - Q) / 2])
-    Ak = A[1:]
     rng = rng_for(seed, "bloch-sphere")
     extra = rng.standard_normal((max(int(budget), 0), 3))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
@@ -189,41 +212,171 @@ def _bloch_min(P, S, Q, budget: int, seed: int):
     lowest = np.full(len(points), np.inf)
     lowest[first] = w[:, 0]
     cut = np.partition(w[:, 0], REFINE_STARTS - 1)[REFINE_STARTS - 1]
-    # ||A_k||_2 is the largest |eigenvalue| of the Hermitian A_k.
-    norms = np.abs(np.linalg.eigvalsh(Ak)).max(axis=1)
-    lipschitz = float(np.sqrt(norms @ norms))
-    slack = PRUNE_SLACK * (float(np.abs(w).max()) + lipschitz)
-    second = _FINE[lowest[_NEAREST] - lipschitz * _NEAREST_DIST - slack <= cut]
+    spectra = np.linalg.eigvalsh(A[1:])
+    lo, hi = spectra[:, 0], spectra[:, -1]
+    slack = ROUND_SLACK * (float(np.abs(w).max()) + float(np.maximum(-lo, hi).sum()))
+    bound = (lowest[_NEAR] + _DELTA_UP @ lo - _DELTA_DOWN @ hi).max(axis=0)
+    second = _FINE[bound - slack <= cut]
     lowest[second] = np.linalg.eigvalsh(_bloch_matrices(A, points[second]))[:, 0]
+    return points[np.argsort(lowest, kind="stable")[:REFINE_STARTS]]
 
-    r = points[np.argsort(lowest, kind="stable")[:REFINE_STARTS]]
+
+def _trials(rows: np.ndarray, unit: float, r, w, V, noise):
+    """Each start's trial point on S^2, from its eigenpairs ``(w, V)`` at ``r``.
+
+    Returns ``(trial, alternating, newton)``: the trial points, the
+    alternating step's points ``-b/|b|``, and where the trial points are
+    Newton points; elsewhere they are the alternating ones.  ``b_k = <v0,
+    A_k v0>`` is the gradient of ``lambda_min`` in R^3, and where ``b = 0``
+    the alternating point is ``r`` itself (``M(0) = A0`` is not on S^2).
+    ``rows`` is ``[A_1 | A_2 | A_3] / unit``, an ``n x 3n`` matrix with
+    ``unit`` a power of two, so that ``C[m, k, i] = <v0, A_k v_i> / unit``
+    is one product and scales nothing but the exponent.
+
+    With ``v_i`` the eigenvectors of ``M(r)`` and ``w_i`` their eigenvalues,
+    the Hessian of ``lambda_min`` in R^3 is ``H_jk = 2 sum_{i>=1} Re(<v0,
+    A_j v_i><v_i, A_k v0>) / (w0 - w_i)`` (Overton & Womersley, SIAM J.
+    Matrix Anal. Appl. 16, 1995).  On S^2 the Newton step ``xi`` solves the
+    system bordered by ``r``, ``(H - mu I) xi + nu r = -g``, ``r.xi = 0``,
+    with ``mu = r.b`` and ``g = b - mu r`` the gradient on S^2, and the
+    Newton point is ``(r + xi)/|r + xi|`` (Absil, Mahony & Sepulchre,
+    *Optimization Algorithms on Matrix Manifolds*, 2008).  In the
+    orthonormal tangent basis ``t1 = g/|g|``, ``t2 = r x t1`` the tangent
+    Hessian ``K`` has ``k00 = t1.H t1 - mu``, ``k11 = tr H - r.H r - t1.H
+    t1 - mu`` and ``k01 t2 = H t1 - (r.H t1) r - (t1.H t1) t1``, so ``xi =
+    (H g - (r.H g) r - (k11 + t1.H t1) g) / det K`` needs no basis.
+
+    A start has no Newton point where its gap ``w1 - w0`` is at most
+    ``ROUND_SLACK * unit``, where ``K`` is not positive definite within
+    ``ROUND_SLACK``, where ``g = 0``, and where the quadratic model's fall
+    ``|g|^2 k11 / (2 det K)`` is at most ``noise``, the fall a step must beat.
+    1x1 blocks have no gap and ``H = 0``, and their Newton point is the
+    alternating one.  The starts are few 3-vectors, so the algebra after
+    ``H`` runs per start in Python floats, cheaper there than numpy calls.
+    """
+    m, n = w.shape
+    C = (V[:, :, 0].conj() @ rows).reshape(m, 3, n) @ V
+    b = C[:, :, 0].real
+    if n > 1:
+        gap = (w[:, 1:] - w[:, :1]) / unit
+        c = C[:, :, 1:]
+        ratio = c * (-2.0 / np.maximum(gap, ROUND_SLACK))[:, None, :]
+        H = (ratio @ c.conj().swapaxes(1, 2)).real.reshape(m, 9).tolist()
+        gaps = gap[:, 0].tolist()
+    else:
+        H, gaps = [[0.0] * 9] * m, [np.inf] * m
+    trial, alternating, newton = [], [], []
+    for (r0, r1, r2), (b0, b1, b2), h, gap0, fall in zip(
+        r.tolist(), b.tolist(), H, gaps, (noise / unit).tolist()
+    ):
+        mu = r0 * b0 + r1 * b1 + r2 * b2
+        g0, g1, g2 = b0 - mu * r0, b1 - mu * r1, b2 - mu * r2
+        gg = g0 * g0 + g1 * g1 + g2 * g2
+        ok = gg > 0.0 and gap0 > ROUND_SLACK
+        if ok:
+            h00, h01, h02, _, h11, h12, _, _, h22 = h
+            Hg0 = h00 * g0 + h01 * g1 + h02 * g2
+            Hg1 = h01 * g0 + h11 * g1 + h12 * g2
+            Hg2 = h02 * g0 + h12 * g1 + h22 * g2
+            rHr = (h00 * r0 * r0 + h11 * r1 * r1 + h22 * r2 * r2
+                   + 2.0 * (h01 * r0 * r1 + h02 * r0 * r2 + h12 * r1 * r2))
+            rHg = r0 * Hg0 + r1 * Hg1 + r2 * Hg2
+            gHg = g0 * Hg0 + g1 * Hg1 + g2 * Hg2
+            t1Ht1 = gHg / gg
+            rest = h00 + h11 + h22 - rHr - mu  # k11 + t1.H t1
+            k00, k11 = t1Ht1 - mu, rest - t1Ht1
+            k01_squared = (Hg0 * Hg0 + Hg1 * Hg1 + Hg2 * Hg2 - rHg * rHg - gHg * t1Ht1) / gg
+            det = k00 * k11 - k01_squared
+            ok = (k00 > 0.0 and det > ROUND_SLACK * (k00 + k11) ** 2
+                  and gg * k11 > 2.0 * det * fall)
+        size = math.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
+        alternating.append((-b0 / size, -b1 / size, -b2 / size) if size > 0.0
+                           else (r0, r1, r2))
+        if ok:
+            s0 = r0 + (Hg0 - rHg * r0 - rest * g0) / det
+            s1 = r1 + (Hg1 - rHg * r1 - rest * g1) / det
+            s2 = r2 + (Hg2 - rHg * r2 - rest * g2) / det
+            size = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
+            trial.append((s0 / size, s1 / size, s2 / size))
+        else:
+            trial.append(alternating[-1])
+        newton.append(ok)
+    return np.array(trial), np.array(alternating), np.array(newton)
+
+
+def _refine(A: np.ndarray, r: np.ndarray):
+    """Refine the starts ``r`` together by safeguarded Newton steps on S^2.
+
+    A start falls at a point where ``lambda_min`` there is lower than at
+    ``r`` by more than ``FALL_TOL`` times the spectral radius of ``M(r)``,
+    the rounding error of a computed eigenvalue.  Each step moves every start
+    still active to its :func:`_trials` Newton point where it falls there.
+    A start whose Newton point does not fall, or that has none, tries the
+    alternating step's point ``-b/|b|`` instead, where ``b_k = <eta, A_k
+    eta>`` at its unit eigenvector ``eta``: that minimizes ``<eta, M(r)
+    eta>`` over S^2, so ``lambda_min`` there is at most its value at ``r``.
+    A start that falls at neither point stays where it is and drops out, as
+    its next step would repeat the same trials.  The refinement stops when
+    no start is active (``"converged"``), or after ``REFINE_STEPS`` steps
+    (``"cap"``).  A step is one batched eigensolve of the active starts'
+    trial points, and a second one of the alternating points where a Newton
+    point did not fall.
+
+    Returns ``(value, r, eta, refine)`` at the lowest start.
+    """
+    n = A.shape[1]
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(A[1:]).max()))[1])
+    rows = A[1:].transpose(1, 0, 2).reshape(n, 3 * n) / unit
     w, V = np.linalg.eigh(_bloch_matrices(A, r))
-    value, eta = w[:, 0], V[:, :, 0]
+    index = np.arange(len(r))  # the starts still active, in r, w and V
+    final = [None] * len(r)  # (value, point, eta) of the starts dropped out
     steps, stop = 0, "cap"
     for steps in range(1, REFINE_STEPS + 1):
-        b = np.einsum("mi,kij,mj->mk", eta.conj(), Ak, eta).real
-        size = np.sqrt(np.add.reduce(b * b, axis=1, keepdims=True))
-        # b = 0 leaves no direction to take (M(0) = A0 is not on S^2): stay.
-        trial = np.divide(b, -size, out=r.copy(), where=size > 0.0)
-        w, V = np.linalg.eigh(_bloch_matrices(A, trial))
-        low = w[:, 0]
-        better = low < value
-        if not better.any():
+        noise = FALL_TOL * np.maximum(-w[:, 0], w[:, -1])
+        trial, alternating, newton = _trials(rows, unit, r, w, V, noise)
+        tw, tV = np.linalg.eigh(_bloch_matrices(A, trial))
+        floor = w[:, 0] - noise
+        fell = tw[:, 0] < floor
+        retry = np.flatnonzero(newton & ~fell)
+        if retry.size:
+            trial[retry] = alternating[retry]
+            tw[retry], tV[retry] = np.linalg.eigh(_bloch_matrices(A, trial[retry]))
+            fell[retry] = tw[retry, 0] < floor[retry]
+        if not fell.all():
+            for j in np.flatnonzero(~fell):
+                final[index[j]] = (w[j, 0], r[j], V[j, :, 0])
+            index, trial, tw, tV = index[fell], trial[fell], tw[fell], tV[fell]
+        r, w, V = trial, tw, tV
+        if not index.size:
             stop = "converged"
             break
-        if better.all():
-            # Every start moves: take the step's arrays as they are.
-            r, value, eta = trial, low, V[:, :, 0]
-        else:
-            np.copyto(r, trial, where=better[:, None])
-            np.copyto(value, low, where=better)
-            np.copyto(eta, V[:, :, 0], where=better[:, None])
+    for j, k in enumerate(index):
+        final[k] = (w[j, 0], r[j], V[j, :, 0])
+    value, point, eta = min(final, key=lambda f: f[0])
+    return float(value), point, eta.copy(), Refinement(steps, stop)
 
-    k = int(np.argmin(value))
-    r1, r2, r3 = r[k]
+
+def _bloch_min(P, S, Q, budget: int, seed: int):
+    """Smallest ``lambda_min(phi(xi xi*))`` found over unit ``xi`` in C^2.
+
+    :func:`_scan` picks the ``REFINE_STARTS`` lowest of the fixed point set
+    and ``budget`` points drawn from ``seed``, and :func:`_refine` refines
+    them together: a Newton step on S^2 where ``lambda_min`` is smooth and
+    its tangent Hessian positive definite, the alternating step ``-b/|b|``
+    elsewhere and where the Newton point does not fall.  A start moves only
+    where ``lambda_min`` falls by more than rounding, and the refinement
+    stops once no start falls (``"converged"``) or after ``REFINE_STEPS``
+    steps (``"cap"``).
+
+    Returns ``(value, xi, eta, refine)`` with ``eta`` the unit eigenvector of
+    ``phi(xi xi*)`` at ``value`` and ``refine`` the :class:`Refinement` that
+    records the steps run and why they stopped.
+    """
+    A = _bloch_terms(P, S, Q)
+    value, (r1, r2, r3), eta, refine = _refine(A, _scan(A, budget, seed))
     rho = np.array([[1 + r3, r1 + 1j * r2], [r1 - 1j * r2, 1 - r3]]) / 2
     xi = np.linalg.eigh(rho)[1][:, -1]
-    return float(value[k]), xi, eta[k].copy(), Refinement(steps, stop)
+    return value, xi, eta, refine
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +399,11 @@ class BlockPosWitness:
 
 @dataclass(frozen=True)
 class Refinement:
-    """How the engine's alternating refinement ended.
+    """How the engine's refinement ended.
 
-    ``steps`` counts the steps run, one batched eigensolve each; ``stop`` is
-    ``"converged"`` when the last of them improved no start, and ``"cap"``
-    when ``REFINE_STEPS`` steps ran.
+    ``steps`` counts the refinement steps run (see ``_refine``); ``stop`` is
+    ``"converged"`` when the last of them left no start that still improves,
+    and ``"cap"`` when ``REFINE_STEPS`` steps ran.
     """
 
     steps: int
@@ -286,14 +439,14 @@ def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerd
     violation, returned at once (no exception) with ``margin`` its smallest
     eigenvalue, ``lam = (1, 0)`` for ``P`` or ``(0, 1)`` for ``Q`` (``P``
     on a tie) and the block's lowest eigenvector as ``eta``.  Otherwise the
-    positivity engine scans the fixed point set plus ``budget`` random
-    points drawn from ``seed`` and refines the lowest by its alternating
-    step, which never raises ``lambda_min`` and stops once no start improves
-    (at most ``REFINE_STEPS`` steps; ``refine`` records the steps and the
-    stop).  ``margin`` is the smallest ``lambda_min(phi(xi xi*))`` found
-    there or at the poles, and values below ``-PSD_TOL`` are violations,
-    returned with a product vector witness.  ``P``, ``S`` and ``Q`` of different shapes raise
-    :class:`DimensionMismatchError`.
+    positivity engine scans the fixed point set plus ``budget`` random points drawn from
+    ``seed`` and refines the lowest by safeguarded Newton steps, which never
+    raise ``lambda_min`` and stop once no start improves (at most
+    ``REFINE_STEPS`` steps; ``refine`` records the steps and the stop).
+    ``margin`` is the smallest ``lambda_min(phi(xi xi*))`` found there or at
+    the poles, and values below ``-PSD_TOL`` are violations, returned with a
+    product vector witness.  ``P``, ``S`` and ``Q`` of different shapes
+    raise :class:`DimensionMismatchError`.
     """
     Pm = require_hermitian(as_matrix(P))
     Qm = require_hermitian(as_matrix(Q))

@@ -74,6 +74,30 @@ class TestSummarize:
         out = summarize(wide, [v * 0.9 for v in wide], "lower", 0.24)
         assert out["bound"]["verdict"] == "unresolved"
 
+    def test_pair_differences_are_relative_to_each_pair(self):
+        out = summarize(PARENT, [v * 1.12 for v in PARENT], "higher", 0.24)
+        diffs = out["pair_differences"]
+        assert diffs["runs"] == pytest.approx([0.12] * 10)
+        assert diffs["median"] == diffs["q1"] == diffs["q3"] == pytest.approx(0.12)
+
+    def test_pair_differences_quartiles_and_sign(self):
+        # Relative differences 0.1, 0, -0.25 and 0.1, whichever way is better.
+        parent, change = [1.0, 2.0, 4.0, 5.0], [1.1, 2.0, 3.0, 5.5]
+        for better in ("higher", "lower"):
+            diffs = summarize(parent, change, better, 0.24)["pair_differences"]
+            assert diffs["runs"] == pytest.approx([0.1, 0.0, -0.25, 0.1])
+            assert diffs["median"] == pytest.approx(0.05)
+            assert diffs["q1"] == pytest.approx(-0.0625)
+            assert diffs["q3"] == pytest.approx(0.1)
+
+    def test_pair_differences_leave_the_claim_alone(self):
+        # The seeds' spread fails the claim although every pair gains 11-13%.
+        wide = [12.3, 16.6, 13.0, 15.9, 14.1, 12.8, 16.0, 13.5, 15.2, 14.4]
+        change = [v * (1.11 + 0.002 * k) for k, v in enumerate(wide)]
+        out = summarize(wide, change, "higher", 0.24)
+        assert out["change_better_pairs"] == 10 and not out["claim"]["holds"]
+        assert 0.11 <= out["pair_differences"]["q1"] <= out["pair_differences"]["q3"] <= 0.13
+
     def test_unpaired_runs_are_refused(self):
         with pytest.raises(ValueError):
             summarize(PARENT, PARENT[:9], "higher", 0.24)

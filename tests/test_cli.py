@@ -665,12 +665,12 @@ class TestRefinementInReport:
                      "--seed", str(seed)]) == 0
         return strict_json(out.read_text())["flags"]["positive"]
 
-    def test_tang_reads_cap(self, tmp_path):
-        from posmap.positivity import REFINE_STEPS
-
+    def test_tang_reads_converged(self, tmp_path):
         H = build_pipeline(TangParams(0.5, 0.5**2 / 12)).H0.H
         positive = self._positive(H, tmp_path)
-        assert positive["refine"] == {"steps": REFINE_STEPS, "stop": "cap"}
+        assert positive["status"] == "certified"
+        assert positive["refine"]["stop"] == "converged"
+        assert positive["refine"]["steps"] <= 25
 
     def test_nonpositive_triple_reads_converged(self, tmp_path):
         case = benchmark_case("nonpositive", 5, 1)

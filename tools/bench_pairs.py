@@ -20,6 +20,11 @@ and 75, linear).  Per metric it adds:
 * ``claim``: whether a gain may be claimed, that is the change won at least
   nine tenths of the pairs and the medians differ, in the better direction,
   by more than the parent's quartile distance;
+* ``pair_differences``: each pair's relative difference, change / parent -
+  1, with their median and quartiles.  Both runs of a pair read the same
+  seed's inputs, so these spread with run-to-run noise alone, while the
+  parent's quartile distance in the claim also holds the spread between the
+  seeds' input pools;
 * ``bound``: how much worse the change's median is than the parent's,
   relative to the parent's, and the verdict: ``unresolved`` when either
   side's quartile distance relative to its median exceeds the bound, unless
@@ -56,7 +61,8 @@ def summarize(parent, change, better: str, bound: float) -> dict:
     """Compare paired runs of one metric; ``parent[k]`` pairs with ``change[k]``.
 
     ``better`` is ``"higher"`` or ``"lower"`` and ``bound`` the largest
-    relative worsening of the median that is allowed.
+    relative worsening of the median that is allowed.  The metric's runs are
+    positive, so each pair's relative difference is defined.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change runs")
@@ -83,6 +89,7 @@ def summarize(parent, change, better: str, bound: float) -> dict:
             "parent_quartile_distance": parent_iqr,
             "holds": won >= CLAIM_SHARE * len(parent) and gain > parent_iqr,
         },
+        "pair_differences": spread([b / a - 1.0 for a, b in zip(parent, change)]),
         "bound": {
             "bound": bound,
             "relative_worsening": worse,
