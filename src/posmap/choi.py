@@ -53,6 +53,21 @@ STRUCT_TOL = 1e-9
 UNITAL_TOL = 1e-8
 
 
+@functools.cache
+def _face_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the face-form zero pattern of a ``2d``-square
+    Choi matrix, in the order :attr:`ChoiMatrix.face_form_offenders` lists
+    them: ``(d, d)``, then ``(d, d + k)`` and ``(d + k, d)`` for k = 1, 2,
+    ..., and last ``(0, d)``.  Read-only, built once per ``d``."""
+    k = d + np.arange(1, d)
+    edge = np.full(d - 1, d)
+    rows = np.concatenate([[d], np.stack([edge, k], axis=1).ravel(), [0]])
+    cols = np.concatenate([[d], np.stack([k, edge], axis=1).ravel(), [d]])
+    for index in (rows, cols):
+        index.setflags(write=False)
+    return rows, cols
+
+
 @dataclass(frozen=True)
 class ChoiMatrix:
     """Choi matrix of a Hermiticity-preserving map into (n+1)x(n+1) matrices.
@@ -111,18 +126,13 @@ class ChoiMatrix:
         (the corner once), and last the scalar ``x = H[0, d]``.  Cached, so
         the split search and :func:`extract_blocks` read one list.
         """
-        d = self.dim
-        Q = self.block(2, 2)
-        found = []
-        for k in range(d):
-            if abs(Q[0, k]) > STRUCT_TOL:
-                found.append((d, d + k, abs(Q[0, k])))
-            if k > 0 and abs(Q[k, 0]) > STRUCT_TOL:
-                found.append((d + k, d, abs(Q[k, 0])))
-        x = complex(self.H[0, d])
-        if abs(x) > STRUCT_TOL:
-            found.append((0, d, abs(x)))
-        return tuple(found)
+        rows, cols = _face_pattern(self.dim)
+        entries = self.H[rows, cols]
+        # hypot gives the bits of the scalar abs(); np.abs of a complex
+        # array can differ from it in the last place.
+        moduli = np.hypot(entries.real, entries.imag)
+        hit = moduli > STRUCT_TOL
+        return tuple(zip(rows[hit].tolist(), cols[hit].tolist(), moduli[hit].tolist()))
 
     @functools.cached_property
     def _projection_runs(self) -> dict:

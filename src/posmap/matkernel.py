@@ -14,7 +14,9 @@ Two readers skip the check and factor the symmetrized copy ``(M + M*)/2``:
 :func:`psd_part`, the projection's cone step, and :func:`eigenvalues`, the
 spectra of a stack of matrices Hermitian up to rounding (margins, and the
 state and certificate checks).  Besides the cone step, only the positivity
-engine (``positivity._bloch_min``) calls LAPACK directly in a hot loop.
+engine calls LAPACK directly: ``positivity.block_positive_2x2`` factors the
+two blocks it has just validated in one call, and ``positivity._bloch_min``
+runs its hot loop.
 Each kernel has one implementation: :func:`partial_transpose` is a cached
 index permutation (:func:`partial_transpose_index`, which reads the
 ``m x d`` layout from the matrix size and serves the ``2 x d`` Choi layout

@@ -85,7 +85,6 @@ from .matkernel import (
     RANK_TOL,
     as_matrix,
     lowest_eigenvalue,
-    psd_check,
     psd_sqrt,
     require_hermitian,
 )
@@ -435,14 +434,15 @@ def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerd
     """Search for a violation of block-positivity of ``[[P, S], [S*, Q]]``.
 
     ``P`` and ``Q``, the images of the Bloch sphere's poles, are both
-    PSD-checked first.  When the lower of the two is not PSD, that is the
-    violation, returned at once (no exception) with ``margin`` its smallest
-    eigenvalue, ``lam = (1, 0)`` for ``P`` or ``(0, 1)`` for ``Q`` (``P``
-    on a tie) and the block's lowest eigenvector as ``eta``.  Otherwise the
-    positivity engine scans the fixed point set plus ``budget`` random points drawn from
-    ``seed`` and refines the lowest by safeguarded Newton steps, which never
-    raise ``lambda_min`` and stop once no start improves (at most
-    ``REFINE_STEPS`` steps; ``refine`` records the steps and the stop).
+    PSD-checked first, in one eigensolve of the two validated blocks.  When
+    the lower of the two is not PSD, that is the violation, returned at once
+    (no exception) with ``margin`` its smallest eigenvalue, ``lam = (1, 0)``
+    for ``P`` or ``(0, 1)`` for ``Q`` (``P`` on a tie) and the block's lowest
+    eigenvector as ``eta``.  Otherwise the positivity engine scans the fixed
+    point set plus ``budget`` random points drawn from ``seed`` and refines
+    the lowest by safeguarded Newton steps, which never raise ``lambda_min``
+    and stop once no start improves (at most ``REFINE_STEPS`` steps;
+    ``refine`` records the steps and the stop).
     ``margin`` is the smallest ``lambda_min(phi(xi xi*))`` found there or at
     the poles, and values below ``-PSD_TOL`` are violations, returned with a
     product vector witness.  ``P``, ``S`` and ``Q`` of different shapes
@@ -454,11 +454,12 @@ def block_positive_2x2(P, S, Q, budget: int = 64, seed: int = 0) -> BlockPosVerd
     n = Pm.shape[0]
     if Sm.shape != (n, n) or Qm.shape != (n, n):
         raise DimensionMismatchError("P, S, Q must share one square shape")
-    checks = (psd_check(Pm), psd_check(Qm))
-    poles = tuple(v.min_eigenvalue for v in checks)
+    # P and Q are exactly Hermitian now, so one eigensolve factors both.
+    w, V = np.linalg.eigh(np.stack([Pm, Qm]))
+    poles = (float(w[0, 0]), float(w[1, 0]))
     low = int(poles[1] < poles[0])
-    if not checks[low].is_psd:
-        witness = BlockPosWitness(eta=checks[low].witness, lam=_POLE_LAMS[low])
+    if poles[low] < -PSD_TOL:
+        witness = BlockPosWitness(eta=V[low, :, 0].copy(), lam=_POLE_LAMS[low])
         return BlockPosVerdict(VIOLATION_FOUND, poles[low], witness, poles)
 
     found, xi, eta, refine = _bloch_min(Pm, Sm, Qm, budget, seed)

@@ -188,19 +188,23 @@ class TestFaceFormOffenders:
         blocks = random_face_blocks(rng, 2)
         H = assemble_blocks(blocks).H.copy()
         # Entries of the pattern, set in an order unlike the listed one.
-        for (i, j), v in (((0, 3), 0.5), ((5, 3), 0.2j), ((3, 4), 0.1), ((3, 3), 0.3)):
+        for (i, j), v in (((0, 3), 0.5), ((5, 3), 0.2j), ((3, 4), 0.1 + 0.7j), ((3, 3), 0.3)):
             H[i, j], H[j, i] = v, np.conj(v)
         choi = ChoiMatrix.from_array(H)
         offenders = choi.face_form_offenders
         assert choi.face_form_offenders is offenders
         assert [(r, c) for r, c, _ in offenders] == [
             (3, 3), (3, 4), (4, 3), (3, 5), (5, 3), (0, 3)]
-        assert [m for _, _, m in offenders] == pytest.approx([0.3, 0.1, 0.1, 0.2, 0.2, 0.5])
+        # Each modulus is the scalar abs() of its entry, to the last bit
+        # (a vectorized np.abs differs from it at 0.1 + 0.7j).
+        moduli = [m for _, _, m in offenders]
+        assert moduli == [abs(complex(choi.H[r, c])) for r, c, _ in offenders]
+        assert moduli == pytest.approx([0.3, 0.5**0.5, 0.5**0.5, 0.2, 0.2, 0.5])
         with pytest.raises(NotInFaceFormError) as err:
             extract_blocks(choi)
         assert err.value.offenders == list(offenders)
         assert str(err.value).endswith(
-            "(3,3)=3.000e-01, (3,4)=1.000e-01, (4,3)=1.000e-01, (3,5)=2.000e-01, "
+            "(3,3)=3.000e-01, (3,4)=7.071e-01, (4,3)=7.071e-01, (3,5)=2.000e-01, "
             "(5,3)=2.000e-01, (0,3)=5.000e-01")
 
     def test_face_form_has_none(self, rng):

@@ -93,18 +93,24 @@ def cp_shaped_blocks(n=2, y=0.6):
 
 
 def eig_calls(monkeypatch, call):
-    """``call()`` and the number of checked ``hermitian_eig`` calls it made."""
+    """``call()``, the number of checked ``hermitian_eig`` calls it made and
+    the arrays it handed to LAPACK's ``eigh``, in order."""
     import posmap.matkernel as matkernel
 
-    calls = []
-    original = matkernel.hermitian_eig
+    checked, factored = [], []
+    original, lapack = matkernel.hermitian_eig, np.linalg.eigh
 
     def counted(matrix):
-        calls.append(matrix)
+        checked.append(matrix)
         return original(matrix)
 
+    def recorded(a):
+        factored.append(np.array(a))
+        return lapack(a)
+
     monkeypatch.setattr(matkernel, "hermitian_eig", counted)
-    return call(), len(calls)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return call(), len(checked), factored
 
 
 @pytest.fixture(scope="module")
@@ -304,8 +310,11 @@ class TestFaceStructure:
             name: psd_check(M).min_eigenvalue
             for name, M in (("B_psd", blocks.B), ("U_psd", blocks.U))
         }
-        report, calls = eig_calls(monkeypatch, lambda: face_structure_report(blocks))
-        assert calls == 2
+        report, checked, factored = eig_calls(
+            monkeypatch, lambda: face_structure_report(blocks))
+        # B and U are factored together, in the engine's first eigensolve.
+        assert checked == 0
+        assert np.array_equal(factored[0], np.stack([blocks.B, blocks.U]))
         for name, lowest in expected.items():
             assert report.relations[name].passed
             assert report.relations[name].margin == lowest
@@ -523,7 +532,8 @@ class TestBlockPositiveChoi:
 
 
 class TestDiagonalBlockChecks:
-    """Each diagonal block is PSD-checked once, inside block_positive_2x2."""
+    """Each diagonal block is PSD-checked once, inside block_positive_2x2,
+    and both in one eigensolve."""
 
     @staticmethod
     def eig_calls(monkeypatch, choi):
@@ -535,9 +545,13 @@ class TestDiagonalBlockChecks:
         from posmap.matkernel import partial_transpose
 
         H = random_psd(2 * d, rng) + partial_transpose(random_psd(2 * d, rng), d)
-        verdict, calls = self.eig_calls(monkeypatch, ChoiMatrix.from_array(H))
+        choi = ChoiMatrix.from_array(H)
+        verdict, checked, factored = self.eig_calls(monkeypatch, choi)
         assert verdict.status == CERTIFIED
-        assert calls == 2
+        assert checked == 0
+        poles = np.stack([choi.block(1, 1), choi.block(2, 2)])
+        assert np.array_equal(factored[0], poles)
+        assert verdict.poles == tuple(psd_check(m).min_eigenvalue for m in poles)
 
     @pytest.mark.parametrize("lower, lam, failing", [
         (0, (1.0 + 0j, 0j), 1),
@@ -554,12 +568,16 @@ class TestDiagonalBlockChecks:
         H[3 * lower + 2, 3 * lower + 2] = -2.0
         if failing == 2:
             H[3 * (1 - lower) + 2, 3 * (1 - lower) + 2] = -1.0
-        verdict, calls = self.eig_calls(monkeypatch, ChoiMatrix.from_array(H))
+        choi = ChoiMatrix.from_array(H)
+        verdict, checked, factored = self.eig_calls(monkeypatch, choi)
         assert verdict.status == VIOLATION_FOUND
+        assert checked == 0
+        assert [m.shape for m in factored] == [(2, 3, 3)]
         assert verdict.witness.lam == lam
         assert verdict.margin == pytest.approx(-2.0)
         assert verdict.poles[lower] == verdict.margin == min(verdict.poles)
-        assert calls == 2
+        block = choi.block(lower + 1, lower + 1)
+        assert np.array_equal(verdict.witness.eta, psd_check(block).witness)
 
 
 class TestAlternatingRefinement:
@@ -585,7 +603,7 @@ class TestAlternatingRefinement:
             calls.clear()
             assert block_positive_choi(choi).status == CERTIFIED
             counts.append(len(calls))
-        # Two pole checks, one initial and one final eigensolve, and one or
+        # One pole check, one initial and one final eigensolve, and one or
         # two per refinement step, at most REFINE_STEPS steps.
         assert np.median(counts) <= 40
 
