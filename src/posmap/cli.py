@@ -25,6 +25,11 @@ always comes with ``positive`` reading ``{"status": "proved",
 "lower_bound": ..., "evidence": "split", "witness": null}``, which holds up
 to the rounding in those three fields.  It has no ``margin``, and the
 positivity engine does not run, so ``timings`` has no ``positivity`` entry.
+A split found by the projection of an input not in face form normally comes
+from its shifted pass (see :mod:`posmap.cpdecomp`): it is interior, with
+``min_eig_H1``, ``min_eig_H2_pt`` and ``lower_bound`` all positive and a
+residual of rounding size.  A trivial split is singular wherever ``H`` or
+``PT(H)`` is, and a face-form split is singular by its zero row ``d``.
 Without a split the engine runs and ``positive`` carries its ``status``
 (``certified`` or ``violation_found``), ``margin`` and ``witness``, and
 ``refine``, unless a non-PSD diagonal block decided the verdict before the
@@ -42,6 +47,11 @@ the face-restricted one, then the unrestricted one.  The run's witness
 (``rho`` and ``value``) gives ``decomposable: no-witness``; without one,
 ``decomposable`` reads ``unknown`` and ``witness`` holds ``found: false``,
 the run's own ``residual``, ``iterations`` and ``stop``, and its ``budget``.
+The witness of a map with a clear product violation comes from the first
+cycle of the shifted pass, and one of a positive nondecomposable map from
+the restart on ``H`` after that pass gave up; ``iterations`` counts the
+cycles of both passes, and ``residual`` is ``||X||_F`` on the target of the
+pass that ended the run.
 
 Every report (``classify``, ``decompose``, ``canonical``) and every matrix
 (``tang``) is written, to ``--out`` or to stdout, as one line of compact

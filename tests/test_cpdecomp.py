@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from posmap import cpdecomp
 from posmap.choi import ChoiBlocks, ChoiMatrix, assemble_blocks, extract_blocks
@@ -34,7 +35,7 @@ from posmap.matkernel import (
 )
 from posmap.rand import random_psd
 from posmap.tang import TangParams, build_pipeline, tang_choi
-from conftest import product_violation, random_complex
+from conftest import benchmark_case, product_violation, random_complex
 
 
 def cp_shaped_blocks(n=2, y=0.6):
@@ -496,8 +497,11 @@ class TestStateChecks:
     def test_raw_tang_checks_only_stopping_candidates(self, tang_raw,
                                                       checked_states):
         # A fresh Choi matrix: the shared fixture may hold a cached run.
+        # 5 cycles on the shifted target, then 51 on H.  The shifted pass
+        # state-checks its fourth candidate, which fails, and its fifth shows
+        # that the shifted target has no split.
         out = witness_search(ChoiMatrix.from_array(tang_raw.H))
-        assert out.found and out.stop == "witness" and out.iterations == 51
+        assert out.found and out.stop == "witness" and out.iterations == 5 + 51
         assert out.witness.value == pytest.approx(-7.46e-4, abs=5e-7)
         values = [float(np.vdot(tang_raw.H, rho).real) for rho in checked_states]
         assert values and all(v < -WITNESS_TOL for v in values)
@@ -688,6 +692,76 @@ class TestLayoutGenericProjection:
         excess = np.linalg.norm(cert.H1 + cert.H2 - H) + max(-m1, 0.0) + max(-m2, 0.0)
         assert excess <= PSD_TOL
         assert not np.any(cert.H1[face]) and not np.any(pt[face])
+
+
+class TestInteriorSplit:
+    """An unrestricted projection aims at ``H - 2t I`` first.  Its splits of
+    ``H`` come from that pass and have a margin in both cones, and no pass
+    splits a map that is not decomposable."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           d=st.integers(min_value=2, max_value=10))
+    def test_projection_splits_are_interior(self, seed, d):
+        H = random_decomposable(np.random.default_rng(seed), d)
+        out = decompose(H)
+        assume(out.iterations > 0)  # else a trivial split decided
+        cert = out.certificate
+        assert out.stop == "split" and cert is not None
+        # The shifted pass offers H2 = H - H1, bit for bit; a split of the
+        # restart on H is (-P1, -P2), whose sum misses H by ||X||.
+        assert np.array_equal(cert.H2, H.H - cert.H1)
+        assert out.iterations <= cpdecomp.SHIFT_CYCLES
+        validate_certificate(H, cert)
+        assert cert.min_eig_H1 > 0.0 and cert.min_eig_H2_pt > 0.0
+        assert cert.lower_bound > 0.0
+
+    @staticmethod
+    def not_decomposable():
+        """``(name, H, d)`` of maps with no split: non-positive or Tang."""
+        for s in range(6):
+            d = 2 + s % 4
+            yield f"product {s}", product_violation(np.random.default_rng(s), d), d
+            yield f"triple {s}", benchmark_case("nonpositive", s, 1).H, 3
+        for mu, eps in ((0.9, 0.12), (0.5, 0.04), (0.3, 0.01)):
+            pipe = build_pipeline(TangParams(mu, eps))
+            yield f"raw Tang {mu}", pipe.H0.H, 4
+            yield f"normalized Tang {mu}", pipe.Hfinal.H, 4
+        for k in (1, 2):
+            for s in range(3):
+                d = 2 + s
+                Hk = lift(product_violation(np.random.default_rng(s), d), d, k)
+                yield f"lift {k} of product {s}", Hk / frobenius(Hk), d
+
+    def test_no_pass_splits_a_map_that_is_not_decomposable(self):
+        for name, H, d in self.not_decomposable():
+            for max_iters in (cpdecomp.SHIFT_CYCLES, 2000):
+                out = cpdecomp._project(H, d, None, max_iters)
+                assert out.certificate is None, (name, max_iters, out.stop)
+
+    def test_shift_changes_no_face_run(self, monkeypatch):
+        # A face-restricted run has no shifted pass: its result does not
+        # depend on SHIFT.
+        H = face_form_decomposable(np.random.default_rng(3))
+        runs = []
+        for shift in (cpdecomp.SHIFT, 0.3):
+            monkeypatch.setattr(cpdecomp, "SHIFT", shift)
+            runs.append(cpdecomp._project(H.H, H.dim, H.dim, 3000))
+        assert runs[0].decomposed and runs[0].iterations > 0
+        assert np.array_equal(runs[0].certificate.H1, runs[1].certificate.H1)
+        assert np.array_equal(runs[0].certificate.H2, runs[1].certificate.H2)
+        assert runs[0].iterations == runs[1].iterations
+
+    def test_fallback_is_the_unshifted_run(self, tang_raw, monkeypatch):
+        # After the shifted pass ends on evidence, the restart on H repeats
+        # the run without it bit for bit; only iterations adds both passes.
+        out = cpdecomp._project(tang_raw.H, 4, None, 20000)
+        monkeypatch.setattr(cpdecomp, "SHIFT_CYCLES", 0)
+        plain = cpdecomp._project(tang_raw.H, 4, None, 20000)
+        assert out.found and plain.found and out.stop == plain.stop
+        assert np.array_equal(out.witness.rho, plain.witness.rho)
+        assert (out.witness.value, out.residual) == (plain.witness.value, plain.residual)
+        assert out.iterations == plain.iterations + 5
 
 
 class TestKadison:
