@@ -383,8 +383,9 @@ class DecomposeResult:
     (see the module docstring); at most one of them is.  ``residual`` is
     ``||X||_F`` of the last output, on the target of the pass that made it
     (the certificate's own residual after a split), ``iterations`` counts
-    Dykstra cycles of both passes and ``stop`` is why the run ended.  A trivial split of :func:`decompose` is reported as a run that
-    stopped on ``"split"`` after 0 cycles.
+    Dykstra cycles of both passes and ``stop`` is why the run ended.  A
+    trivial split of :func:`decompose` is reported as a run that stopped on
+    ``"split"`` after 0 cycles.
     """
 
     certificate: DecompositionCertificate | None
@@ -509,6 +510,7 @@ def _project(H: np.ndarray, d: int, face: int | None, max_iters: int) -> Decompo
             P1, P2 = g
             X = negT - P1 - P2
             norm = _norm(X)
+            # Within 2t of the shifted target, or within tau / 10 of H.
             if (norm < shift) if shift else (norm <= stop_tol):
                 stop = "split"
                 break
@@ -660,12 +662,14 @@ def witness_search(choi: ChoiMatrix, max_iters: int = 20000) -> DecomposeResult:
 
     The same projection as :func:`decompose`, without the face restriction,
     so its shifted pass comes first: a map with a clear product violation is
-    witnessed on that pass's first cycle, and a map with no split is witnessed
-    by the restart on ``H`` once the shifted pass gives up.  It shares :func:`decompose`'s cache of runs on ``choi``, keyed by face and
-    ``max_iters``: after :func:`decompose` ran unrestricted (``H`` not in face
-    form) with the same cap, it returns that run's result without projecting
-    again.  The result is shared and must not be mutated.  It may hold a
-    split instead; ``found=False`` is not a decomposability proof.
+    witnessed on that pass's first cycle, while the witness of a positive
+    nondecomposable map, such as Tang's, comes from the restart on ``H``
+    once the shifted pass gives up.  It shares :func:`decompose`'s cache of
+    runs on ``choi``, keyed by face and ``max_iters``: after
+    :func:`decompose` ran unrestricted (``H`` not in face form) with the same
+    cap, it returns that run's result without projecting again.  The result
+    is shared and must not be mutated.  It may hold a split instead;
+    ``found=False`` is not a decomposability proof.
     """
     return _run(choi, None, max_iters)
 
